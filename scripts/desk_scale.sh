@@ -4,16 +4,12 @@
 # from every checkpoint, and aggregate the metrics into a report.
 #
 # Budget: the whole run is specified to finish inside 15 minutes on one
-# core. Measured here: about 70 seconds end to end (synth < 1 s, training
-# ~55 s, extraction ~10 s, analysis ~2 s).
-#
-# NCA_THREADS=1 keeps every stage on a single thread so reruns are
-# byte-identical; bump it to parallelize extraction across checkpoints
-# at the cost of that guarantee holding only per-thread-count.
+# core. Every stage runs serially, so reruns are byte-identical for the
+# data artifacts. Criterion 5 of the acceptance suite prints this
+# pipeline's wall time.
 set -euo pipefail
 
 OUT="${1:-desk-run}"
-export NCA_THREADS="${NCA_THREADS:-1}"
 
 run() { python3 -m neural_couplings.cli "$@"; }
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serial
-from .linalg import Mat, ShapeError, hadamard, l2_norm_sq, matmul, relu, trace_abs
+from .linalg import Mat, ShapeError
 from .models import ModelParams, forward
 
 SNR_CAP_DB = 300.0
@@ -57,7 +57,7 @@ def linear_composition(params: ModelParams) -> Mat:
     """Plain product of the weight matrices, encoder applied first; biases ignored."""
     c = np.eye(params.n)
     for w, _ in params.layers:
-        c = matmul(w, c)
+        c = w @ c
     return c
 
 
@@ -71,7 +71,7 @@ def tod_r(c: Mat) -> float | None:
     off_mass = float(off.sum())
     if off_mass == 0.0:
         return None
-    return math.sqrt(c.shape[0]) * trace_abs(c) / off_mass
+    return math.sqrt(c.shape[0]) * float(np.abs(np.diagonal(c)).sum()) / off_mass
 
 
 def snr_db(reference: Mat, estimate: Mat) -> float:
@@ -80,10 +80,11 @@ def snr_db(reference: Mat, estimate: Mat) -> float:
     est = np.asarray(estimate, dtype=np.float64)
     if ref.shape != est.shape:
         raise ShapeError(f"snr_db: shapes {ref.shape} and {est.shape} differ")
-    ref_energy = l2_norm_sq(ref)
+    ref_energy = float((ref * ref).sum())
     if ref_energy == 0.0:
         raise ValueError("snr_db: all-zero reference")
-    err_energy = l2_norm_sq(ref - est)
+    err = ref - est
+    err_energy = float((err * err).sum())
     if err_energy == 0.0:
         return SNR_CAP_DB
     return min(10.0 * math.log10(ref_energy / err_energy), SNR_CAP_DB)
@@ -91,8 +92,8 @@ def snr_db(reference: Mat, estimate: Mat) -> float:
 
 def couplings_estimate(params: ModelParams, c: Mat, x_mix: Mat) -> Mat:
     """C X clipped at zero; skip-filtering models then mask the input with it."""
-    est = relu(matmul(c, x_mix))
-    return hadamard(est, x_mix) if params.arch.uses_mask else est
+    est = np.maximum(c @ x_mix, 0.0)
+    return est * x_mix if params.arch.uses_mask else est
 
 
 def evaluate_segment(
@@ -110,7 +111,11 @@ def evaluate_segment(
     scores the clipped couplings estimate.
     """
     trace = forward(params, x_mix)
-    est = np.asarray(x_mix, dtype=np.float64) if method == "identity" else couplings_estimate(params, c, x_mix)
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape != (params.n, params.n):
+        raise ShapeError(f"couplings matrix has shape {c.shape}, model is {params.n}-dimensional")
+    x = trace.x_input
+    est = x if method == "identity" else couplings_estimate(params, c, x)
     return MetricsRecord(
         arch=params.arch.tag,
         method=method,
@@ -142,7 +147,7 @@ def aggregate(records: list[MetricsRecord]) -> dict:
             tod = {"defined": len(defined), "excluded": len(group) - len(defined)}
             if defined:
                 tod.update(_stats(defined))
-            else:
+            elif method != "identity":  # the identity has no off-diagonal mass by design
                 log.warning("TOD-R undefined for every record in cell (%s, %s)", arch, method)
             cell["tod_r"] = tod
             cells.setdefault(arch, {})[method] = cell

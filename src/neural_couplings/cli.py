@@ -3,10 +3,8 @@ couplings matrices, score them, and render heatmaps.
 
 Every command writes its outputs atomically and drops a JSON manifest next
 to them recording the flag set, input and output content hashes, tool
-version, and wall-clock time, so any stage can be audited or re-run. The
-NCA_THREADS environment variable caps the worker count used for independent
-units (training seeds, extraction segments). Errors print one JSON line to
-stderr and exit non-zero.
+version, and wall-clock time, so any stage can be audited or re-run.
+Errors print one JSON line to stderr and exit non-zero.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import argparse
 import glob as globlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -52,15 +49,6 @@ from .training import TrainConfig, TrainingError, train_multi_seed, write_histor
 
 class CliError(Exception):
     pass
-
-
-def worker_count(n_units: int) -> int:
-    raw = os.environ.get("NCA_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise CliError(f"NCA_THREADS={raw!r} is not an integer") from None
-    return max(1, min(w, n_units))
 
 
 def _hash_paths(paths) -> dict[str, str]:
@@ -176,7 +164,7 @@ def cmd_train(args) -> int:
         initial_lr=args.lr,
         max_epochs=args.max_epochs,
     )
-    results = train_multi_seed(arch, ds, cfg, seeds, workers=worker_count(len(seeds)))
+    results = train_multi_seed(arch, ds, cfg, seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -207,6 +195,8 @@ def cmd_couplings(args) -> int:
         raise CliError(
             f"checkpoint is {ck.params.n}-dimensional but dataset keeps {ds.config.bins_kept} bins"
         )
+    if args.frames < 1:
+        raise CliError(f"--frames must be positive, got {args.frames}")
     segments = list_segments(ds, args.frames)
     if not segments:
         raise CliError(f"dataset has no full {args.frames}-frame window")
@@ -228,23 +218,16 @@ def cmd_couplings(args) -> int:
     ck_hash = serial.sha256_file(args.checkpoint)
     ck_stem = Path(args.checkpoint).stem
 
-    def extract(seg: tuple[int, int, int]) -> list[Path]:
-        pair_idx, start, stop = seg
+    cfg = NcaConfig(strategy=args.strategy, iterations=args.iters, lr=args.lr, seed=args.seed)
+    outputs = []
+    for pair_idx, start, stop in segments:
         x_mix, _ = normalized_window(ds, pair_idx, start, stop)
-        cfg = NcaConfig(
-            strategy=args.strategy,
-            iterations=args.iters,
-            lr=args.lr,
-            batch_frames=stop - start,
-            seed=args.seed,
-        )
         state = run_nca(ck.params, x_mix, cfg)
-        seg_id = segment_id(pair_idx, start, stop)
         meta = {
             "strategy": args.strategy,
             "arch": ck.params.arch.tag,
             "checkpoint": ck_hash,
-            "segment": seg_id,
+            "segment": segment_id(pair_idx, start, stop),
             "final_loss": state.losses[-1],
             "iterations": args.iters,
             "lr": args.lr,
@@ -257,18 +240,7 @@ def cmd_couplings(args) -> int:
         save_couplings(c_path, state.c, meta)
         loss_path = Path(str(c_path)[: -len(".ncc")] + "-loss.csv")
         _couplings_loss_csv(loss_path, state.losses)
-        return [c_path, loss_path]
-
-    workers = worker_count(len(segments))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            produced = list(ex.map(extract, segments))
-    else:
-        produced = [extract(seg) for seg in segments]
-
-    outputs = [p for group in produced for p in group]
+        outputs += [c_path, loss_path]
     flags = {"checkpoint": args.checkpoint, "dataset": args.dataset, "strategy": args.strategy,
              "segment": args.segment, "iters": args.iters, "lr": args.lr,
              "frames": args.frames, "seed": args.seed, "out": str(out)}

@@ -1,9 +1,9 @@
-"""Dense float64 matrix kernels shared by every other module.
+"""The matrix type, the shape error, seeding and the weight-init rule shared
+by every other module.
 
-Everything here is a pure function over 2-D numpy arrays; no operation
-mutates its inputs. Shapes are validated eagerly so callers get an error
-naming both operands instead of a numpy broadcast surprise. All arithmetic
-stays in float64.
+All arithmetic elsewhere is plain numpy on float64 2-D arrays; shapes are
+validated where data enters (loaders, ``forward``, the metrics), not inside
+every product.
 """
 
 from __future__ import annotations
@@ -22,80 +22,6 @@ class ShapeError(ValueError):
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; equal seeds yield bit-identical streams."""
     return np.random.default_rng(seed)
-
-
-def _as_mat(x) -> Mat:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
-
-
-def relu(x) -> Mat:
-    """Element-wise max(0, x)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_deriv(x) -> Mat:
-    """Element-wise ReLU derivative: 1 where x > 0, else 0 (including x == 0)."""
-    return (np.asarray(x, dtype=np.float64) > 0.0).astype(np.float64)
-
-
-def signum(x) -> Mat:
-    """Element-wise -1 / 0 / +1 with signum(0) = 0."""
-    return np.sign(np.asarray(x, dtype=np.float64))
-
-
-def matmul(a, b) -> Mat:
-    a, b = _as_mat(a), _as_mat(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def hadamard(a, b) -> Mat:
-    a, b = _as_mat(a), _as_mat(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ")
-    return a * b
-
-
-def add_bias_cols(w, b) -> Mat:
-    """w with bias entry b[j] added to every element of column j.
-
-    Accepts b as an (n, 1) column or a flat vector whose length matches the
-    column count of w.
-    """
-    w = _as_mat(w)
-    bv = np.asarray(b, dtype=np.float64).ravel()
-    if bv.shape[0] != w.shape[1]:
-        raise ShapeError(
-            f"add_bias_cols: bias of length {bv.shape[0]} does not fit matrix {w.shape}"
-        )
-    return w + bv[None, :]
-
-
-def transpose(a) -> Mat:
-    return _as_mat(a).T
-
-
-def trace_abs(a) -> float:
-    """Sum of absolute diagonal entries of a square matrix."""
-    a = _as_mat(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace_abs: matrix must be square, got {a.shape}")
-    return float(np.abs(np.diagonal(a)).sum())
-
-
-def l1_norm(a) -> float:
-    """Sum of absolute entries."""
-    return float(np.abs(np.asarray(a, dtype=np.float64)).sum())
-
-
-def l2_norm_sq(a) -> float:
-    """Sum of squared entries."""
-    a = np.asarray(a, dtype=np.float64)
-    return float((a * a).sum())
 
 
 def glorot_like_init(rng: np.random.Generator, rows: int, cols: int, n: int) -> Mat:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serial
-from .linalg import Mat, ShapeError, glorot_like_init, relu, relu_deriv
+from .linalg import Mat, ShapeError, glorot_like_init
 
 CHECKPOINT_MAGIC = b"NCM1"
 CHECKPOINT_VERSION = 1
@@ -126,7 +126,7 @@ def forward(params: ModelParams, x_batch) -> ForwardTrace:
     post: list[Mat] = []
     for w, b in params.layers:
         z = w @ a + b
-        a = relu(z)
+        a = np.maximum(z, 0.0)
         pre.append(z)
         post.append(a)
     if params.arch.uses_mask:
@@ -163,7 +163,7 @@ def backward(params: ModelParams, trace: ForwardTrace, x_target) -> list[tuple[M
 
     grads: list[tuple[Mat, Mat] | None] = [None] * len(params.layers)
     for layer in reversed(range(len(params.layers))):
-        d_pre = d_post * relu_deriv(trace.pre[layer])
+        d_pre = d_post * (trace.pre[layer] > 0.0)
         a_prev = trace.post[layer - 1] if layer > 0 else trace.x_input
         grads[layer] = (d_pre @ a_prev.T, d_pre.sum(axis=1, keepdims=True))
         if layer > 0:

@@ -29,18 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serial
-from .linalg import (
-    Mat,
-    add_bias_cols,
-    glorot_like_init,
-    hadamard,
-    l1_norm,
-    make_rng,
-    matmul,
-    relu,
-    relu_deriv,
-    signum,
-)
+from .linalg import Mat, glorot_like_init, make_rng
 from .models import ForwardTrace, ModelParams, forward
 from .training import Adam
 
@@ -59,14 +48,13 @@ class NcaConfig:
     strategy: str
     iterations: int = 600
     lr: float = 4e-4
-    batch_frames: int = 350
     seed: int = 0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.iterations < 1 or self.batch_frames < 1:
-            raise ValueError("iterations and batch_frames must be positive")
+        if self.iterations < 1:
+            raise ValueError("iterations must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
 
@@ -107,18 +95,18 @@ def make_target(params: ModelParams, x_mix) -> TargetBatch:
 
 def l1_loss(c: Mat, batch: TargetBatch) -> float:
     """Sum of absolute entries of Y - C X."""
-    return l1_norm(batch.y - matmul(c, batch.x_mix))
+    return float(np.abs(batch.y - c @ batch.x_mix).sum())
 
 
 def student_grad(c: Mat, batch: TargetBatch) -> Mat:
     """Subgradient of the L1 objective in C: sign(C X - Y) X^T, sign(0) = 0."""
-    return matmul(signum(matmul(c, batch.x_mix) - batch.y), batch.x_mix.T)
+    return np.sign(c @ batch.x_mix - batch.y) @ batch.x_mix.T
 
 
 def compute_gate(p: Mat, w: Mat, b: Mat) -> tuple[Mat, Mat]:
     """Gate pre-activation and gate: G_hat = P (W + b)^T, G = relu(G_hat)."""
-    g_hat = matmul(p, add_bias_cols(w, b).T)
-    return g_hat, relu(g_hat)
+    g_hat = p @ (w + b.T).T
+    return g_hat, np.maximum(g_hat, 0.0)
 
 
 def layer_gates(p_list: list[Mat], params: ModelParams) -> tuple[list[Mat], list[Mat]]:
@@ -139,7 +127,7 @@ def compose(params: ModelParams, gates: list[Mat]) -> Mat:
         raise ValueError(f"{len(gates)} gates for {len(params.layers)} layers")
     c = np.eye(params.n)
     for (w, _), g in zip(params.layers, gates):
-        c = matmul(hadamard(g, w), c)
+        c = (g * w) @ c
     return c
 
 
@@ -155,26 +143,26 @@ def compositional_grads(state: NcaState, params: ModelParams, batch: TargetBatch
     if state.strategy != "compositional" or state.p is None:
         raise NcaError(f"compositional_grads on a {state.strategy!r} state")
     L = len(params.layers)
-    w_hats = [add_bias_cols(w, b) for w, b in params.layers]
+    w_hats = [w + b.T for w, b in params.layers]
     g_hats, gates = layer_gates(state.p, params)
-    factors = [hadamard(g, w) for g, (w, _) in zip(gates, params.layers)]
+    factors = [g * w for g, (w, _) in zip(gates, params.layers)]
 
     eye = np.eye(params.n)
     upstream = [eye]  # upstream[l] = M_{l-1} ... M_1
     for l in range(1, L):
-        upstream.append(matmul(factors[l - 1], upstream[l - 1]))
+        upstream.append(factors[l - 1] @ upstream[l - 1])
     downstream = [eye] * L  # downstream[l] = M_L ... M_{l+1}
     for l in range(L - 2, -1, -1):
-        downstream[l] = matmul(downstream[l + 1], factors[l + 1])
+        downstream[l] = downstream[l + 1] @ factors[l + 1]
 
-    c = matmul(factors[L - 1], upstream[L - 1])
-    delta = matmul(signum(matmul(c, batch.x_mix) - batch.y), batch.x_mix.T)
+    c = factors[L - 1] @ upstream[L - 1]
+    delta = np.sign(c @ batch.x_mix - batch.y) @ batch.x_mix.T
 
     grads = []
     for l in range(L):
-        d_factor = matmul(matmul(downstream[l].T, delta), upstream[l].T)
-        gated = hadamard(hadamard(d_factor, params.layers[l][0]), relu_deriv(g_hats[l]))
-        grads.append(matmul(gated, w_hats[l]))
+        d_factor = (downstream[l].T @ delta) @ upstream[l].T
+        gated = (d_factor * params.layers[l][0]) * (g_hats[l] > 0.0)
+        grads.append(gated @ w_hats[l])
     return grads
 
 

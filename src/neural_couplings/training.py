@@ -157,32 +157,19 @@ def train(arch: Arch, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
 
 
 def train_multi_seed(
-    arch: Arch, dataset: Dataset, cfg: TrainConfig, seeds: list[int], workers: int = 1
+    arch: Arch, dataset: Dataset, cfg: TrainConfig, seeds: list[int]
 ) -> list[TrainResult]:
     """One independent run per seed; sibling runs finish even if one fails."""
-    if not seeds:
-        return []
-    results: list[TrainResult | None] = [None] * len(seeds)
+    results: list[TrainResult] = []
     failures: list[str] = []
-
-    def run(i: int) -> None:
+    for seed in seeds:
         try:
-            results[i] = train(arch, dataset, replace(cfg, seed=seeds[i]))
+            results.append(train(arch, dataset, replace(cfg, seed=seed)))
         except Exception as e:  # collected, re-raised after all runs finish
-            failures.append(f"seed {seeds[i]}: {e}")
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(seeds))) as ex:
-            list(ex.map(run, range(len(seeds))))
-    else:
-        for i in range(len(seeds)):
-            run(i)
-
+            failures.append(f"seed {seed}: {e}")
     if failures:
         raise TrainingError("; ".join(failures))
-    return results  # type: ignore[return-value]
+    return results
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:

@@ -7,9 +7,7 @@ runs once as a session fixture; the trend, baseline, stability, and
 determinism criteria all read its artifacts.
 """
 
-import contextlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -78,16 +76,6 @@ def verdict(criterion: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-@contextlib.contextmanager
-def single_threaded():
-    had = os.environ.pop("NCA_THREADS", None)
-    try:
-        yield
-    finally:
-        if had is not None:
-            os.environ["NCA_THREADS"] = had
-
-
 def run_pipeline(root: Path) -> None:
     """The documented desk-scale recipe, driven through the CLI entry point."""
     ds = root / "dataset.ncd"
@@ -113,10 +101,9 @@ def run_pipeline(root: Path) -> None:
 @pytest.fixture(scope="session")
 def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("desk")
-    with single_threaded():
-        started = time.perf_counter()
-        run_pipeline(root)
-        wall = time.perf_counter() - started
+    started = time.perf_counter()
+    run_pipeline(root)
+    wall = time.perf_counter() - started
     return {"root": root, "wall_s": wall}
 
 
@@ -405,8 +392,7 @@ def test_criterion_7_loss_curves_are_stable(pipeline, recovery_runs):
 
 def test_criterion_8_pipeline_is_bit_deterministic(pipeline, tmp_path_factory):
     rerun = tmp_path_factory.mktemp("desk-rerun")
-    with single_threaded():
-        run_pipeline(rerun)
+    run_pipeline(rerun)
     first = pipeline["root"]
     compared = 0
     mismatched = []

@@ -201,6 +201,15 @@ class TestAggregate:
         assert cell["snr_model_db"] == {"mean": 5.0, "std": 0.0}
         assert "TOD-R undefined" in caplog.text
 
+    def test_undefined_tod_r_warns_for_every_method_but_identity(self, caplog):
+        # the identity baseline has no off-diagonal mass by construction
+        with caplog.at_level("WARNING"):
+            aggregate([self.rec("dae", "identity", None, 5.0)])
+        assert caplog.text == ""
+        with caplog.at_level("WARNING"):
+            aggregate([self.rec("dae", "student", None, 5.0), self.rec("dae", "student", None, 6.0)])
+        assert "TOD-R undefined for every record in cell (dae, student)" in caplog.text
+
     def test_empty_input(self):
         assert aggregate([]) == {"cells": {}, "record_count": 0}
 

@@ -1,12 +1,11 @@
 import json
-import os
 import time
 
 import numpy as np
 import pytest
 
 from neural_couplings import serial
-from neural_couplings.cli import list_segments, main, parse_segment_id, worker_count
+from neural_couplings.cli import list_segments, main, parse_segment_id
 from neural_couplings.models import load_checkpoint
 from neural_couplings.nca import load_couplings
 from neural_couplings.spectral import load_dataset
@@ -31,26 +30,21 @@ def run_fail(argv, capsys, error_type):
 def pipeline(tmp_path_factory):
     """One small end-to-end run shared by the read-only assertions below."""
     root = tmp_path_factory.mktemp("cli")
-    had = os.environ.pop("NCA_THREADS", None)
-    try:
-        ds = root / "ds.ncd"
-        run_ok(["synth", "--out", str(ds), "--n", "16", "--frames", "40",
-                "--pairs", "1", "--seed", "0"])
-        ck_dir = root / "ck"
-        run_ok(["train", "--dataset", str(ds), "--model", "dae", "--out", str(ck_dir),
-                "--seeds", "0,1", "--max-epochs", "2"])
-        cp_dir = root / "cp"
-        run_ok(["couplings", "--checkpoint", str(ck_dir / "dae-seed0.ncm"),
-                "--dataset", str(ds), "--strategy", "student", "--out", str(cp_dir),
-                "--segment", "all", "--iters", "5", "--lr", "1e-3", "--frames", "20"])
-        report = root / "report.json"
-        run_ok(["analyze", "--couplings", str(cp_dir / "*.ncc"),
-                "--checkpoints", str(ck_dir), "--dataset", str(ds),
-                "--out", str(report)])
-        yield root
-    finally:
-        if had is not None:
-            os.environ["NCA_THREADS"] = had
+    ds = root / "ds.ncd"
+    run_ok(["synth", "--out", str(ds), "--n", "16", "--frames", "40",
+            "--pairs", "1", "--seed", "0"])
+    ck_dir = root / "ck"
+    run_ok(["train", "--dataset", str(ds), "--model", "dae", "--out", str(ck_dir),
+            "--seeds", "0,1", "--max-epochs", "2"])
+    cp_dir = root / "cp"
+    run_ok(["couplings", "--checkpoint", str(ck_dir / "dae-seed0.ncm"),
+            "--dataset", str(ds), "--strategy", "student", "--out", str(cp_dir),
+            "--segment", "all", "--iters", "5", "--lr", "1e-3", "--frames", "20"])
+    report = root / "report.json"
+    run_ok(["analyze", "--couplings", str(cp_dir / "*.ncc"),
+            "--checkpoints", str(ck_dir), "--dataset", str(ds),
+            "--out", str(report)])
+    return root
 
 
 class TestHelpers:
@@ -66,20 +60,6 @@ class TestHelpers:
     def test_list_segments_non_overlapping_full_windows(self):
         ds = make_synthetic_dataset(16, 50, 2, 0)
         assert list_segments(ds, 20) == [(0, 0, 20), (0, 20, 40), (1, 0, 20), (1, 20, 40)]
-
-    def test_worker_count_reads_env(self, monkeypatch):
-        monkeypatch.delenv("NCA_THREADS", raising=False)
-        assert worker_count(8) == 1
-        monkeypatch.setenv("NCA_THREADS", "4")
-        assert worker_count(8) == 4
-        assert worker_count(2) == 2  # capped at the unit count
-        monkeypatch.setenv("NCA_THREADS", "0")
-        assert worker_count(8) == 1
-        monkeypatch.setenv("NCA_THREADS", "lots")
-        from neural_couplings.cli import CliError
-
-        with pytest.raises(CliError):
-            worker_count(8)
 
 
 class TestSynthCommand:
@@ -193,6 +173,15 @@ class TestCouplingsCommand:
              "--iters", "3", "--frames", "20"],
             capsys, "CliError")
 
+    def test_frames_must_be_positive(self, pipeline, tmp_path, capsys):
+        for frames in ("0", "-3"):
+            err = run_fail(
+                ["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed0.ncm"),
+                 "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
+                 "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", frames],
+                capsys, "CliError")
+            assert "--frames" in err["message"]
+
     def test_dimension_mismatch(self, pipeline, tmp_path, capsys):
         other = tmp_path / "wide.ncd"
         run_ok(["synth", "--out", str(other), "--n", "20", "--frames", "40", "--pairs", "1"])
@@ -202,16 +191,6 @@ class TestCouplingsCommand:
              "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"],
             capsys, "CliError")
         assert "16" in err["message"] and "20" in err["message"]
-
-    def test_threaded_extraction_is_bit_identical(self, pipeline, tmp_path, monkeypatch):
-        args = ["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed0.ncm"),
-                "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
-                "--segment", "all", "--iters", "5", "--lr", "1e-3", "--frames", "20"]
-        monkeypatch.setenv("NCA_THREADS", "2")
-        threaded = tmp_path / "threaded"
-        run_ok(args + ["--out", str(threaded)])
-        for name in ("dae-seed0-student-0-0.ncc", "dae-seed0-student-0-20.ncc"):
-            assert (threaded / name).read_bytes() == (pipeline / "cp" / name).read_bytes()
 
 
 class TestAnalyzeCommand:

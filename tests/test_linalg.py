@@ -3,94 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from neural_couplings.linalg import (
-    ShapeError,
-    add_bias_cols,
-    glorot_like_init,
-    hadamard,
-    l1_norm,
-    l2_norm_sq,
-    make_rng,
-    matmul,
-    relu,
-    relu_deriv,
-    signum,
-    trace_abs,
-    transpose,
-)
-
-
-def test_relu_clips_negatives_only():
-    out = relu([[-1.0, 0.0, 2.5]])
-    assert out.tolist() == [[0.0, 0.0, 2.5]]
-
-
-def test_relu_deriv_is_zero_at_zero():
-    out = relu_deriv([[-1.0, 0.0, 2.5]])
-    assert out.dtype == np.float64
-    assert out.tolist() == [[0.0, 0.0, 1.0]]
-
-
-def test_signum_maps_zero_to_zero():
-    assert signum([[-3.0, 0.0, 4.0]]).tolist() == [[-1.0, 0.0, 1.0]]
-
-
-def test_matmul_hand_value():
-    # [[1,2],[3,4]] @ [[5,6],[7,8]] = [[19,22],[43,50]]
-    out = matmul([[1, 2], [3, 4]], [[5, 6], [7, 8]])
-    assert out.tolist() == [[19.0, 22.0], [43.0, 50.0]]
-
-
-def test_matmul_shape_error_names_both_operands():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_matmul_rejects_vectors():
-    with pytest.raises(ShapeError):
-        matmul(np.ones(3), np.ones((3, 2)))
-
-
-def test_hadamard_hand_value_and_mismatch():
-    assert hadamard([[1, -2]], [[3, 4]]).tolist() == [[3.0, -8.0]]
-    with pytest.raises(ShapeError):
-        hadamard(np.ones((2, 2)), np.ones((2, 3)))
-
-
-def test_add_bias_cols_adds_bias_j_to_column_j():
-    out = add_bias_cols([[1, 2], [3, 4]], [10, 20])
-    assert out.tolist() == [[11.0, 22.0], [13.0, 24.0]]
-
-
-def test_add_bias_cols_accepts_column_vector():
-    out = add_bias_cols([[1, 2], [3, 4]], np.array([[10], [20]]))
-    assert out.tolist() == [[11.0, 22.0], [13.0, 24.0]]
-
-
-def test_add_bias_cols_length_mismatch():
-    with pytest.raises(ShapeError):
-        add_bias_cols(np.ones((2, 3)), [1.0, 2.0])
-
-
-def test_transpose():
-    assert transpose([[1, 2, 3]]).tolist() == [[1.0], [2.0], [3.0]]
-
-
-def test_trace_abs_hand_value():
-    assert trace_abs([[1, -2], [3, -4]]) == 5.0
-
-
-def test_trace_abs_requires_square():
-    with pytest.raises(ShapeError):
-        trace_abs(np.ones((2, 3)))
-
-
-def test_l1_norm_hand_value():
-    assert l1_norm([[1, -2], [3, -4]]) == 10.0
-
-
-def test_l2_norm_sq_hand_value():
-    assert l2_norm_sq([[1, 2], [2, 0]]) == 9.0
+from neural_couplings.linalg import glorot_like_init, make_rng
+from neural_couplings.models import Arch, ModelParams, backward, forward
+from neural_couplings.nca import TargetBatch, compose, compute_gate, student_grad
 
 
 def test_glorot_like_init_scale_and_determinism():
@@ -109,13 +24,49 @@ def test_glorot_like_init_rejects_bad_n():
         glorot_like_init(make_rng(0), 2, 2, 0)
 
 
+# The element-wise rules below are written inline as numpy operators in the
+# pipeline; each test pins one rule through the code that applies it.
+
+
+def _dae(w1, b2=0.0):
+    return ModelParams(
+        Arch.dae(), [(np.array([[w1]]), np.zeros((1, 1))), (np.ones((1, 1)), np.array([[b2]]))], 1
+    )
+
+
+def test_relu_clips_negatives_only():
+    x = np.array([[-1.0, 0.0, 2.5]])
+    assert forward(_dae(1.0), x).post[0].tolist() == [[0.0, 0.0, 2.5]]
+    _, g = compute_gate(np.eye(1), np.zeros((1, 1)), np.array([[-1.0]]))
+    assert g.tolist() == [[0.0]]
+
+
+def test_relu_deriv_is_zero_at_zero():
+    # decoder bias 1 keeps the output layer active, so only the encoder's
+    # relu'(pre) decides whether the encoder bias gets a gradient
+    p = _dae(1.0, b2=1.0)
+    out = []
+    for v in (-1.0, 0.0, 2.5):
+        tr = forward(p, [[v]])
+        out.append(backward(p, tr, [[0.0]])[0][1][0, 0])
+    # d/db1 at 2.5: 2 * (2.5 + 1 - 0) * relu'(2.5) = 7
+    assert out == [0.0, 0.0, 7.0]
+
+
+def test_signum_maps_zero_to_zero():
+    y = np.array([[3.0, 0.0, -4.0]] * 3)
+    g = student_grad(np.zeros((3, 3)), TargetBatch(np.eye(3), y))
+    assert g.tolist() == [[-1.0, 0.0, 1.0]] * 3
+
+
 def test_kernels_do_not_mutate_inputs():
     a = np.array([[-1.0, 2.0], [3.0, -4.0]])
-    before = a.copy()
-    relu(a)
-    relu_deriv(a)
-    signum(a)
-    hadamard(a, a)
-    matmul(a, a)
-    add_bias_cols(a, [1.0, 1.0])
-    assert np.array_equal(a, before)
+    b = np.array([[0.5], [-0.5]])
+    before = (a.copy(), b.copy())
+    p = ModelParams(Arch.dae(), [(a, b), (a, b)], 2)
+    tr = forward(p, a)
+    backward(p, tr, a)
+    compute_gate(a, a, b)
+    compose(p, [a, a])
+    student_grad(a, TargetBatch(a, a))
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])

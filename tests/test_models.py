@@ -174,14 +174,18 @@ class TestBackward:
 
     def test_dead_unit_receives_no_gradient(self):
         # encoder row 1 is strongly negative: unit 1 never activates on
-        # positive input, so its weight row and bias stay untouched
-        w1 = np.array([[1.0, 0.0], [-5.0, -5.0]])
-        p = params_from(Arch.dae(), [w1, np.ones((2, 2))])
+        # positive input, so its weight row and bias stay untouched; an
+        # all-zero row sits exactly on the kink, where relu'(0) = 0 too
         x = np.abs(make_rng(9).normal(size=(2, 6))) + 0.1
-        grads = backward(p, forward(p, x), np.zeros((2, 6)))
-        assert np.array_equal(grads[0][0][1, :], np.zeros(2))
-        assert grads[0][1][1, 0] == 0.0
-        assert np.abs(grads[0][0][0, :]).min() > 0.0
+        for row in ([-5.0, -5.0], [0.0, 0.0]):
+            w1 = np.array([[1.0, 0.0], row])
+            p = params_from(Arch.dae(), [w1, np.ones((2, 2))])
+            tr = forward(p, x)
+            assert (tr.pre[0][1] <= 0.0).all()
+            grads = backward(p, tr, np.zeros((2, 6)))
+            assert np.array_equal(grads[0][0][1, :], np.zeros(2))
+            assert grads[0][1][1, 0] == 0.0
+            assert np.abs(grads[0][0][0, :]).min() > 0.0
 
     @pytest.mark.parametrize(
         "arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag

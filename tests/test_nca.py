@@ -41,7 +41,7 @@ def positive_params(arch, n, seed, lo=0.05, hi=0.3):
 class TestConfig:
     def test_defaults(self):
         cfg = NcaConfig("student")
-        assert (cfg.iterations, cfg.lr, cfg.batch_frames, cfg.seed) == (600, 4e-4, 350, 0)
+        assert (cfg.iterations, cfg.lr, cfg.seed) == (600, 4e-4, 0)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):

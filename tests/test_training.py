@@ -218,16 +218,6 @@ class TestMultiSeed:
         solo = train(Arch.dae(), ds, TrainConfig(max_epochs=5, seed=9))
         assert np.array_equal(results[1].params.layers[0][0], solo.params.layers[0][0])
 
-    def test_threaded_matches_serial(self):
-        ds = learnable_dataset()
-        cfg = TrainConfig(max_epochs=5)
-        serial_res = train_multi_seed(Arch.sf(), ds, cfg, [0, 1, 2])
-        threaded = train_multi_seed(Arch.sf(), ds, cfg, [0, 1, 2], workers=3)
-        for a, b in zip(serial_res, threaded):
-            assert a.best_loss == b.best_loss
-            for (wa, _), (wb, _) in zip(a.params.layers, b.params.layers):
-                assert np.array_equal(wa, wb)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_collects_all_failures(self):
         cfg = TrainConfig(initial_lr=1e200, max_epochs=2)
