@@ -41,15 +41,13 @@ from .nca import (
     NcaError,
     NcaState,
     TargetBatch,
-    compose,
-    compositional_grads,
+    compositional_objective,
     compute_gate,
-    l1_loss,
     load_couplings,
     make_target,
     run_nca,
     save_couplings,
-    student_grad,
+    student_objective,
 )
 from .spectral import (
     BinScaler,

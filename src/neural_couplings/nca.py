@@ -11,12 +11,11 @@ compositional  C is rebuilt every iteration as the product over layers of
                and (W_l + b_l) adds b_l[j] to every element of column j.
                Only the P_l are optimized; W_l and b_l stay frozen.
 
-The compositional gradients follow the chain rule through the factor
-product: the residual gradient is bracketed by the transposed downstream
-product on the left and the transposed upstream product on the right, gated
-element-wise by W_l and the ReLU derivative of the gate pre-activation, then
-right-multiplied by (W_l + b_l). Correctness is pinned by finite-difference
-tests rather than by trusting any printed derivation.
+Each strategy has one objective function returning the loss and the
+gradients from one pass, evaluated once per Adam iteration: the residual
+R = C X - Y is formed once and shared by the loss |R| and the gradient.
+Correctness is pinned by finite-difference tests rather than by trusting
+any printed derivation.
 """
 
 from __future__ import annotations
@@ -73,16 +72,14 @@ class TargetBatch:
 
 @dataclass
 class NcaState:
-    """Current unknowns plus the derived C and the per-iteration loss curve.
+    """The fitted C and the per-iteration loss curve.
 
     For the student strategy c is the unknown itself and p is None; for the
-    compositional strategy p holds the gate drivers and c is always the
-    composition recomputed from them.
+    compositional strategy p holds the gate drivers and c is their
+    composition.
     """
 
-    strategy: str
     c: Mat
-    adam: Adam
     losses: list[float]
     p: list[Mat] | None = None
 
@@ -93,14 +90,11 @@ def make_target(params: ModelParams, x_mix) -> TargetBatch:
     return TargetBatch(trace.x_input, trace.decoder_output)
 
 
-def l1_loss(c: Mat, batch: TargetBatch) -> float:
-    """Sum of absolute entries of Y - C X."""
-    return float(np.abs(batch.y - c @ batch.x_mix).sum())
-
-
-def student_grad(c: Mat, batch: TargetBatch) -> Mat:
-    """Subgradient of the L1 objective in C: sign(C X - Y) X^T, sign(0) = 0."""
-    return np.sign(c @ batch.x_mix - batch.y) @ batch.x_mix.T
+def student_objective(c: Mat, batch: TargetBatch) -> tuple[float, Mat]:
+    """L1 loss of Y - C X and its subgradient in C, sign(C X - Y) X^T with
+    sign(0) = 0, both from one residual."""
+    r = c @ batch.x_mix - batch.y
+    return float(np.abs(r).sum()), np.sign(r) @ batch.x_mix.T
 
 
 def compute_gate(p: Mat, w: Mat, b: Mat) -> tuple[Mat, Mat]:
@@ -109,68 +103,49 @@ def compute_gate(p: Mat, w: Mat, b: Mat) -> tuple[Mat, Mat]:
     return g_hat, np.maximum(g_hat, 0.0)
 
 
-def layer_gates(p_list: list[Mat], params: ModelParams) -> tuple[list[Mat], list[Mat]]:
-    """compute_gate over all layers; returns (pre-activations, gates)."""
-    if len(p_list) != len(params.layers):
-        raise ValueError(f"{len(p_list)} gate drivers for {len(params.layers)} layers")
-    g_hats, gates = [], []
-    for p, (w, b) in zip(p_list, params.layers):
-        g_hat, g = compute_gate(p, w, b)
-        g_hats.append(g_hat)
-        gates.append(g)
-    return g_hats, gates
+def compositional_objective(
+    p: list[Mat], params: ModelParams, batch: TargetBatch
+) -> tuple[Mat, float, list[Mat]]:
+    """The composition C, the L1 loss of Y - C X and its gradients in every
+    gate driver P_l.
 
-
-def compose(params: ModelParams, gates: list[Mat]) -> Mat:
-    """Product over layers of (G_l . W_l), encoder factor applied first."""
-    if len(gates) != len(params.layers):
-        raise ValueError(f"{len(gates)} gates for {len(params.layers)} layers")
-    c = np.eye(params.n)
-    for (w, _), g in zip(params.layers, gates):
-        c = (g * w) @ c
-    return c
-
-
-def compositional_grads(state: NcaState, params: ModelParams, batch: TargetBatch) -> list[Mat]:
-    """L1 gradients with respect to every gate driver P_l.
-
-    With M_l = G_l . W_l and C = M_L ... M_1, the gradient through the
-    product is dE/dM_l = A_l^T D B_l^T where D = sign(C X - Y) X^T, A_l is
-    the product of factors downstream of layer l and B_l the product of
-    factors upstream of it. Then
+    With M_l = G_l . W_l, C = M_L ... M_1 is the last of the prefix products
+    M_1, M_2 M_1, .... The gradient through the product is
+    dE/dM_l = A_l^T D B_l^T where D = sign(C X - Y) X^T, A_l is the product
+    of factors downstream of layer l and B_l the product of factors upstream
+    of it; an empty product is skipped rather than multiplied as I. Then
     dE/dP_l = (dE/dM_l . W_l . relu'(G_hat_l)) (W_l + b_l).
     """
-    if state.strategy != "compositional" or state.p is None:
-        raise NcaError(f"compositional_grads on a {state.strategy!r} state")
-    L = len(params.layers)
-    w_hats = [w + b.T for w, b in params.layers]
-    g_hats, gates = layer_gates(state.p, params)
-    factors = [g * w for g, (w, _) in zip(gates, params.layers)]
-
-    eye = np.eye(params.n)
-    upstream = [eye]  # upstream[l] = M_{l-1} ... M_1
-    for l in range(1, L):
-        upstream.append(factors[l - 1] @ upstream[l - 1])
-    downstream = [eye] * L  # downstream[l] = M_L ... M_{l+1}
-    for l in range(L - 2, -1, -1):
-        downstream[l] = downstream[l + 1] @ factors[l + 1]
-
-    c = factors[L - 1] @ upstream[L - 1]
-    delta = np.sign(c @ batch.x_mix - batch.y) @ batch.x_mix.T
+    if len(p) != len(params.layers):
+        raise ValueError(f"{len(p)} gate drivers for {len(params.layers)} layers")
+    g_hats, factors, prefix = [], [], []
+    for p_l, (w, b) in zip(p, params.layers):
+        g_hat, g = compute_gate(p_l, w, b)
+        g_hats.append(g_hat)
+        factors.append(g * w)
+        prefix.append(factors[-1] if not prefix else factors[-1] @ prefix[-1])
+    c = prefix[-1]
+    r = c @ batch.x_mix - batch.y
+    delta = np.sign(r) @ batch.x_mix.T
 
     grads = []
-    for l in range(L):
-        d_factor = (downstream[l].T @ delta) @ upstream[l].T
-        gated = (d_factor * params.layers[l][0]) * (g_hats[l] > 0.0)
-        grads.append(gated @ w_hats[l])
-    return grads
+    down = None  # M_L ... M_{l+1}, None while empty
+    for l in range(len(p) - 1, -1, -1):
+        d_factor = delta if down is None else down.T @ delta
+        if l > 0:
+            d_factor = d_factor @ prefix[l - 1].T
+            down = factors[l] if down is None else down @ factors[l]
+        w, b = params.layers[l]
+        grads.append(((d_factor * w) * (g_hats[l] > 0.0)) @ (w + b.T))
+    return c, float(np.abs(r).sum()), grads[::-1]
 
 
 def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     """Fit a couplings matrix to the model's response on x_mix.
 
-    The loss curve records the objective at entry to every iteration plus a
-    final entry for the returned C, so it has cfg.iterations + 1 values.
+    Each iteration evaluates the objective once, records its loss and takes
+    an Adam step; a final evaluation records the loss of the returned C, so
+    the loss curve has cfg.iterations + 1 values.
     """
     x = np.asarray(x_mix, dtype=np.float64)
     rng = make_rng(cfg.seed)
@@ -179,30 +154,27 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     n = params.n
     losses: list[float] = []
 
-    def record(c: Mat, i: int | str) -> None:
-        e = l1_loss(c, batch)
+    def record(e: float, i: int | str) -> None:
         if not math.isfinite(e):
             raise NcaError(f"non-finite couplings loss at iteration {i}")
         losses.append(e)
 
     if cfg.strategy == "student":
         c = glorot_like_init(rng, n, n, n)
-        state = NcaState("student", c, adam, losses)
         for i in range(cfg.iterations):
-            record(state.c, i)
-            state.c = adam.step([state.c], [student_grad(state.c, batch)])[0]
-    else:
-        p = [glorot_like_init(rng, n, n, n) for _ in params.layers]
-        _, gates = layer_gates(p, params)
-        state = NcaState("compositional", compose(params, gates), adam, losses, p=p)
-        for i in range(cfg.iterations):
-            record(state.c, i)
-            grads = compositional_grads(state, params, batch)
-            state.p = adam.step(state.p, grads)
-            _, gates = layer_gates(state.p, params)
-            state.c = compose(params, gates)
-    record(state.c, "final")
-    return state
+            e, grad = student_objective(c, batch)
+            record(e, i)
+            c = adam.step([c], [grad])[0]
+        record(student_objective(c, batch)[0], "final")
+        return NcaState(c, losses)
+    p = [glorot_like_init(rng, n, n, n) for _ in params.layers]
+    for i in range(cfg.iterations):
+        _, e, grads = compositional_objective(p, params, batch)
+        record(e, i)
+        p = adam.step(p, grads)
+    c, e, _ = compositional_objective(p, params, batch)
+    record(e, "final")
+    return NcaState(c, losses, p)
 
 
 def moving_average(values, window: int) -> np.ndarray:
@@ -237,14 +209,10 @@ def load_couplings(path) -> tuple[Mat, dict]:
         serial.expect_magic(f, COUPLINGS_MAGIC)
         serial.read_version(f, COUPLINGS_VERSION)
         n = serial.read_u32(f)
-        c = (
-            np.frombuffer(serial.read_exact(f, n * n * 8), dtype="<f8")
-            .reshape(n, n)
-            .astype(np.float64)
-        )
+        c = serial.read_f64s(f, n * n).reshape(n, n)
         meta_len = serial.read_u32(f)
         try:
-            metadata = json.loads(serial.read_exact(f, meta_len).decode("utf-8"))
+            metadata = json.loads(serial.read_sized(f, meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise serial.FormatError(f"bad couplings metadata: {e}") from None
     return c, metadata

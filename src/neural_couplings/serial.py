@@ -29,6 +29,26 @@ def read_exact(f: BinaryIO, n: int) -> bytes:
     return data
 
 
+def read_sized(f: BinaryIO, n: int) -> bytes:
+    """read_exact for a byte count the file itself declares: n is checked
+    against the bytes left before anything is allocated, so a hostile header
+    is a FormatError rather than a huge read."""
+    here = f.tell()
+    left = f.seek(0, os.SEEK_END) - here
+    f.seek(here)
+    if n > left:
+        raise FormatError(f"truncated file: expected {n} more bytes, found {left}")
+    return read_exact(f, n)
+
+
+def read_f64s(f: BinaryIO, count: int) -> np.ndarray:
+    """count little-endian float64 values, all of which must be finite."""
+    a = np.frombuffer(read_sized(f, count * 8), dtype="<f8").astype(np.float64)
+    if not np.isfinite(a).all():
+        raise FormatError("non-finite values in stored float64 payload")
+    return a
+
+
 def expect_magic(f: BinaryIO, magic: bytes) -> None:
     got = f.read(len(magic))
     if got != magic:
@@ -71,7 +91,7 @@ def read_u64(f: BinaryIO) -> int:
 
 
 def read_f64(f: BinaryIO) -> float:
-    return struct.unpack("<d", read_exact(f, 8))[0]
+    return float(read_f64s(f, 1)[0])
 
 
 def write_mat(f: BinaryIO, m: np.ndarray) -> None:
@@ -87,8 +107,7 @@ def write_mat(f: BinaryIO, m: np.ndarray) -> None:
 def read_mat(f: BinaryIO) -> np.ndarray:
     rows = read_u32(f)
     cols = read_u32(f)
-    data = read_exact(f, rows * cols * 8)
-    return np.frombuffer(data, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    return read_f64s(f, rows * cols).reshape(rows, cols)
 
 
 def write_str(f: BinaryIO, s: str) -> None:
@@ -99,13 +118,17 @@ def write_str(f: BinaryIO, s: str) -> None:
 
 def read_str(f: BinaryIO) -> str:
     n = read_u32(f)
-    return read_exact(f, n).decode("utf-8")
+    return read_sized(f, n).decode("utf-8")
 
 
 def write_file_atomic(path: str | Path, data: bytes) -> None:
     """Write via a temp file in the same directory, then rename into place."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    except OSError as e:
+        # mkstemp names its random temp file; the caller asked for path
+        raise type(e)(e.errno, e.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

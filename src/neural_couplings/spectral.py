@@ -334,7 +334,7 @@ def load_dataset(path: str | Path) -> Dataset:
             except ValueError as e:
                 raise serial.FormatError(f"invalid stored spectrogram: {e}") from None
         n_bins = serial.read_u32(f)
-        std = np.frombuffer(serial.read_exact(f, n_bins * 8), dtype="<f8").astype(np.float64)
+        std = serial.read_f64s(f, n_bins)
         epsilon = serial.read_f64(f)
         try:
             return Dataset(cfg, pairs, BinScaler(std, epsilon))

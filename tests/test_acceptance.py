@@ -30,10 +30,8 @@ from neural_couplings.models import (
 )
 from neural_couplings.nca import (
     NcaConfig,
-    NcaState,
-    compositional_grads,
-    l1_loss,
-    layer_gates,
+    compositional_objective,
+    compute_gate,
     load_couplings,
     make_target,
     moving_average,
@@ -48,7 +46,6 @@ from neural_couplings.spectral import (
     load_dataset,
     save_dataset,
 )
-from neural_couplings.training import Adam
 
 ARCH_LIST = ("dae", "mss-dae", "sf")
 SEED_LIST = "0,1,2,3,4,5,6"
@@ -198,13 +195,6 @@ def _transcribed_two_layer_grads(params, p_list, tb):
     return [g1, g2]
 
 
-def _compose_from(params, p_list):
-    _, gates = layer_gates(p_list, params)
-    from neural_couplings.nca import compose
-
-    return compose(params, gates)
-
-
 def test_criterion_2_compositional_gradient_fidelity():
     started = time.perf_counter()
     n, t = 6, 5
@@ -218,8 +208,7 @@ def test_criterion_2_compositional_gradient_fidelity():
         x = np.abs(rng.normal(size=(n, t))) + 0.1
         tb = make_target(params, x)
         p_list = [rng.normal(size=(n, n)) * np.sqrt(1.0 / n) for _ in range(2)]
-        state = NcaState("compositional", _compose_from(params, p_list), Adam(1e-3), [], p=p_list)
-        got = compositional_grads(state, params, tb)
+        _, _, got = compositional_objective(p_list, params, tb)
         want = _transcribed_two_layer_grads(params, p_list, tb)
         if np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]):
             exact += 1
@@ -236,9 +225,8 @@ def test_criterion_2_compositional_gradient_fidelity():
         x = np.abs(rng.normal(size=(n, t))) + 0.1
         tb = make_target(params, x)
         p_list = [rng.normal(size=(n, n)) * np.sqrt(1.0 / n) for _ in range(4)]
-        state = NcaState("compositional", _compose_from(params, p_list), Adam(1e-3), [], p=p_list)
-        grads = compositional_grads(state, params, tb)
-        g_hats, _ = layer_gates(p_list, params)
+        _, _, grads = compositional_objective(p_list, params, tb)
+        g_hats = [compute_gate(q, w, b)[0] for q, (w, b) in zip(p_list, params.layers)]
         for layer in range(4):
             for idx in np.ndindex(n, n):
                 if np.abs(g_hats[layer][idx[0], :]).min() < 1e-4:
@@ -249,8 +237,8 @@ def test_criterion_2_compositional_gradient_fidelity():
                 pp[layer][idx] += h
                 pm[layer][idx] -= h
                 fd = (
-                    l1_loss(_compose_from(params, pp), tb)
-                    - l1_loss(_compose_from(params, pm), tb)
+                    compositional_objective(pp, params, tb)[1]
+                    - compositional_objective(pm, params, tb)[1]
                 ) / (2 * h)
                 g = grads[layer][idx]
                 if max(abs(fd), abs(g)) < 1e-8:

@@ -89,6 +89,12 @@ class TestSynthCommand:
         run_fail(["synth", "--out", str(tmp_path / "x.ncd"), "--n", "4"],
                  capsys, "ValueError")
 
+    def test_missing_output_directory_names_the_target(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "ds.ncd"
+        err = run_fail(["synth", "--out", str(out), "--n", "16", "--frames", "20"],
+                       capsys, "FileNotFoundError")
+        assert err["message"].endswith(repr(str(out)))
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_history_per_seed(self, pipeline):
@@ -182,6 +188,16 @@ class TestCouplingsCommand:
                 capsys, "CliError")
             assert "--frames" in err["message"]
 
+    def test_hostile_checkpoint_header(self, pipeline, tmp_path, capsys):
+        # declares a (2^32 - 1)^2 first weight matrix
+        raw = bytearray((pipeline / "ck" / "dae-seed0.ncm").read_bytes())
+        raw[17:25] = b"\xff" * 8
+        crafted = tmp_path / "hostile.ncm"
+        crafted.write_bytes(bytes(raw))
+        run_fail(["couplings", "--checkpoint", str(crafted), "--dataset",
+                  str(pipeline / "ds.ncd"), "--strategy", "student",
+                  "--out", str(tmp_path / "c")], capsys, "FormatError")
+
     def test_dimension_mismatch(self, pipeline, tmp_path, capsys):
         other = tmp_path / "wide.ncd"
         run_ok(["synth", "--out", str(other), "--n", "20", "--frames", "40", "--pairs", "1"])
@@ -245,6 +261,23 @@ class TestHeatmapCommand:
         pixels = parse_png(out.read_bytes())
         assert pixels.shape == (8, 8)
         assert pixels.max() == 255
+
+    def test_non_finite_couplings_rejected(self, pipeline, tmp_path, capsys):
+        raw = bytearray((pipeline / "cp" / "dae-seed0-student-0-0.ncc").read_bytes())
+        raw[12:20] = np.array([np.nan], dtype="<f8").tobytes()
+        crafted = tmp_path / "nan.ncc"
+        crafted.write_bytes(bytes(raw))
+        out = tmp_path / "c.png"
+        run_fail(["heatmap", "--couplings", str(crafted), "--out", str(out)],
+                 capsys, "FormatError")
+        assert not out.exists()
+
+    def test_missing_output_directory_names_the_target(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "nodir" / "c.png"
+        err = run_fail(["heatmap", "--couplings",
+                        str(pipeline / "cp" / "dae-seed0-student-0-0.ncc"), "--out", str(out)],
+                       capsys, "FileNotFoundError")
+        assert err["message"].endswith(repr(str(out)))
 
     def test_bad_zoom_string(self, pipeline, tmp_path, capsys):
         run_fail(["heatmap", "--couplings",

@@ -5,7 +5,12 @@ import pytest
 
 from neural_couplings.linalg import glorot_like_init, make_rng
 from neural_couplings.models import Arch, ModelParams, backward, forward
-from neural_couplings.nca import TargetBatch, compose, compute_gate, student_grad
+from neural_couplings.nca import (
+    TargetBatch,
+    compositional_objective,
+    compute_gate,
+    student_objective,
+)
 
 
 def test_glorot_like_init_scale_and_determinism():
@@ -55,7 +60,7 @@ def test_relu_deriv_is_zero_at_zero():
 
 def test_signum_maps_zero_to_zero():
     y = np.array([[3.0, 0.0, -4.0]] * 3)
-    g = student_grad(np.zeros((3, 3)), TargetBatch(np.eye(3), y))
+    _, g = student_objective(np.zeros((3, 3)), TargetBatch(np.eye(3), y))
     assert g.tolist() == [[-1.0, 0.0, 1.0]] * 3
 
 
@@ -67,6 +72,6 @@ def test_kernels_do_not_mutate_inputs():
     tr = forward(p, a)
     backward(p, tr, a)
     compute_gate(a, a, b)
-    compose(p, [a, a])
-    student_grad(a, TargetBatch(a, a))
+    compositional_objective([a, a], p, TargetBatch(a, a))
+    student_objective(a, TargetBatch(a, a))
     assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])

@@ -274,6 +274,25 @@ class TestCheckpointCodec:
         with pytest.raises(serial.FormatError, match="malformed"):
             load_checkpoint(path)
 
+    def test_hostile_matrix_size(self, tmp_path):
+        path = tmp_path / "h.ncm"
+        save_checkpoint(path, init_params(Arch.dae(), 2, make_rng(0)), 0, 0)
+        raw = bytearray(path.read_bytes())
+        # first W header (u32 rows, u32 cols) follows magic, version, tag, n, layer count
+        raw[17:25] = b"\xff" * 8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(serial.FormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_non_finite_weights(self, tmp_path):
+        path = tmp_path / "nan.ncm"
+        save_checkpoint(path, init_params(Arch.dae(), 2, make_rng(0)), 0, 0)
+        raw = bytearray(path.read_bytes())
+        raw[25:33] = np.array([np.nan], dtype="<f8").tobytes()  # W_1[0, 0]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(serial.FormatError, match="non-finite"):
+            load_checkpoint(path)
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "c.ncm"
         save_checkpoint(path, init_params(Arch.dae(), 2, make_rng(0)), 0, 0)

@@ -6,22 +6,16 @@ from neural_couplings.linalg import make_rng
 from neural_couplings.models import Arch, ModelParams, init_params
 from neural_couplings.nca import (
     NcaConfig,
-    NcaError,
-    NcaState,
     TargetBatch,
-    compositional_grads,
-    compose,
+    compositional_objective,
     compute_gate,
-    l1_loss,
-    layer_gates,
     load_couplings,
     make_target,
     moving_average,
     run_nca,
     save_couplings,
-    student_grad,
+    student_objective,
 )
-from neural_couplings.training import Adam
 
 
 def batch(x, y):
@@ -54,32 +48,36 @@ class TestConfig:
             NcaConfig("student", lr=0.0)
 
 
+def student_loss(c, b):
+    return student_objective(c, b)[0]
+
+
 class TestObjective:
     def test_l1_loss_hand_value(self):
         # C = I, X = I, Y = [[2,1],[0,1]]: residual [[1,1],[0,0]] -> 2
         b = batch(np.eye(2), [[2.0, 1.0], [0.0, 1.0]])
-        assert l1_loss(np.eye(2), b) == 2.0
+        assert student_loss(np.eye(2), b) == 2.0
 
     def test_l1_loss_zero_at_exact_fit(self):
         x = make_rng(10).normal(size=(2, 3))
         c = make_rng(11).normal(size=(2, 2))
-        assert l1_loss(c, batch(x, c @ x)) == 0.0
+        assert student_loss(c, batch(x, c @ x)) == 0.0
 
     def test_l1_loss_of_zero_couplings_is_target_mass(self):
         b = batch([[1.0], [2.0]], [[3.0], [-4.0]])
-        assert l1_loss(np.zeros((2, 2)), b) == 7.0
+        assert student_loss(np.zeros((2, 2)), b) == 7.0
 
     def test_l1_loss_single_column_hand_value(self):
-        assert l1_loss(np.eye(2), batch([[1.0], [2.0]], [[3.0], [0.0]])) == 4.0
+        assert student_loss(np.eye(2), batch([[1.0], [2.0]], [[3.0], [0.0]])) == 4.0
 
     def test_student_grad_hand_value(self):
         b = batch(np.eye(2), [[2.0, 1.0], [0.0, 1.0]])
-        g = student_grad(np.eye(2), b)
+        _, g = student_objective(np.eye(2), b)
         # sign(CX - Y) = [[-1,-1],[0,0]]; X^T = I
         assert g.tolist() == [[-1.0, -1.0], [0.0, 0.0]]
 
     def test_student_grad_of_zero_couplings(self):
-        g = student_grad(np.zeros((2, 2)), batch([[1.0], [2.0]], [[3.0], [0.0]]))
+        _, g = student_objective(np.zeros((2, 2)), batch([[1.0], [2.0]], [[3.0], [0.0]]))
         # sign(-Y) = [[-1],[0]] spread along X^T
         assert g.tolist() == [[-1.0, -2.0], [0.0, 0.0]]
 
@@ -87,14 +85,14 @@ class TestObjective:
         rng = make_rng(101)
         c = rng.normal(size=(4, 4))
         b = batch(rng.normal(size=(4, 7)), rng.normal(size=(4, 7)))
-        g = student_grad(c, b)
+        _, g = student_objective(c, b)
         h = 1e-7
         for i in range(4):
             for j in range(4):
                 cp, cm = c.copy(), c.copy()
                 cp[i, j] += h
                 cm[i, j] -= h
-                fd = (l1_loss(cp, b) - l1_loss(cm, b)) / (2 * h)
+                fd = (student_loss(cp, b) - student_loss(cm, b)) / (2 * h)
                 assert abs(fd - g[i, j]) < 1e-5
 
     def test_target_batch_shape_check(self):
@@ -138,32 +136,38 @@ class TestGates:
         assert (g >= 0).all()
         assert np.array_equal(g, np.maximum(g_hat, 0.0))
 
-    def test_layer_gates_checks_length(self):
+    def test_objective_checks_gate_driver_count(self):
         p = positive_params(Arch.dae(), 2, 0)
         with pytest.raises(ValueError):
-            layer_gates([np.eye(2)], p)
+            compositional_objective([np.eye(2)], p, batch(np.eye(2), np.eye(2)))
 
     def test_compose_hand_value(self):
-        # encoder applied first: C = (G2 . W2) (G1 . W1)
+        # encoder applied first: C = (G2 . W2) (G1 . W1); with b = 0 the
+        # drivers P1 = [[1,0],[1,0]] and P2 = diag(2,3) give G1 = ones and
+        # G2 = diag(2,3)
         w1 = np.array([[1.0, 0.0], [1.0, 1.0]])
         w2 = np.eye(2)
         p = ModelParams(
             Arch.dae(), [(w1, np.zeros((2, 1))), (w2, np.zeros((2, 1)))], 2
         )
-        g1 = np.ones((2, 2))
-        g2 = np.array([[2.0, 0.0], [0.0, 3.0]])
-        c = compose(p, [g1, g2])
+        p1 = np.array([[1.0, 0.0], [1.0, 0.0]])
+        p2 = np.array([[2.0, 0.0], [0.0, 3.0]])
+        c, loss, _ = compositional_objective([p1, p2], p, batch(np.eye(2), np.zeros((2, 2))))
         assert c.tolist() == [[2.0, 0.0], [3.0, 3.0]]
+        assert loss == 8.0
 
     def test_fully_open_gates_reproduce_an_active_linear_model(self):
         # if every gate is all ones, C X must equal the model output when all
-        # relus are active, which positive weights and inputs guarantee
+        # relus are active, which positive weights and inputs guarantee;
+        # P_l = ones (W_l + b_l)^-T opens every gate up to rounding
         from neural_couplings.models import forward
 
         p = positive_params(Arch.mss_dae(1), 5, 3)
         x = np.abs(make_rng(4).normal(size=(5, 6))) + 0.1
-        ones = [np.ones((5, 5))] * 3
-        c = compose(p, ones)
+        drivers = [np.ones((5, 5)) @ np.linalg.inv(w + b.T).T for w, b in p.layers]
+        gates = [compute_gate(q, w, b)[1] for q, (w, b) in zip(drivers, p.layers)]
+        assert all(np.allclose(g, 1.0, atol=1e-12) for g in gates)
+        c, _, _ = compositional_objective(drivers, p, batch(x, x))
         assert np.allclose(c @ x, forward(p, x).output, atol=1e-12)
 
 
@@ -175,8 +179,7 @@ class TestCompositionalGrads:
         x = np.abs(rng.normal(size=(n, t))) + 0.1
         tb = make_target(params, x)
         p_list = [glorot(rng, n) for _ in range(arch.n_layers)]
-        state = NcaState("compositional", compose_from(params, p_list), Adam(1e-3), [], p=p_list)
-        return params, tb, state, compositional_grads(state, params, tb)
+        return params, tb, p_list, compositional_objective(p_list, params, tb)[2]
 
     def test_two_layer_grads_match_direct_transcription(self):
         # independent rewrite of the two-layer case from first principles:
@@ -188,10 +191,7 @@ class TestCompositionalGrads:
             x = np.abs(rng.normal(size=(n, t))) + 0.1
             tb = make_target(params, x)
             p_list = [glorot(rng, n), glorot(rng, n)]
-            state = NcaState(
-                "compositional", compose_from(params, p_list), Adam(1e-3), [], p=p_list
-            )
-            got = compositional_grads(state, params, tb)
+            got_c, got_loss, got = compositional_objective(p_list, params, tb)
 
             (w1, b1), (w2, b2) = params.layers
             gh1, g1 = compute_gate(p_list[0], w1, b1)
@@ -205,20 +205,22 @@ class TestCompositionalGrads:
             want2 = (d_m2 * w2 * (gh2 > 0)) @ add_bias(w2, b2)
             assert np.array_equal(got[0], want1)
             assert np.array_equal(got[1], want2)
+            assert np.array_equal(got_c, c)
+            assert got_loss == float(np.abs(tb.y - c @ tb.x_mix).sum())
 
     @pytest.mark.parametrize("hidden", [1, 2])
     def test_deep_grads_match_finite_differences(self, hidden):
         arch = Arch.mss_dae(hidden)
-        params, tb, state, grads = self.grads_for(arch, seed=hidden)
+        params, tb, p_list, grads = self.grads_for(arch, seed=hidden)
         h = 1e-6
         for l in range(arch.n_layers):
             for idx in [(0, 0), (2, 3), (5, 1)]:
-                pp = [q.copy() for q in state.p]
-                pm = [q.copy() for q in state.p]
+                pp = [q.copy() for q in p_list]
+                pm = [q.copy() for q in p_list]
                 pp[l][idx] += h
                 pm[l][idx] -= h
-                ep = l1_loss(compose_from(params, pp), tb)
-                em = l1_loss(compose_from(params, pm), tb)
+                ep = compositional_objective(pp, params, tb)[1]
+                em = compositional_objective(pm, params, tb)[1]
                 fd = (ep - em) / (2 * h)
                 g = grads[l][idx]
                 assert abs(fd - g) / max(abs(fd), abs(g), 1e-8) < 1e-3
@@ -230,15 +232,10 @@ class TestCompositionalGrads:
         x = np.abs(rng.normal(size=(4, 6))) + 0.1
         c = compose_from(params, p_list)
         # target manufactured to match the composition exactly
-        state = NcaState("compositional", c, Adam(1e-3), [], p=p_list)
-        for dp in compositional_grads(state, params, batch(x, c @ x)):
+        _, loss, grads = compositional_objective(p_list, params, batch(x, c @ x))
+        assert loss == 0.0
+        for dp in grads:
             assert np.array_equal(dp, np.zeros((4, 4)))
-
-    def test_rejects_student_state(self):
-        state = NcaState("student", np.eye(2), Adam(1e-3), [])
-        p = positive_params(Arch.dae(), 2, 0)
-        with pytest.raises(NcaError):
-            compositional_grads(state, p, batch(np.eye(2), np.eye(2)))
 
 
 def glorot(rng, n):
@@ -251,8 +248,11 @@ def add_bias(w, b):
 
 
 def compose_from(params, p_list):
-    _, gates = layer_gates(p_list, params)
-    return compose(params, gates)
+    # independent of the objective: (G_l . W_l) applied in layer order
+    c = np.eye(params.n)
+    for q, (w, b) in zip(p_list, params.layers):
+        c = (compute_gate(q, w, b)[1] * w) @ c
+    return c
 
 
 class TestRunNca:
@@ -286,7 +286,7 @@ class TestRunNca:
         from neural_couplings.linalg import glorot_like_init
 
         c0 = glorot_like_init(make_rng(cfg.seed), 4, 4, 4)
-        assert state.losses[0] == l1_loss(c0, make_target(p, x))
+        assert state.losses[0] == student_loss(c0, make_target(p, x))
 
     def test_compositional_c_matches_state_p(self):
         p = positive_params(Arch.mss_dae(1), 4, 2)
@@ -294,7 +294,8 @@ class TestRunNca:
         state = run_nca(p, x, NcaConfig("compositional", iterations=15, lr=1e-3))
         assert state.p is not None and len(state.p) == 3
         assert np.array_equal(state.c, compose_from(p, state.p))
-        assert state.losses[-1] == l1_loss(state.c, make_target(p, x))
+        tb = make_target(p, x)
+        assert state.losses[-1] == float(np.abs(tb.y - state.c @ tb.x_mix).sum())
 
     def test_deterministic(self):
         p = positive_params(Arch.sf(), 4, 5)
@@ -361,6 +362,24 @@ class TestCouplingsCodec:
         raw[-1] = ord("x")  # breaks the closing brace
         path.write_bytes(bytes(raw))
         with pytest.raises(serial.FormatError, match="metadata"):
+            load_couplings(path)
+
+    def test_hostile_size(self, tmp_path):
+        path = tmp_path / "h.ncc"
+        save_couplings(path, np.eye(3), {})
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = b"\xff" * 4  # matrix order n, after magic and version
+        path.write_bytes(bytes(raw))
+        with pytest.raises(serial.FormatError, match="truncated"):
+            load_couplings(path)
+
+    def test_non_finite_payload(self, tmp_path):
+        path = tmp_path / "nan.ncc"
+        save_couplings(path, np.eye(2), {})
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = np.array([np.nan], dtype="<f8").tobytes()  # C[0, 0]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(serial.FormatError, match="non-finite"):
             load_couplings(path)
 
     def test_truncated(self, tmp_path):

@@ -78,6 +78,33 @@ def test_read_mat_truncated_payload():
         serial.read_mat(io.BytesIO(data))
 
 
+def test_hostile_sizes_are_rejected_before_reading():
+    # a (2^32 - 1)^2 matrix and a 4 GiB string, declared in front of 8 bytes
+    huge = 2**32 - 1
+    mat = io.BytesIO()
+    serial.write_u32(mat, huge)
+    serial.write_u32(mat, huge)
+    mat.write(b"\x00" * 8)
+    mat.seek(0)
+    with pytest.raises(serial.FormatError, match="truncated"):
+        serial.read_mat(mat)
+    s = io.BytesIO()
+    serial.write_u32(s, huge)
+    s.write(b"abcdefgh")
+    s.seek(0)
+    with pytest.raises(serial.FormatError, match="truncated"):
+        serial.read_str(s)
+
+
+def test_read_mat_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        buf = io.BytesIO()
+        serial.write_mat(buf, np.array([[1.0, bad]]))
+        buf.seek(0)
+        with pytest.raises(serial.FormatError, match="non-finite"):
+            serial.read_mat(buf)
+
+
 def test_str_round_trip_utf8():
     buf = io.BytesIO()
     serial.write_str(buf, "mss-dae é")
@@ -97,6 +124,13 @@ def test_write_file_atomic_overwrites(tmp_path):
     target.write_bytes(b"old")
     serial.write_file_atomic(target, b"new")
     assert target.read_bytes() == b"new"
+
+
+def test_write_file_atomic_names_the_target_when_its_directory_is_missing(tmp_path):
+    target = tmp_path / "nodir" / "out.bin"
+    with pytest.raises(FileNotFoundError) as info:
+        serial.write_file_atomic(target, b"x")
+    assert info.value.filename == str(target)
 
 
 def test_sha256_matches_known_digest(tmp_path):

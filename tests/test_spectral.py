@@ -353,6 +353,29 @@ class TestDatasetCodec:
         with pytest.raises(serial.FormatError, match="window kind"):
             load_dataset(p)
 
+    # tiny_dataset layout: config ends at 29, pair count 29:33, id length
+    # 33:37, mix header 39:47 and payload 47:79, target 79:119, bin count
+    # 119:123, per-bin std 123:139, epsilon 139:147
+    @pytest.mark.parametrize("at", [39, 119], ids=["mags", "bins"])
+    def test_hostile_size(self, tmp_path, at):
+        p = tmp_path / "h.ncd"
+        save_dataset(tiny_dataset(), p)
+        raw = bytearray(p.read_bytes())
+        raw[at:at + 8] = b"\xff" * 8
+        p.write_bytes(bytes(raw))
+        with pytest.raises(serial.FormatError, match="truncated"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("at", [47, 123, 139], ids=["mags", "scaler", "epsilon"])
+    def test_non_finite_payload(self, tmp_path, at):
+        p = tmp_path / "nan.ncd"
+        save_dataset(tiny_dataset(), p)
+        raw = bytearray(p.read_bytes())
+        raw[at:at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(serial.FormatError, match="non-finite"):
+            load_dataset(p)
+
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "t.ncd"
         save_dataset(tiny_dataset(), p)
