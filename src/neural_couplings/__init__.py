@@ -55,14 +55,12 @@ from .spectral import (
     Spectrogram,
     StftConfig,
     WavError,
-    apply_scaler,
     fit_scaler,
     load_dataset,
     load_wav_mono,
     normalized_pair_matrices,
     normalized_window,
     save_dataset,
-    select_active_segment,
     stft_mag,
 )
 from .synth import make_synthetic_dataset

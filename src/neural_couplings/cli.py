@@ -146,19 +146,24 @@ def cmd_ingest(args) -> int:
 
 
 def _parse_seeds(raw: str) -> list[int]:
+    """Comma-separated seeds, each in [0, 2**64) as the checkpoint stores a u64."""
     try:
-        return [int(s) for s in raw.split(",") if s != ""]
+        seeds = [int(s) for s in raw.split(",") if s != ""]
     except ValueError:
         raise CliError(f"bad --seeds value {raw!r}, expected comma-separated integers") from None
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise CliError(f"seed {seed} out of range, expected 0 <= seed < 2**64")
+    return seeds
 
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    ds = load_dataset(args.dataset)
-    arch = Arch.mss_dae(args.hidden_layers) if args.model == "mss-dae" else Arch(args.model)
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise CliError("no seeds given")
+    ds = load_dataset(args.dataset)
+    arch = Arch.mss_dae(args.hidden_layers) if args.model == "mss-dae" else Arch(args.model)
     cfg = TrainConfig(
         batch_size=args.batch_size,
         initial_lr=args.lr,

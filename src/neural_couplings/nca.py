@@ -75,13 +75,13 @@ class NcaState:
     """The fitted C and the per-iteration loss curve.
 
     For the student strategy c is the unknown itself and p is None; for the
-    compositional strategy p holds the gate drivers and c is their
-    composition.
+    compositional strategy p is the (L, n, n) stack of gate drivers, indexed
+    by layer, and c is their composition.
     """
 
     c: Mat
     losses: list[float]
-    p: list[Mat] | None = None
+    p: Mat | None = None
 
 
 def make_target(params: ModelParams, x_mix) -> TargetBatch:
@@ -104,10 +104,10 @@ def compute_gate(p: Mat, w: Mat, b: Mat) -> tuple[Mat, Mat]:
 
 
 def compositional_objective(
-    p: list[Mat], params: ModelParams, batch: TargetBatch
-) -> tuple[Mat, float, list[Mat]]:
-    """The composition C, the L1 loss of Y - C X and its gradients in every
-    gate driver P_l.
+    p: Mat, params: ModelParams, batch: TargetBatch
+) -> tuple[Mat, float, Mat]:
+    """The composition C, the L1 loss of Y - C X and its (L, n, n) gradient
+    in the gate drivers P_l = p[l].
 
     With M_l = G_l . W_l, C = M_L ... M_1 is the last of the prefix products
     M_1, M_2 M_1, .... The gradient through the product is
@@ -128,7 +128,7 @@ def compositional_objective(
     r = c @ batch.x_mix - batch.y
     delta = np.sign(r) @ batch.x_mix.T
 
-    grads = []
+    grads = np.empty((len(p), params.n, params.n))
     down = None  # M_L ... M_{l+1}, None while empty
     for l in range(len(p) - 1, -1, -1):
         d_factor = delta if down is None else down.T @ delta
@@ -136,16 +136,18 @@ def compositional_objective(
             d_factor = d_factor @ prefix[l - 1].T
             down = factors[l] if down is None else down @ factors[l]
         w, b = params.layers[l]
-        grads.append(((d_factor * w) * (g_hats[l] > 0.0)) @ (w + b.T))
-    return c, float(np.abs(r).sum()), grads[::-1]
+        grads[l] = ((d_factor * w) * (g_hats[l] > 0.0)) @ (w + b.T)
+    return c, float(np.abs(r).sum()), grads
 
 
 def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     """Fit a couplings matrix to the model's response on x_mix.
 
-    Each iteration evaluates the objective once, records its loss and takes
-    an Adam step; a final evaluation records the loss of the returned C, so
-    the loss curve has cfg.iterations + 1 values.
+    The unknown theta is C itself (student) or the (L, n, n) gate drivers
+    (compositional), drawn in one piece and stepped in place by Adam. Each
+    iteration evaluates the objective once, records its loss and takes an
+    Adam step; a final evaluation records the loss of the returned C, so the
+    loss curve has cfg.iterations + 1 values.
     """
     x = np.asarray(x_mix, dtype=np.float64)
     rng = make_rng(cfg.seed)
@@ -159,22 +161,20 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
             raise NcaError(f"non-finite couplings loss at iteration {i}")
         losses.append(e)
 
-    if cfg.strategy == "student":
-        c = glorot_like_init(rng, n, n, n)
-        for i in range(cfg.iterations):
-            e, grad = student_objective(c, batch)
-            record(e, i)
-            c = adam.step([c], [grad])[0]
-        record(student_objective(c, batch)[0], "final")
-        return NcaState(c, losses)
-    p = [glorot_like_init(rng, n, n, n) for _ in params.layers]
+    student = cfg.strategy == "student"
+    if student:
+        theta = glorot_like_init(rng, n, n, n)
+        objective = lambda t: (t, *student_objective(t, batch))
+    else:
+        theta = glorot_like_init(rng, len(params.layers) * n, n, n).reshape(-1, n, n)
+        objective = lambda t: compositional_objective(t, params, batch)
     for i in range(cfg.iterations):
-        _, e, grads = compositional_objective(p, params, batch)
+        _, e, grad = objective(theta)
         record(e, i)
-        p = adam.step(p, grads)
-    c, e, _ = compositional_objective(p, params, batch)
+        adam.step(theta, grad)
+    c, e, _ = objective(theta)
     record(e, "final")
-    return NcaState(c, losses, p)
+    return NcaState(c, losses, None if student else theta)
 
 
 def moving_average(values, window: int) -> np.ndarray:
@@ -215,4 +215,6 @@ def load_couplings(path) -> tuple[Mat, dict]:
             metadata = json.loads(serial.read_sized(f, meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise serial.FormatError(f"bad couplings metadata: {e}") from None
+    if not isinstance(metadata, dict):
+        raise serial.FormatError(f"couplings metadata is not a JSON object: {metadata!r:.40}")
     return c, metadata

@@ -60,9 +60,6 @@ class StftConfig:
         zero-padded to a 4096-point FFT (2049 bins)."""
         return cls(sample_rate=44100, window_len=2048, hop=384, fft_size=4096, bins_kept=2049)
 
-    def seconds_to_frames(self, seconds: float) -> int:
-        return int(round(seconds * self.sample_rate / self.hop))
-
 
 @dataclass
 class Spectrogram:
@@ -213,55 +210,14 @@ def fit_scaler(spectrograms: list[Spectrogram], epsilon: float = 1e-8) -> BinSca
     return BinScaler(np.maximum(std, epsilon), epsilon)
 
 
-def apply_scaler(s: Spectrogram, scaler: BinScaler) -> Spectrogram:
-    """Divide each bin row by its scaler std."""
-    if scaler.per_bin_std.shape[0] != s.mags.shape[0]:
-        raise ValueError(
-            f"scaler has {scaler.per_bin_std.shape[0]} bins, spectrogram {s.mags.shape[0]}"
-        )
-    return Spectrogram(s.config, s.mags / scaler.per_bin_std[:, None], s.source_id)
-
-
-def select_active_segment(
-    mix: Spectrogram, sources: list[Spectrogram], seconds: float
-) -> tuple[int, int]:
-    """Frame range of the contiguous window maximizing the minimum per-source
-    mean frame energy. Ties resolve to the earliest window.
-
-    Frame energy is the sum of squared magnitudes over bins; window length in
-    frames is round(seconds * sample_rate / hop).
-    """
-    if not sources:
-        raise ValueError("select_active_segment: no sources given")
-    total = mix.frames
-    for s in sources:
-        if s.frames != total:
-            raise ValueError(
-                f"source {s.source_id!r} has {s.frames} frames, mixture has {total}"
-            )
-    win = mix.config.seconds_to_frames(seconds)
-    if win < 1:
-        raise ValueError(f"window of {seconds} s spans no frames")
-    if win > total:
-        raise ValueError(f"window of {win} frames exceeds the {total} frames available")
-
-    scores = None
-    for s in sources:
-        energy = (s.mags * s.mags).sum(axis=0)
-        csum = np.concatenate(([0.0], np.cumsum(energy)))
-        means = (csum[win:] - csum[:-win]) / win
-        scores = means if scores is None else np.minimum(scores, means)
-    start = int(np.argmax(scores))  # argmax returns the first maximum
-    return start, start + win
-
-
 def normalized_pair_matrices(ds: Dataset) -> tuple[Mat, Mat]:
     """All frames of all pairs, scaler-applied, stacked column-wise:
     (mixture matrix, target matrix)."""
     if not ds.pairs:
         raise ValueError("dataset has no pairs")
-    mixes = [apply_scaler(m, ds.scaler).mags for m, _ in ds.pairs]
-    tgts = [apply_scaler(t, ds.scaler).mags for _, t in ds.pairs]
+    scale = ds.scaler.per_bin_std[:, None]
+    mixes = [m.mags / scale for m, _ in ds.pairs]
+    tgts = [t.mags / scale for _, t in ds.pairs]
     return np.concatenate(mixes, axis=1), np.concatenate(tgts, axis=1)
 
 

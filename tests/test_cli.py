@@ -123,6 +123,22 @@ class TestTrainCommand:
         run_fail(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
                   "--out", str(pipeline / "nope"), "--seeds", "a,b"], capsys, "CliError")
 
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_out_of_range_fails_before_loading(self, tmp_path, capsys, seed):
+        # the dataset does not exist, so a CliError proves the check runs first
+        err = run_fail(["train", "--dataset", str(tmp_path / "gone.ncd"), "--model", "dae",
+                        "--out", str(tmp_path / "ck"), "--seeds", f"0,{seed}"],
+                       capsys, "CliError")
+        assert seed in err["message"]
+        assert not (tmp_path / "ck").exists()
+
+    @pytest.mark.parametrize("lr", ["0", "-1"])
+    def test_non_positive_lr(self, pipeline, tmp_path, capsys, lr):
+        err = run_fail(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
+                        "--out", str(tmp_path / "ck"), "--lr", lr], capsys, "ValueError")
+        assert "initial_lr" in err["message"]
+        assert not (tmp_path / "ck").exists()
+
     def test_missing_dataset_file(self, tmp_path, capsys):
         err = run_fail(["train", "--dataset", str(tmp_path / "gone.ncd"), "--model", "dae",
                         "--out", str(tmp_path / "ck")], capsys, "FileNotFoundError")
@@ -236,6 +252,17 @@ class TestAnalyzeCommand:
                   "--checkpoints", str(pipeline / "ck"),
                   "--dataset", str(pipeline / "ds.ncd"),
                   "--out", str(tmp_path / "r.json")], capsys, "CliError")
+
+    def test_metadata_that_is_not_an_object(self, pipeline, tmp_path, capsys):
+        raw = (pipeline / "cp" / "dae-seed0-student-0-0.ncc").read_bytes()
+        meta = b"[1,2]"
+        crafted = tmp_path / "list.ncc"
+        crafted.write_bytes(raw[: 12 + 8 * 16 * 16] + len(meta).to_bytes(4, "little") + meta)
+        err = run_fail(["analyze", "--couplings", str(crafted),
+                        "--checkpoints", str(pipeline / "ck"),
+                        "--dataset", str(pipeline / "ds.ncd"),
+                        "--out", str(tmp_path / "r.json")], capsys, "FormatError")
+        assert "not a JSON object" in err["message"]
 
     def test_checkpoint_hash_must_match(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -297,6 +297,20 @@ class TestRunNca:
         tb = make_target(p, x)
         assert state.losses[-1] == float(np.abs(tb.y - state.c @ tb.x_mix).sum())
 
+    def test_compositional_drivers_are_drawn_layer_by_layer(self):
+        # one (L n, n) draw reshaped to (L, n, n) is the same stream as one
+        # n x n draw per layer, so the first loss is that of these drivers
+        from neural_couplings.linalg import glorot_like_init
+
+        p = positive_params(Arch.mss_dae(2), 5, 4)
+        x = np.abs(make_rng(5).normal(size=(5, 9))) + 0.1
+        cfg = NcaConfig("compositional", iterations=3, lr=1e-3, seed=11)
+        state = run_nca(p, x, cfg)
+        rng = make_rng(cfg.seed)
+        p0 = [glorot_like_init(rng, 5, 5, 5) for _ in p.layers]
+        assert state.p.shape == (4, 5, 5)
+        assert state.losses[0] == compositional_objective(p0, p, make_target(p, x))[1]
+
     def test_deterministic(self):
         p = positive_params(Arch.sf(), 4, 5)
         x = np.abs(make_rng(6).normal(size=(4, 12))) + 0.1
@@ -362,6 +376,15 @@ class TestCouplingsCodec:
         raw[-1] = ord("x")  # breaks the closing brace
         path.write_bytes(bytes(raw))
         with pytest.raises(serial.FormatError, match="metadata"):
+            load_couplings(path)
+
+    @pytest.mark.parametrize("meta", [b"[1,2]", b'"x"', b"3", b"null"])
+    def test_metadata_must_be_an_object(self, tmp_path, meta):
+        path = tmp_path / "c.ncc"
+        save_couplings(path, np.eye(2), {})
+        raw = path.read_bytes()[: -len(b"{}") - 4]  # drop the length and the block
+        path.write_bytes(raw + len(meta).to_bytes(4, "little") + meta)
+        with pytest.raises(serial.FormatError, match="not a JSON object"):
             load_couplings(path)
 
     def test_hostile_size(self, tmp_path):

@@ -8,14 +8,12 @@ from neural_couplings.spectral import (
     Spectrogram,
     StftConfig,
     WavError,
-    apply_scaler,
     fit_scaler,
     load_dataset,
     load_wav_mono,
     normalized_pair_matrices,
     normalized_window,
     save_dataset,
-    select_active_segment,
     stft_mag,
 )
 
@@ -48,12 +46,6 @@ class TestStftConfig:
     def test_unknown_window_kind(self):
         with pytest.raises(ValueError, match="window kind"):
             StftConfig(8000, 16, 4, 32, 17, window_kind="hann")
-
-    def test_seconds_to_frames_rounds(self):
-        cfg = StftConfig(8000, 16, 3, 32, 17)
-        # 0.001 s = 8 samples = 2.67 hops -> 3 frames
-        assert cfg.seconds_to_frames(0.001) == 3
-        assert cfg.seconds_to_frames(0.0) == 0
 
 
 class TestSpectrogram:
@@ -215,61 +207,20 @@ class TestScaler:
 
     def test_apply_divides_rows(self):
         s = spec([[2.0, 4.0], [3.0, 9.0]])
-        out = apply_scaler(s, BinScaler(np.array([2.0, 3.0])))
-        assert out.mags.tolist() == [[1.0, 2.0], [1.0, 3.0]]
+        ds = Dataset(TINY, [(s, s)], BinScaler(np.array([2.0, 3.0])))
+        x_mix, x_tgt = normalized_pair_matrices(ds)
+        assert x_mix.tolist() == [[1.0, 2.0], [1.0, 3.0]]
+        assert x_tgt.tolist() == x_mix.tolist()
 
     def test_apply_checks_length(self):
-        with pytest.raises(ValueError):
-            apply_scaler(spec(np.ones((2, 2))), BinScaler(np.ones(3)))
+        s = spec(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="scaler length"):
+            Dataset(TINY, [(s, s)], BinScaler(np.ones(3)))
 
     def test_fit_then_apply_gives_unit_variance_rows(self):
         s = spec(np.random.default_rng(4).uniform(0.1, 5.0, size=(2, 50)))
-        out = apply_scaler(s, fit_scaler([s]))
-        assert np.allclose(out.mags.std(axis=1), 1.0, atol=1e-12)
-
-
-class TestSegmentSelection:
-    def test_picks_window_with_best_weakest_source(self):
-        mix = spec(np.ones((2, 5)))
-        a = spec([[0.0, 2.0, 2.0, 0.0, 0.0], [0.0] * 5])
-        b = spec([[0.0, 2.0, 2.0, 2.0, 0.0], [0.0] * 5])
-        # 0.5 s at rate 4 / hop 1 = 2 frames; min-mean peaks at frames 1..2
-        assert select_active_segment(mix, [a, b], 0.5) == (1, 3)
-
-    def test_tie_resolves_to_earliest(self):
-        mix = spec(np.ones((2, 4)))
-        flat = spec(np.ones((2, 4)))
-        assert select_active_segment(mix, [flat], 0.5) == (0, 2)
-
-    def test_window_longer_than_track(self):
-        mix = spec(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="exceeds"):
-            select_active_segment(mix, [mix], 1.0)
-
-    def test_frame_count_mismatch(self):
-        mix = spec(np.ones((2, 4)))
-        short = spec(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="frames"):
-            select_active_segment(mix, [short], 0.5)
-
-    def test_no_sources(self):
-        with pytest.raises(ValueError, match="no sources"):
-            select_active_segment(spec(np.ones((2, 4))), [], 0.5)
-
-    def test_matches_brute_force_on_random_tracks(self):
-        win = 6  # 1.5 s at rate 4 / hop 1
-        for trial in range(5):
-            rng = np.random.default_rng(60 + trial)
-            srcs = [spec(rng.uniform(0.0, 2.0, size=(2, 20))) for _ in range(3)]
-            mix = spec(np.ones((2, 20)))
-            best, best_start = -1.0, 0
-            for start in range(20 - win + 1):
-                score = min(
-                    (s.mags[:, start : start + win] ** 2).sum() / win for s in srcs
-                )
-                if score > best + 1e-12:
-                    best, best_start = score, start
-            assert select_active_segment(mix, srcs, 1.5) == (best_start, best_start + win)
+        x_mix, _ = normalized_pair_matrices(Dataset(TINY, [(s, s)], fit_scaler([s])))
+        assert np.allclose(x_mix.std(axis=1), 1.0, atol=1e-12)
 
 
 def tiny_dataset():

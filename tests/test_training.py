@@ -42,57 +42,57 @@ class TestAdam:
         adam = Adam(lr=0.1)
         p = np.array([[1.0, -1.0]])
         g = np.array([[2.0, -0.5]])
-        (out,) = adam.step([p], [g])
         want = p - 0.1 * g / (np.abs(g) + 1e-8)
-        assert np.allclose(out, want, atol=1e-15)
+        adam.step(p, g)
+        assert np.allclose(p, want, atol=1e-15)
         assert adam.t == 1
 
-    def test_step_does_not_mutate_inputs(self):
+    def test_step_updates_param_in_place_and_leaves_grad_untouched(self):
         adam = Adam(lr=0.1)
         p = np.ones((2, 2))
         g = np.full((2, 2), 0.5)
-        out = adam.step([p], [g])[0]
-        assert out is not p
-        assert np.array_equal(p, np.ones((2, 2)))
+        assert adam.step(p, g) is None
+        assert np.allclose(p, 0.9, atol=1e-7)
         assert np.array_equal(g, np.full((2, 2), 0.5))
 
     def test_lr_attribute_controls_step_size(self):
         a, b = Adam(lr=0.1), Adam(lr=0.2)
-        p, g = np.array([[4.0]]), np.array([[1.0]])
-        da = p - a.step([p], [g])[0]
-        db = p - b.step([p], [g])[0]
-        assert np.isclose(db[0, 0], 2 * da[0, 0], atol=1e-12)
+        pa, pb, g = np.array([[4.0]]), np.array([[4.0]]), np.array([[1.0]])
+        a.step(pa, g)
+        b.step(pb, g)
+        assert np.isclose(4.0 - pb[0, 0], 2 * (4.0 - pa[0, 0]), atol=1e-12)
 
     def test_zero_gradient_leaves_params_and_decays_moments(self):
         adam = Adam(lr=0.1)
         p = np.array([[3.0]])
-        (out,) = adam.step([p], [np.zeros((1, 1))])
-        assert np.array_equal(out, p)
-        assert adam.m[0][0, 0] == 0.0 and adam.v[0][0, 0] == 0.0
+        adam.step(p, np.zeros((1, 1)))
+        assert p[0, 0] == 3.0
+        assert adam.m[0, 0] == 0.0 and adam.v[0, 0] == 0.0
         # moments built from a real gradient shrink geometrically once
         # gradients go quiet
-        adam.step([p], [np.ones((1, 1))])
-        m_before = adam.m[0][0, 0]
-        adam.step([p], [np.zeros((1, 1))])
-        assert adam.m[0][0, 0] == 0.9 * m_before
-
-    def test_rejects_count_mismatch(self):
-        with pytest.raises(TrainingError):
-            Adam(0.1).step([np.ones(2)], [])
+        adam.step(p, np.ones((1, 1)))
+        m_before = adam.m[0, 0]
+        adam.step(p, np.zeros((1, 1)))
+        assert adam.m[0, 0] == 0.9 * m_before
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(TrainingError, match="shape"):
-            Adam(0.1).step([np.ones((2, 2))], [np.ones((2, 3))])
+            Adam(0.1).step(np.ones((2, 2)), np.ones((2, 3)))
 
     def test_rejects_non_finite_grad(self):
+        p = np.ones(1)
         with pytest.raises(TrainingError, match="non-finite"):
-            Adam(0.1).step([np.ones(1)], [np.array([np.nan])])
+            Adam(0.1).step(p, np.array([np.nan]))
+        assert p[0] == 1.0
 
     def test_rejects_param_count_change_after_first_step(self):
+        # the moments take the parameter shape on the first step
         adam = Adam(0.1)
-        adam.step([np.ones(1)], [np.ones(1)])
-        with pytest.raises(TrainingError):
-            adam.step([np.ones(1), np.ones(1)], [np.ones(1), np.ones(1)])
+        adam.step(np.ones(1), np.ones(1))
+        with pytest.raises(TrainingError, match="shape"):
+            adam.step(np.ones(2), np.ones(2))
+        with pytest.raises(TrainingError, match="shape"):
+            adam.step(np.ones((1, 1)), np.ones((1, 1)))
 
 
 class TestTrainConfig:
@@ -103,6 +103,11 @@ class TestTrainConfig:
     def test_stop_must_cover_halve(self):
         with pytest.raises(ValueError):
             TrainConfig(halve_patience=3, stop_patience=2)
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_lr(self, lr):
+        with pytest.raises(ValueError, match="initial_lr"):
+            TrainConfig(initial_lr=lr)
 
 
 class TestTrain:
@@ -175,20 +180,22 @@ class TestTrain:
         with pytest.raises(TrainingError, match="diverged"):
             train(Arch.dae(), halving_dataset(), cfg)
 
-    def test_single_epoch_matches_recipe_transcription(self):
+    @pytest.mark.parametrize("arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag)
+    def test_single_epoch_matches_recipe_transcription(self, arch):
         # rewrite one epoch from the documented recipe: shuffle all frames
         # with rng [seed, epoch], batch the columns in order (last batch
         # short), weight batch losses by frame count, step Adam per batch
+        # on all weights flattened in the order W0, b0, W1, b1, ...
         from neural_couplings.linalg import make_rng
         from neural_couplings.models import ModelParams, backward, forward, init_params, mse
 
         ds = learnable_dataset()
         cfg = TrainConfig(seed=2, max_epochs=1, batch_size=16)
-        res = train(Arch.dae(), ds, cfg)
+        res = train(arch, ds, cfg)
 
         x_mix = ds.pairs[0][0].mags  # scaler is all ones
         x_tgt = ds.pairs[0][1].mags
-        params = init_params(Arch.dae(), 6, make_rng(2))
+        params = init_params(arch, 6, make_rng(2))
         adam = Adam(cfg.initial_lr)
         order = np.random.default_rng([2, 0]).permutation(40)
         total_se = 0.0
@@ -198,12 +205,18 @@ class TestTrain:
             tr = forward(params, xb)
             total_se += mse(yb, tr.output) * yb.size
             grads = backward(params, tr, yb)
-            flat_p = [a for layer in params.layers for a in layer]
-            flat_g = [a for layer in grads for a in layer]
-            s = adam.step(flat_p, flat_g)
-            params = ModelParams(Arch.dae(), [(s[0], s[1]), (s[2], s[3])], 6)
+            flat_p = np.concatenate([a.ravel() for layer in params.layers for a in layer])
+            flat_g = np.concatenate([a.ravel() for layer in grads for a in layer])
+            adam.step(flat_p, flat_g)
+            # W is 36 values and b is 6, so layer i starts at 42 * i
+            layers = [
+                (flat_p[42 * i : 42 * i + 36].reshape(6, 6), flat_p[42 * i + 36 : 42 * (i + 1)])
+                for i in range(arch.n_layers)
+            ]
+            params = ModelParams(arch, [(w, b.reshape(6, 1)) for w, b in layers], 6)
 
         assert res.history[0].mean_loss == total_se / x_tgt.size
+        assert len(res.params.layers) == arch.n_layers
         for (wa, ba), (wb, bb) in zip(res.params.layers, params.layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
