@@ -56,9 +56,10 @@ def _hash_paths(paths) -> dict[str, str]:
 
 
 def write_manifest(
-    manifest_path: Path, command: str, flags: dict, inputs, outputs, started: float
+    manifest_path: Path, command: str, flags: dict, inputs, outputs, started: float, **extra
 ) -> None:
     manifest = {
+        **extra,
         "tool": "nca",
         "version": __version__,
         "command": command,
@@ -182,8 +183,10 @@ def cmd_train(args) -> int:
     flags = {"dataset": args.dataset, "model": args.model, "hidden_layers": args.hidden_layers,
              "seeds": seeds, "batch_size": args.batch_size, "lr": args.lr,
              "max_epochs": args.max_epochs, "out": str(out_dir)}
+    runs = [{"seed": seed, "epochs": result.epochs, "stopped_by": result.stopped_by}
+            for seed, result in zip(seeds, results)]
     write_manifest(out_dir / f"train-{args.model}.manifest.json", "train", flags,
-                   [args.dataset], outputs, started)
+                   [args.dataset], outputs, started, runs=runs)
     return 0
 
 

@@ -125,7 +125,8 @@ def forward(params: ModelParams, x_batch) -> ForwardTrace:
     pre: list[Mat] = []
     post: list[Mat] = []
     for w, b in params.layers:
-        z = w @ a + b
+        z = w @ a
+        z += b
         a = np.maximum(z, 0.0)
         pre.append(z)
         post.append(a)
@@ -144,11 +145,21 @@ def mse(x_batch, xhat_batch) -> float:
     return float(np.mean(d * d))
 
 
-def backward(params: ModelParams, trace: ForwardTrace, x_target) -> list[tuple[Mat, Mat]]:
-    """Analytic MSE gradients for every layer, in layer order.
+def backward(
+    params: ModelParams, trace: ForwardTrace, x_target, grads: list[tuple[Mat, Mat]]
+) -> float:
+    """Write the analytic MSE gradient of every layer into grads; return the MSE.
 
-    For sf the loss gradient reaches the decoder through the masking product,
-    so it is weighted by the input before entering the ReLU chain.
+    grads holds one preallocated (dW, db) pair per layer, in layer order, of
+    the shapes of params.layers; every value in it is overwritten. The
+    residual output - target is formed once and gives both the loss, equal
+    to mse(x_target, trace.output) bit for bit, and the gradient. For sf the
+    loss gradient reaches the decoder through the masking product, so it is
+    weighted by the input before entering the ReLU chain.
+
+    Every product and reduction yields a C-order (n, B) array and sums in the
+    same order whatever the layout of x_input and x_target, so a batch
+    gathered frames-major gives the same bits as one gathered by column.
     """
     if len(trace.pre) != len(params.layers):
         raise ValueError(
@@ -158,17 +169,23 @@ def backward(params: ModelParams, trace: ForwardTrace, x_target) -> list[tuple[M
     if tgt.shape != trace.output.shape:
         raise ShapeError(f"target shape {tgt.shape} differs from output {trace.output.shape}")
     n, t = trace.output.shape
-    d_out = (2.0 / (n * t)) * (trace.output - tgt)
-    d_post = d_out * trace.x_input if params.arch.uses_mask else d_out
+    # d is the loss gradient with respect to each layer's output, then, after
+    # the relu mask, its pre-activation; it is C-order from here on
+    d = np.subtract(trace.output, tgt, order="C")
+    loss = float(np.mean(d * d))
+    d *= 2.0 / (n * t)
+    if params.arch.uses_mask:
+        d *= trace.x_input
 
-    grads: list[tuple[Mat, Mat] | None] = [None] * len(params.layers)
     for layer in reversed(range(len(params.layers))):
-        d_pre = d_post * (trace.pre[layer] > 0.0)
+        d *= trace.pre[layer] > 0.0
         a_prev = trace.post[layer - 1] if layer > 0 else trace.x_input
-        grads[layer] = (d_pre @ a_prev.T, d_pre.sum(axis=1, keepdims=True))
+        dw, db = grads[layer]
+        np.matmul(d, a_prev.T, out=dw)
+        np.sum(d, axis=1, keepdims=True, out=db)
         if layer > 0:
-            d_post = params.layers[layer][0].T @ d_pre
-    return grads  # type: ignore[return-value]
+            d = params.layers[layer][0].T @ d
+    return loss
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, seed: int, epochs: int) -> None:

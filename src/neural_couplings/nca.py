@@ -217,4 +217,9 @@ def load_couplings(path) -> tuple[Mat, dict]:
             raise serial.FormatError(f"bad couplings metadata: {e}") from None
     if not isinstance(metadata, dict):
         raise serial.FormatError(f"couplings metadata is not a JSON object: {metadata!r:.40}")
+    for key in ("checkpoint", "segment", "strategy"):
+        if not isinstance(metadata.get(key, ""), str):
+            raise serial.FormatError(
+                f"couplings metadata {key!r} is not a string: {metadata[key]!r:.40}"
+            )
     return c, metadata

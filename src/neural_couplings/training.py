@@ -1,9 +1,10 @@
 """Bias-corrected Adam and the mini-batch training loop.
 
 Adam steps one parameter array in place. Training keeps every weight in one
-flat vector, shuffles all frame columns globally each epoch, drops the
-learning rate by half after a run of non-improving epochs, stops after a
-longer run, and returns the parameters snapshotted at the best epoch loss.
+flat vector and its gradient in another, shuffles all frames globally each
+epoch, drops the learning rate by half after a run of non-improving epochs,
+stops after a longer run, and returns the parameters snapshotted at the best
+epoch loss together with the rule that ended the run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import serial
 from .linalg import Mat, make_rng
-from .models import Arch, ModelParams, backward, forward, init_params, mse
+from .models import Arch, ModelParams, backward, forward, init_params
 from .spectral import Dataset, normalized_pair_matrices
 
 # An epoch improves only if its loss beats the best by more than this,
@@ -107,6 +108,9 @@ class TrainResult:
     history: list[EpochStats]
     seed: int
     best_loss: float
+    # "patience" when stop_patience non-improving epochs ended the run,
+    # "max_epochs" when the epoch budget ran out first
+    stopped_by: str
 
     @property
     def epochs(self) -> int:
@@ -128,36 +132,43 @@ def _params_view(arch: Arch, theta: Mat, n: int) -> ModelParams:
 def train(arch: Arch, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Train one model; deterministic given (arch, dataset, cfg).
 
-    All weights live in one flat vector that Adam updates in place; the
-    model's W and b are views of it, so no batch rebuilds the parameters.
+    All weights live in one flat vector that Adam updates in place, and the
+    gradient in a second one that `backward` overwrites every batch; the
+    model's W and b and the per-layer gradients are views of them, so no
+    batch rebuilds the parameters or concatenates the gradient. The mixture
+    and target frames are copied once into frames-major (T, n) arrays, so a
+    batch gathers contiguous rows and hands their (n, B) transposed view to
+    `forward` and `backward`; the bits match a column gather.
     """
-    x_mix, x_tgt = normalized_pair_matrices(dataset)
-    n, total_frames = x_mix.shape
+    mix_rows, tgt_rows = (np.ascontiguousarray(x.T) for x in normalized_pair_matrices(dataset))
+    total_frames, n = mix_rows.shape
     theta = _flat(init_params(arch, n, make_rng(cfg.seed)).layers)
     params = _params_view(arch, theta, n)
+    grad = np.empty_like(theta)
+    grads = _params_view(arch, grad, n).layers
     adam = Adam(cfg.initial_lr)
 
     best_loss = math.inf
     best_theta = theta.copy()
     history: list[EpochStats] = []
     bad_epochs = 0
+    stopped_by = "max_epochs"
 
     for epoch in range(cfg.max_epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(total_frames)
         total_se = 0.0
         for batch_idx, k in enumerate(range(0, total_frames, cfg.batch_size)):
             cols = order[k : k + cfg.batch_size]
-            xb, yb = x_mix[:, cols], x_tgt[:, cols]
-            trace = forward(params, xb)
-            batch_loss = mse(yb, trace.output)
+            yb = tgt_rows[cols].T
+            batch_loss = backward(params, forward(params, mix_rows[cols].T), yb, grads)
             if not math.isfinite(batch_loss):
                 raise TrainingError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {batch_idx}"
                 )
             total_se += batch_loss * yb.size
-            adam.step(theta, _flat(backward(params, trace, yb)))
+            adam.step(theta, grad)
 
-        epoch_loss = total_se / x_tgt.size
+        epoch_loss = total_se / tgt_rows.size
         history.append(EpochStats(epoch, epoch_loss, adam.lr))
 
         if epoch_loss < best_loss * (1.0 - IMPROVEMENT_REL):
@@ -167,11 +178,14 @@ def train(arch: Arch, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.stop_patience:
+                stopped_by = "patience"
                 break
             if bad_epochs % cfg.halve_patience == 0:
                 adam.lr *= 0.5
 
-    return TrainResult(_params_view(arch, best_theta, n), history, cfg.seed, best_loss)
+    return TrainResult(
+        _params_view(arch, best_theta, n), history, cfg.seed, best_loss, stopped_by
+    )
 
 
 def train_multi_seed(

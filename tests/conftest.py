@@ -1,4 +1,5 @@
-"""Shared test fixtures: a WAV byte builder and grayscale image parsers."""
+"""Shared test fixtures: a WAV byte builder, grayscale image parsers and a
+`models.backward` caller that allocates the gradient arrays."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import zlib
 
 import numpy as np
 import pytest
+
+from neural_couplings.models import backward
 
 
 def _wav_bytes(rate: int, samples: np.ndarray, bits: int, audio_format: int) -> bytes:
@@ -79,6 +82,18 @@ def _parse_png(data: bytes) -> np.ndarray:
         assert line[0] == 0, "expected filter type 0 on every row"
         rows.append(np.frombuffer(line[1:], dtype=np.uint8))
     return np.stack(rows)
+
+
+def _backward_grads(params, trace, target):
+    """Per-layer (dW, db) from `backward` written into NaN-filled arrays."""
+    grads = [(np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in params.layers]
+    backward(params, trace, target, grads)
+    return grads
+
+
+@pytest.fixture
+def backward_grads():
+    return _backward_grads
 
 
 @pytest.fixture

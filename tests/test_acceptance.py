@@ -21,7 +21,6 @@ from neural_couplings.linalg import make_rng
 from neural_couplings.models import (
     Arch,
     ModelParams,
-    backward,
     forward,
     init_params,
     load_checkpoint,
@@ -129,7 +128,7 @@ def recovery_runs():
     return {"runs": runs, "elapsed_s": time.perf_counter() - started}
 
 
-def test_criterion_1_model_gradient_fidelity():
+def test_criterion_1_model_gradient_fidelity(backward_grads):
     started = time.perf_counter()
     h = 1e-6
     worst = 0.0
@@ -147,7 +146,7 @@ def test_criterion_1_model_gradient_fidelity():
             )
             x = np.abs(rng.normal(size=(n, t)))
             tgt = np.abs(rng.normal(size=(n, t)))
-            grads = backward(params, forward(params, x), tgt)
+            grads = backward_grads(params, forward(params, x), tgt)
 
             def loss_with(layer, which, idx, delta):
                 layers = [(w.copy(), b.copy()) for w, b in params.layers]

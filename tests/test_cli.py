@@ -7,7 +7,7 @@ import pytest
 from neural_couplings import serial
 from neural_couplings.cli import list_segments, main, parse_segment_id
 from neural_couplings.models import load_checkpoint
-from neural_couplings.nca import load_couplings
+from neural_couplings.nca import load_couplings, save_couplings
 from neural_couplings.spectral import load_dataset
 from neural_couplings.synth import make_synthetic_dataset
 
@@ -113,6 +113,14 @@ class TestTrainCommand:
         assert manifest["command"] == "train"
         assert manifest["flags"]["seeds"] == [0, 1]
         assert len(manifest["outputs"]) == 4
+
+    def test_manifest_records_why_each_seed_stopped(self, pipeline):
+        manifest = json.loads((pipeline / "ck" / "train-dae.manifest.json").read_text())
+        assert set(manifest) == MANIFEST_KEYS | {"runs"}
+        assert manifest["runs"] == [
+            {"seed": 0, "epochs": 2, "stopped_by": "max_epochs"},
+            {"seed": 1, "epochs": 2, "stopped_by": "max_epochs"},
+        ]
 
     def test_unknown_model_is_an_argparse_error(self, pipeline):
         with pytest.raises(SystemExit):
@@ -263,6 +271,17 @@ class TestAnalyzeCommand:
                         "--dataset", str(pipeline / "ds.ncd"),
                         "--out", str(tmp_path / "r.json")], capsys, "FormatError")
         assert "not a JSON object" in err["message"]
+
+    @pytest.mark.parametrize("key", ["checkpoint", "segment", "strategy"])
+    def test_metadata_value_that_is_not_a_string(self, pipeline, tmp_path, capsys, key):
+        c, meta = load_couplings(pipeline / "cp" / "dae-seed0-student-0-0.ncc")
+        crafted = tmp_path / "typed.ncc"
+        save_couplings(crafted, c, {**meta, key: 5})
+        err = run_fail(["analyze", "--couplings", str(crafted),
+                        "--checkpoints", str(pipeline / "ck"),
+                        "--dataset", str(pipeline / "ds.ncd"),
+                        "--out", str(tmp_path / "r.json")], capsys, "FormatError")
+        assert f"'{key}' is not a string" in err["message"]
 
     def test_checkpoint_hash_must_match(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neural_couplings.linalg import glorot_like_init, make_rng
-from neural_couplings.models import Arch, ModelParams, backward, forward
+from neural_couplings.models import Arch, ModelParams, forward
 from neural_couplings.nca import (
     TargetBatch,
     compositional_objective,
@@ -46,14 +46,14 @@ def test_relu_clips_negatives_only():
     assert g.tolist() == [[0.0]]
 
 
-def test_relu_deriv_is_zero_at_zero():
+def test_relu_deriv_is_zero_at_zero(backward_grads):
     # decoder bias 1 keeps the output layer active, so only the encoder's
     # relu'(pre) decides whether the encoder bias gets a gradient
     p = _dae(1.0, b2=1.0)
     out = []
     for v in (-1.0, 0.0, 2.5):
         tr = forward(p, [[v]])
-        out.append(backward(p, tr, [[0.0]])[0][1][0, 0])
+        out.append(backward_grads(p, tr, [[0.0]])[0][1][0, 0])
     # d/db1 at 2.5: 2 * (2.5 + 1 - 0) * relu'(2.5) = 7
     assert out == [0.0, 0.0, 7.0]
 
@@ -64,13 +64,13 @@ def test_signum_maps_zero_to_zero():
     assert g.tolist() == [[-1.0, 0.0, 1.0]] * 3
 
 
-def test_kernels_do_not_mutate_inputs():
+def test_kernels_do_not_mutate_inputs(backward_grads):
     a = np.array([[-1.0, 2.0], [3.0, -4.0]])
     b = np.array([[0.5], [-0.5]])
     before = (a.copy(), b.copy())
     p = ModelParams(Arch.dae(), [(a, b), (a, b)], 2)
     tr = forward(p, a)
-    backward(p, tr, a)
+    backward_grads(p, tr, a)
     compute_gate(a, a, b)
     compositional_objective([a, a], p, TargetBatch(a, a))
     student_objective(a, TargetBatch(a, a))

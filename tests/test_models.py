@@ -144,7 +144,7 @@ class TestMse:
 
 
 class TestBackward:
-    def test_single_linear_path_hand_value(self):
+    def test_single_linear_path_hand_value(self, backward_grads):
         # identity weights keep everything positive: out = x + b1 + b2
         p = params_from(
             Arch.dae(),
@@ -155,7 +155,7 @@ class TestBackward:
         x = np.array([[1.0]])
         tr = forward(p, x)
         assert tr.output.tolist() == [[3.0]]
-        grads = backward(p, tr, np.array([[0.0]]))
+        grads = backward_grads(p, tr, np.array([[0.0]]))
         # d_out = 2*(3-0) = 6; decoder: dW2 = 6*post1 = 12, db2 = 6
         # encoder: d_post1 = 6, dW1 = 6*x = 6, db1 = 6
         assert grads[1][0].tolist() == [[12.0]]
@@ -163,16 +163,16 @@ class TestBackward:
         assert grads[0][0].tolist() == [[6.0]]
         assert grads[0][1].tolist() == [[6.0]]
 
-    def test_exact_fit_gives_zero_gradients(self):
+    def test_exact_fit_gives_zero_gradients(self, backward_grads):
         p = params_from(Arch.dae(), [np.eye(3), np.eye(3)])
         x = np.abs(make_rng(8).normal(size=(3, 5))) + 0.1
         tr = forward(p, x)
         assert np.array_equal(tr.output, x)
-        for dw, db in backward(p, tr, x):
+        for dw, db in backward_grads(p, tr, x):
             assert np.array_equal(dw, np.zeros((3, 3)))
             assert np.array_equal(db, np.zeros((3, 1)))
 
-    def test_dead_unit_receives_no_gradient(self):
+    def test_dead_unit_receives_no_gradient(self, backward_grads):
         # encoder row 1 is strongly negative: unit 1 never activates on
         # positive input, so its weight row and bias stay untouched; an
         # all-zero row sits exactly on the kink, where relu'(0) = 0 too
@@ -182,7 +182,7 @@ class TestBackward:
             p = params_from(Arch.dae(), [w1, np.ones((2, 2))])
             tr = forward(p, x)
             assert (tr.pre[0][1] <= 0.0).all()
-            grads = backward(p, tr, np.zeros((2, 6)))
+            grads = backward_grads(p, tr, np.zeros((2, 6)))
             assert np.array_equal(grads[0][0][1, :], np.zeros(2))
             assert grads[0][1][1, 0] == 0.0
             assert np.abs(grads[0][0][0, :]).min() > 0.0
@@ -190,7 +190,7 @@ class TestBackward:
     @pytest.mark.parametrize(
         "arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag
     )
-    def test_matches_finite_differences(self, arch):
+    def test_matches_finite_differences(self, arch, backward_grads):
         n, t, h = 5, 3, 1e-6
         rng = make_rng([42, arch.n_layers, arch.uses_mask])
         p = init_params(arch, n, rng)
@@ -200,7 +200,7 @@ class TestBackward:
         )
         x = np.abs(rng.normal(size=(n, t))) + 0.1
         tgt = np.abs(rng.normal(size=(n, t)))
-        grads = backward(p, forward(p, x), tgt)
+        grads = backward_grads(p, forward(p, x), tgt)
 
         def loss_with(layer, idx, delta, which):
             layers = [(w.copy(), b.copy()) for w, b in p.layers]
@@ -222,11 +222,37 @@ class TestBackward:
                     denom = max(abs(fd), abs(g[idx]), 1e-8)
                     assert abs(fd - g[idx]) / denom < 1e-4
 
-    def test_target_shape_checked(self):
+    @pytest.mark.parametrize(
+        "arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag
+    )
+    def test_returned_loss_is_the_batch_mse(self, arch):
+        rng = make_rng([43, arch.n_layers, arch.uses_mask])
+        p = init_params(arch, 5, rng)
+        x = np.abs(rng.normal(size=(5, 7)))
+        tgt = np.abs(rng.normal(size=(5, 7)))
+        tr = forward(p, x)
+        grads = [(np.empty_like(w), np.empty_like(b)) for w, b in p.layers]
+        assert backward(p, tr, tgt, grads) == mse(tgt, tr.output)
+
+    @pytest.mark.parametrize(
+        "arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag
+    )
+    def test_reused_arrays_match_fresh_ones(self, arch, backward_grads):
+        rng = make_rng([44, arch.n_layers, arch.uses_mask])
+        p = init_params(arch, 5, rng)
+        p = ModelParams(p.arch, [(w, b + 0.05) for w, b in p.layers], 5)
+        x1, x2 = (np.abs(rng.normal(size=(5, 6))) for _ in range(2))
+        grads = backward_grads(p, forward(p, x1), 0.5 * x1)
+        backward(p, forward(p, x2), 0.5 * x2, grads)
+        for (dw, db), (fw, fb) in zip(grads, backward_grads(p, forward(p, x2), 0.5 * x2)):
+            assert np.array_equal(dw, fw)
+            assert np.array_equal(db, fb)
+
+    def test_target_shape_checked(self, backward_grads):
         p = init_params(Arch.dae(), 2, make_rng(0))
         tr = forward(p, np.ones((2, 3)))
         with pytest.raises(ShapeError):
-            backward(p, tr, np.ones((2, 2)))
+            backward_grads(p, tr, np.ones((2, 2)))
 
 
 class TestCheckpointCodec:

@@ -346,12 +346,12 @@ class TestMovingAverage:
 class TestCouplingsCodec:
     def test_round_trip(self, tmp_path):
         c = make_rng(1).normal(size=(5, 5))
-        meta = {"arch": "dae", "segment": [0, 350], "seed": 3}
+        meta = {"arch": "dae", "segment": "0:0:350", "window": [0, 350], "seed": 3}
         path = tmp_path / "c.ncc"
         save_couplings(path, c, meta)
         c2, meta2 = load_couplings(path)
         assert np.array_equal(c, c2)
-        assert meta2 == {"arch": "dae", "segment": [0, 350], "seed": 3}
+        assert meta2 == {"arch": "dae", "segment": "0:0:350", "window": [0, 350], "seed": 3}
 
     def test_rejects_non_square(self, tmp_path):
         with pytest.raises(ValueError, match="square"):
@@ -385,6 +385,13 @@ class TestCouplingsCodec:
         raw = path.read_bytes()[: -len(b"{}") - 4]  # drop the length and the block
         path.write_bytes(raw + len(meta).to_bytes(4, "little") + meta)
         with pytest.raises(serial.FormatError, match="not a JSON object"):
+            load_couplings(path)
+
+    @pytest.mark.parametrize("key", ["checkpoint", "segment", "strategy"])
+    def test_named_metadata_values_must_be_strings(self, tmp_path, key):
+        path = tmp_path / "c.ncc"
+        save_couplings(path, np.eye(2), {"strategy": "student", key: 5})
+        with pytest.raises(serial.FormatError, match=f"'{key}' is not a string"):
             load_couplings(path)
 
     def test_hostile_size(self, tmp_path):

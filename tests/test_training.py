@@ -174,50 +174,84 @@ class TestTrain:
         tail = [h.mean_loss for h in res.history[-cfg.stop_patience :]]
         assert all(t >= res.best_loss * (1 - 1e-9) for t in tail)
 
+    def test_stopped_by_names_the_ending_rule(self):
+        budget = train(Arch.dae(), learnable_dataset(), TrainConfig(seed=0, max_epochs=3))
+        assert (budget.stopped_by, budget.epochs) == ("max_epochs", 3)
+        cfg = TrainConfig(seed=0, max_epochs=500)
+        plateau = train(Arch.dae(), halving_dataset(), cfg)
+        assert plateau.stopped_by == "patience"
+        assert plateau.epochs < cfg.max_epochs
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         cfg = TrainConfig(seed=0, initial_lr=1e200, max_epochs=3)
         with pytest.raises(TrainingError, match="diverged"):
             train(Arch.dae(), halving_dataset(), cfg)
 
-    @pytest.mark.parametrize("arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag)
-    def test_single_epoch_matches_recipe_transcription(self, arch):
-        # rewrite one epoch from the documented recipe: shuffle all frames
-        # with rng [seed, epoch], batch the columns in order (last batch
-        # short), weight batch losses by frame count, step Adam per batch
-        # on all weights flattened in the order W0, b0, W1, b1, ...
+    @pytest.mark.parametrize(
+        "arch, n, frames, batch_size",
+        [
+            (Arch.dae(), 6, 40, 16),
+            (Arch.mss_dae(2), 6, 40, 16),
+            (Arch.sf(), 6, 40, 16),
+            # at 257 bins a product with its operand roles swapped gives other
+            # bits (at 6 bins it still matches), so this case pins the roles
+            (Arch.mss_dae(1), 257, 300, 128),
+        ],
+        ids=["dae", "mss-dae", "sf", "mss-dae-257"],
+    )
+    def test_single_epoch_matches_recipe_transcription(self, arch, n, frames, batch_size):
+        # rewrite one epoch from the documented recipe in plain numpy, in
+        # (bins, frames) orientation: shuffle all frames with rng [seed,
+        # epoch], batch the columns in order (last batch short), weight batch
+        # losses by frame count, step Adam per batch on all weights
+        # flattened in the order W0, b0, W1, b1, ...
         from neural_couplings.linalg import make_rng
-        from neural_couplings.models import ModelParams, backward, forward, init_params, mse
+        from neural_couplings.models import init_params
 
-        ds = learnable_dataset()
-        cfg = TrainConfig(seed=2, max_epochs=1, batch_size=16)
+        rng = np.random.default_rng(7)
+        x_mix = np.abs(rng.normal(size=(n, frames))) + 0.2
+        x_tgt = 0.5 * x_mix
+        cfg_n = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=2 * (n - 1),
+                           bins_kept=n)
+        pair = (Spectrogram(cfg_n, x_mix, "t0"), Spectrogram(cfg_n, x_tgt, "t0"))
+        ds = Dataset(cfg_n, [pair], BinScaler(np.ones(n)))  # scaler is all ones
+        cfg = TrainConfig(seed=2, max_epochs=1, batch_size=batch_size)
         res = train(arch, ds, cfg)
 
-        x_mix = ds.pairs[0][0].mags  # scaler is all ones
-        x_tgt = ds.pairs[0][1].mags
-        params = init_params(arch, 6, make_rng(2))
+        layers = init_params(arch, n, make_rng(2)).layers
+        flat_p = np.concatenate([a.ravel() for layer in layers for a in layer])
         adam = Adam(cfg.initial_lr)
-        order = np.random.default_rng([2, 0]).permutation(40)
+        order = np.random.default_rng([2, 0]).permutation(frames)
         total_se = 0.0
-        for k in range(0, 40, 16):
-            cols = order[k : k + 16]
+        for k in range(0, frames, batch_size):
+            cols = order[k : k + batch_size]
             xb, yb = x_mix[:, cols], x_tgt[:, cols]
-            tr = forward(params, xb)
-            total_se += mse(yb, tr.output) * yb.size
-            grads = backward(params, tr, yb)
-            flat_p = np.concatenate([a.ravel() for layer in params.layers for a in layer])
-            flat_g = np.concatenate([a.ravel() for layer in grads for a in layer])
-            adam.step(flat_p, flat_g)
-            # W is 36 values and b is 6, so layer i starts at 42 * i
-            layers = [
-                (flat_p[42 * i : 42 * i + 36].reshape(6, 6), flat_p[42 * i + 36 : 42 * (i + 1)])
-                for i in range(arch.n_layers)
-            ]
-            params = ModelParams(arch, [(w, b.reshape(6, 1)) for w, b in layers], 6)
+            pre, post, a = [], [], xb
+            for w, b in layers:
+                pre.append(w @ a + b)
+                a = np.maximum(pre[-1], 0.0)
+                post.append(a)
+            out = post[-1] * xb if arch.uses_mask else post[-1]
+            d = yb - out
+            total_se += float(np.mean(d * d)) * yb.size
+            d_post = (2.0 / yb.size) * (out - yb)
+            if arch.uses_mask:
+                d_post = d_post * xb
+            grads = [None] * len(layers)
+            for i in reversed(range(len(layers))):
+                d_pre = d_post * (pre[i] > 0.0)
+                a_prev = post[i - 1] if i > 0 else xb
+                grads[i] = (d_pre @ a_prev.T, d_pre.sum(axis=1))
+                d_post = layers[i][0].T @ d_pre
+            adam.step(flat_p, np.concatenate([g.ravel() for layer in grads for g in layer]))
+            # W is n * n values and b is n, so layer i starts at (n * n + n) * i
+            rows = flat_p.reshape(len(layers), n * n + n)
+            layers = [(r[: n * n].reshape(n, n), r[n * n :].reshape(n, 1)) for r in rows]
 
         assert res.history[0].mean_loss == total_se / x_tgt.size
         assert len(res.params.layers) == arch.n_layers
-        for (wa, ba), (wb, bb) in zip(res.params.layers, params.layers):
+        for (wa, ba), (wb, bb) in zip(res.params.layers, layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
 
