@@ -3,14 +3,14 @@
 #
 #   scripts/bench_pairs.sh <parent-rev> <workload> [pairs] [seed]
 #
-# Checks <parent-rev> out as a temporary git worktree under .perfbench_work/
-# and runs `python3 perfbench/run.py --workload W --seed S --seconds 30
-# --trace 0` in that tree and in the working tree, once each per pair,
-# swapping which tree runs first from one pair to the next. For every
+# Extracts <parent-rev> with `git archive` into a temporary directory under
+# .perfbench_work/ and runs `python3 perfbench/run.py --workload W --seed S
+# --seconds 30 --trace 0` in that tree and in the working tree, once each per
+# pair, swapping which tree runs first from one pair to the next. For every
 # end-to-end metric in BENCHMARK.json it then prints each side's median and
 # quartiles and how many pairs the change won. Each run's result line is kept
-# in .perfbench_work/pairs-<workload>-seed<seed>/. The worktree is removed on
-# exit. pairs defaults to 10 and seed to 3.
+# in .perfbench_work/pairs-<workload>-seed<seed>/. The parent's directory is
+# removed on exit. pairs defaults to 10 and seed to 3.
 set -euo pipefail
 
 usage="usage: bench_pairs.sh <parent-rev> <workload> [pairs] [seed]"
@@ -25,16 +25,11 @@ work="$root/.perfbench_work"
 tree="$work/parent-tree-$$"
 out="$work/pairs-$workload-seed$seed"
 
-cleanup() {
-  git -C "$root" worktree remove --force "$tree" 2>/dev/null || rm -rf "$tree"
-  git -C "$root" worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$tree"' EXIT
 
-mkdir -p "$work"
 rm -rf "$out"
-mkdir -p "$out"
-git -C "$root" worktree add --detach --quiet "$tree" "$parent_rev"
+mkdir -p "$out" "$tree"
+git -C "$root" archive "$parent_rev" | tar -x -C "$tree"
 
 run() {  # <tree> <side> <pair>
   (cd "$1" && python3 perfbench/run.py --workload "$workload" --seed "$seed" \

@@ -196,13 +196,29 @@ def _couplings_loss_csv(path: Path, losses: list[float]) -> None:
 
 
 def cmd_couplings(args) -> int:
+    """Extract one couplings file and loss curve per (checkpoint, segment).
+
+    --checkpoint is a glob, so one process serves every checkpoint of a run:
+    the dataset and the segment windows are loaded once, and every matched
+    checkpoint is loaded and its width checked before the first extraction.
+    Each checkpoint writes the same files and manifest a single-checkpoint
+    call would; its manifest's wall time runs from the previous manifest (the
+    command start, for the first).
+    """
     started = time.perf_counter()
-    ck = load_checkpoint(args.checkpoint)
+    ck_paths = sorted(globlib.glob(args.checkpoint))
+    if not ck_paths:
+        raise CliError(f"no checkpoints match {args.checkpoint!r}")
     ds = load_dataset(args.dataset)
-    if ck.params.n != ds.config.bins_kept:
-        raise CliError(
-            f"checkpoint is {ck.params.n}-dimensional but dataset keeps {ds.config.bins_kept} bins"
-        )
+    for ck_path in ck_paths:
+        # loaded again below, one at a time: all at once would hold every
+        # model in memory
+        n = load_checkpoint(ck_path).params.n
+        if n != ds.config.bins_kept:
+            raise CliError(
+                f"checkpoint {ck_path} is {n}-dimensional but dataset keeps "
+                f"{ds.config.bins_kept} bins"
+            )
     if args.frames < 1:
         raise CliError(f"--frames must be positive, got {args.frames}")
     segments = list_segments(ds, args.frames)
@@ -219,46 +235,52 @@ def cmd_couplings(args) -> int:
 
     out = Path(args.out)
     single_file = out.suffix == ".ncc"
-    if single_file and len(segments) > 1:
-        raise CliError(f"{len(segments)} segments selected; --out must be a directory")
+    if single_file and len(ck_paths) * len(segments) > 1:
+        raise CliError(
+            f"{len(ck_paths)} checkpoints x {len(segments)} segments selected; "
+            "--out must be a directory"
+        )
     if not single_file:
         out.mkdir(parents=True, exist_ok=True)
-    ck_hash = serial.sha256_file(args.checkpoint)
-    ck_stem = Path(args.checkpoint).stem
+    windows = [normalized_window(ds, *seg)[0] for seg in segments]
 
     cfg = NcaConfig(strategy=args.strategy, iterations=args.iters, lr=args.lr, seed=args.seed)
-    outputs = []
-    for pair_idx, start, stop in segments:
-        x_mix, _ = normalized_window(ds, pair_idx, start, stop)
-        state = run_nca(ck.params, x_mix, cfg)
-        meta = {
-            "strategy": args.strategy,
-            "arch": ck.params.arch.tag,
-            "checkpoint": ck_hash,
-            "segment": segment_id(pair_idx, start, stop),
-            "final_loss": state.losses[-1],
-            "iterations": args.iters,
-            "lr": args.lr,
-            "seed": args.seed,
-        }
-        if single_file:
-            c_path = out
-        else:
-            c_path = out / f"{ck_stem}-{args.strategy}-{pair_idx}-{start}.ncc"
-        save_couplings(c_path, state.c, meta)
-        loss_path = Path(str(c_path)[: -len(".ncc")] + "-loss.csv")
-        _couplings_loss_csv(loss_path, state.losses)
-        outputs += [c_path, loss_path]
     flags = {"checkpoint": args.checkpoint, "dataset": args.dataset, "strategy": args.strategy,
              "segment": args.segment, "iters": args.iters, "lr": args.lr,
              "frames": args.frames, "seed": args.seed, "out": str(out)}
-    manifest_path = (
-        Path(str(out) + ".manifest.json")
-        if single_file
-        else out / f"couplings-{ck_stem}-{args.strategy}.manifest.json"
-    )
-    write_manifest(manifest_path, "couplings", flags,
-                   [args.checkpoint, args.dataset], outputs, started)
+    for ck_path in ck_paths:
+        ck = load_checkpoint(ck_path)
+        ck_hash = serial.sha256_file(ck_path)
+        ck_stem = Path(ck_path).stem
+        outputs = []
+        for (pair_idx, start, stop), x_mix in zip(segments, windows):
+            state = run_nca(ck.params, x_mix, cfg)
+            meta = {
+                "strategy": args.strategy,
+                "arch": ck.params.arch.tag,
+                "checkpoint": ck_hash,
+                "segment": segment_id(pair_idx, start, stop),
+                "final_loss": state.losses[-1],
+                "iterations": args.iters,
+                "lr": args.lr,
+                "seed": args.seed,
+            }
+            if single_file:
+                c_path = out
+            else:
+                c_path = out / f"{ck_stem}-{args.strategy}-{pair_idx}-{start}.ncc"
+            save_couplings(c_path, state.c, meta)
+            loss_path = Path(str(c_path)[: -len(".ncc")] + "-loss.csv")
+            _couplings_loss_csv(loss_path, state.losses)
+            outputs += [c_path, loss_path]
+        manifest_path = (
+            Path(str(out) + ".manifest.json")
+            if single_file
+            else out / f"couplings-{ck_stem}-{args.strategy}.manifest.json"
+        )
+        write_manifest(manifest_path, "couplings", flags,
+                       [ck_path, args.dataset], outputs, started)
+        started = time.perf_counter()
     return 0
 
 
@@ -363,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, default=200)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("couplings", help="extract couplings matrices from a checkpoint")
-    p.add_argument("--checkpoint", required=True)
+    p = sub.add_parser("couplings", help="extract couplings matrices from checkpoints")
+    p.add_argument("--checkpoint", required=True, help="glob of .ncm files")
     p.add_argument("--dataset", required=True)
     p.add_argument("--strategy", required=True, choices=("student", "compositional"))
     p.add_argument("--out", required=True, help="output .ncc file or directory")
@@ -393,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _KNOWN_ERRORS = (
     CliError,
+    FloatingPointError,
     NcaError,
     TrainingError,
     WavError,
@@ -406,7 +429,10 @@ _KNOWN_ERRORS = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or NaN inside a command is an error: as a warning it
+        # added lines to stderr and let a command finish on saturated values
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except _KNOWN_ERRORS as e:
         line = json.dumps(
             {"command": args.command, "error": type(e).__name__, "message": str(e)}

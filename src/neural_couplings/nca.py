@@ -92,8 +92,14 @@ def make_target(params: ModelParams, x_mix) -> TargetBatch:
 
 def student_objective(c: Mat, batch: TargetBatch) -> tuple[float, Mat]:
     """L1 loss of Y - C X and its subgradient in C, sign(C X - Y) X^T with
-    sign(0) = 0, both from one residual."""
-    r = c @ batch.x_mix - batch.y
+    sign(0) = 0, both from one residual.
+
+    The residual is formed in place in the product's buffer, which rounds
+    as the out-of-place form. Its sign is a fresh array: numpy's in-place
+    sign runs about 5x slower than the out-of-place one.
+    """
+    r = c @ batch.x_mix
+    r -= batch.y
     return float(np.abs(r).sum()), np.sign(r) @ batch.x_mix.T
 
 
@@ -115,18 +121,30 @@ def compositional_objective(
     of factors downstream of layer l and B_l the product of factors upstream
     of it; an empty product is skipped rather than multiplied as I. Then
     dE/dP_l = (dE/dM_l . W_l . relu'(G_hat_l)) (W_l + b_l).
+
+    Memory: the live set peaks at the L factors, L - 1 prefix products, the
+    running downstream product and a few n x n temporaries, plus an (n, T)
+    residual and L bool gate masks (an eighth of a matrix each). Each factor
+    is formed in its gate's buffer, the residual in its product's buffer,
+    and each masked factor gradient in place before one matmul writes
+    grads[l]; every step rounds as its out-of-place form.
     """
     if len(p) != len(params.layers):
         raise ValueError(f"{len(p)} gate drivers for {len(params.layers)} layers")
-    g_hats, factors, prefix = [], [], []
+    masks, factors, prefix = [], [], []
     for p_l, (w, b) in zip(p, params.layers):
         g_hat, g = compute_gate(p_l, w, b)
-        g_hats.append(g_hat)
-        factors.append(g * w)
-        prefix.append(factors[-1] if not prefix else factors[-1] @ prefix[-1])
+        masks.append(g_hat > 0.0)
+        del g_hat
+        g *= w
+        factors.append(g)
+        prefix.append(g if not prefix else g @ prefix[-1])
     c = prefix[-1]
-    r = c @ batch.x_mix - batch.y
+    r = c @ batch.x_mix
+    r -= batch.y
+    loss = float(np.abs(r).sum())
     delta = np.sign(r) @ batch.x_mix.T
+    del r
 
     grads = np.empty((len(p), params.n, params.n))
     down = None  # M_L ... M_{l+1}, None while empty
@@ -136,8 +154,10 @@ def compositional_objective(
             d_factor = d_factor @ prefix[l - 1].T
             down = factors[l] if down is None else down @ factors[l]
         w, b = params.layers[l]
-        grads[l] = ((d_factor * w) * (g_hats[l] > 0.0)) @ (w + b.T)
-    return c, float(np.abs(r).sum()), grads
+        d_factor *= w
+        d_factor *= masks[l]
+        np.matmul(d_factor, w + b.T, out=grads[l])
+    return c, loss, grads
 
 
 def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
@@ -222,4 +242,9 @@ def load_couplings(path) -> tuple[Mat, dict]:
             raise serial.FormatError(
                 f"couplings metadata {key!r} is not a string: {metadata[key]!r:.40}"
             )
+    # analyze scores a file as its strategy, so a baseline's name must not pass
+    if metadata.get("strategy", STRATEGIES[0]) not in STRATEGIES:
+        raise serial.FormatError(
+            f"couplings strategy {metadata['strategy']!r:.40} is not one of {STRATEGIES}"
+        )
     return c, metadata

@@ -118,7 +118,10 @@ def write_str(f: BinaryIO, s: str) -> None:
 
 def read_str(f: BinaryIO) -> str:
     n = read_u32(f)
-    return read_sized(f, n).decode("utf-8")
+    try:
+        return read_sized(f, n).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"stored string is not UTF-8: {e}") from None
 
 
 def write_file_atomic(path: str | Path, data: bytes) -> None:

@@ -1,12 +1,20 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from neural_couplings import serial
 from neural_couplings.cli import list_segments, main, parse_segment_id
-from neural_couplings.models import load_checkpoint
+from neural_couplings.linalg import make_rng
+from neural_couplings.models import (
+    Arch,
+    ModelParams,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from neural_couplings.nca import load_couplings, save_couplings
 from neural_couplings.spectral import load_dataset
 from neural_couplings.synth import make_synthetic_dataset
@@ -222,6 +230,55 @@ class TestCouplingsCommand:
                   str(pipeline / "ds.ncd"), "--strategy", "student",
                   "--out", str(tmp_path / "c")], capsys, "FormatError")
 
+    def test_checkpoint_glob_matches_single_checkpoint_calls(self, pipeline, tmp_path):
+        common = ["--dataset", str(pipeline / "ds.ncd"), "--strategy", "compositional",
+                  "--iters", "3", "--frames", "20"]
+        run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed*.ncm"),
+                "--out", str(tmp_path / "glob"), *common])
+        for seed in (0, 1):
+            run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / f"dae-seed{seed}.ncm"),
+                    "--out", str(tmp_path / "single"), *common])
+        names = sorted(p.name for p in (tmp_path / "single").iterdir())
+        assert sorted(p.name for p in (tmp_path / "glob").iterdir()) == names
+        assert len(names) == 2 * (1 + 2 * 2)  # per seed: a manifest, 2 segments x 2 files
+        for name in names:
+            if not name.endswith(".manifest.json"):
+                assert (tmp_path / "glob" / name).read_bytes() == \
+                    (tmp_path / "single" / name).read_bytes()
+        manifest = json.loads(
+            (tmp_path / "glob" / "couplings-dae-seed1-compositional.manifest.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(
+            [str(pipeline / "ck" / "dae-seed1.ncm"), str(pipeline / "ds.ncd")])
+        assert len(manifest["outputs"]) == 4
+
+    def test_checkpoint_glob_that_matches_nothing(self, pipeline, tmp_path, capsys):
+        err = run_fail(["couplings", "--checkpoint", str(pipeline / "ck" / "none-*.ncm"),
+                        "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
+                        "--out", str(tmp_path / "cp")], capsys, "CliError")
+        assert "none-*.ncm" in err["message"]
+
+    def test_several_checkpoints_refuse_single_file(self, pipeline, tmp_path, capsys):
+        err = run_fail(
+            ["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed*.ncm"),
+             "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
+             "--out", str(tmp_path / "one.ncc"), "--segment", "0", "--iters", "3",
+             "--frames", "20"],
+            capsys, "CliError")
+        assert "directory" in err["message"]
+        assert not (tmp_path / "one.ncc").exists()
+
+    def test_every_width_is_checked_before_extraction(self, pipeline, tmp_path, capsys):
+        ck_dir = tmp_path / "ck"
+        ck_dir.mkdir()
+        (ck_dir / "a.ncm").write_bytes((pipeline / "ck" / "dae-seed0.ncm").read_bytes())
+        save_checkpoint(ck_dir / "b.ncm", init_params(Arch.dae(), 20, make_rng(0)), 0, 1)
+        err = run_fail(["couplings", "--checkpoint", str(ck_dir / "*.ncm"),
+                        "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
+                        "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"],
+                       capsys, "CliError")
+        assert "b.ncm" in err["message"] and "20" in err["message"]
+        assert not (tmp_path / "cp").exists()
+
     def test_dimension_mismatch(self, pipeline, tmp_path, capsys):
         other = tmp_path / "wide.ncd"
         run_ok(["synth", "--out", str(other), "--n", "20", "--frames", "40", "--pairs", "1"])
@@ -282,6 +339,40 @@ class TestAnalyzeCommand:
                         "--dataset", str(pipeline / "ds.ncd"),
                         "--out", str(tmp_path / "r.json")], capsys, "FormatError")
         assert f"'{key}' is not a string" in err["message"]
+
+    @pytest.mark.parametrize("label", ["identity", "linear"])
+    def test_strategy_named_after_a_baseline(self, pipeline, tmp_path, capsys, label):
+        c, meta = load_couplings(pipeline / "cp" / "dae-seed0-student-0-0.ncc")
+        crafted = tmp_path / "baseline.ncc"
+        save_couplings(crafted, c, {**meta, "strategy": label})
+        err = run_fail(["analyze", "--couplings", str(crafted),
+                        "--checkpoints", str(pipeline / "ck"),
+                        "--dataset", str(pipeline / "ds.ncd"),
+                        "--out", str(tmp_path / "r.json")], capsys, "FormatError")
+        assert label in err["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_overflow_is_an_error_not_a_report(self, pipeline, tmp_path, capsys):
+        # finite weights whose products overflow used to give a report with
+        # NaN scores (not valid JSON), exit 0 and warning lines on stderr
+        ck = load_checkpoint(pipeline / "ck" / "dae-seed0.ncm")
+        ck_dir = tmp_path / "ck"
+        ck_dir.mkdir()
+        huge = ck_dir / "dae-seed0.ncm"
+        layers = [(w * 1e160, b) for w, b in ck.params.layers]
+        save_checkpoint(huge, ModelParams(ck.params.arch, layers, ck.params.n), 0, 1)
+        c, meta = load_couplings(pipeline / "cp" / "dae-seed0-student-0-0.ncc")
+        crafted = tmp_path / "c.ncc"
+        save_couplings(crafted, c, {**meta, "checkpoint": serial.sha256_file(huge)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = run_fail(["analyze", "--couplings", str(crafted),
+                            "--checkpoints", str(ck_dir),
+                            "--dataset", str(pipeline / "ds.ncd"),
+                            "--out", str(tmp_path / "r.json")], capsys, "FloatingPointError")
+        assert "overflow" in err["message"]
+        assert not caught
+        assert not (tmp_path / "r.json").exists()
 
     def test_checkpoint_hash_must_match(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "empty"

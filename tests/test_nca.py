@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,42 @@ class TestCompositionalGrads:
                 g = grads[l][idx]
                 assert abs(fd - g) / max(abs(fd), abs(g), 1e-8) < 1e-3
 
+    @pytest.mark.parametrize("hidden", [0, 2])
+    @pytest.mark.parametrize("n", [33, 257])
+    def test_objective_matches_out_of_place_transcription(self, hidden, n):
+        # the objective written with every intermediate a fresh array and
+        # the float gate pre-activations kept; the in-place forms must give
+        # the same bits
+        arch = Arch.mss_dae(hidden) if hidden else Arch.dae()
+        params = init_params(arch, n, make_rng([52, n]))
+        rng = make_rng([53, n])
+        x = np.abs(rng.normal(size=(n, 40))) + 0.1
+        tb = make_target(params, x)
+        p = np.stack([glorot(rng, n) for _ in range(arch.n_layers)])
+
+        g_hats, factors, prefix = [], [], []
+        for p_l, (w, b) in zip(p, params.layers):
+            g_hats.append(p_l @ (w + b.T).T)
+            factors.append(np.maximum(g_hats[-1], 0.0) * w)
+            prefix.append(factors[-1] if not prefix else factors[-1] @ prefix[-1])
+        r = prefix[-1] @ tb.x_mix - tb.y
+        delta = np.sign(r) @ tb.x_mix.T
+        want, down = [None] * len(p), None
+        for l in reversed(range(len(p))):
+            d = delta if down is None else down.T @ delta
+            if l > 0:
+                d = d @ prefix[l - 1].T
+                down = factors[l] if down is None else down @ factors[l]
+            w, b = params.layers[l]
+            want[l] = ((d * w) * (g_hats[l] > 0.0)) @ (w + b.T)
+
+        c, loss, grads = compositional_objective(p, params, tb)
+        assert np.array_equal(c, prefix[-1])
+        assert loss == float(np.abs(r).sum())
+        assert grads.shape == (len(p), n, n)
+        for got, expect in zip(grads, want):
+            assert np.array_equal(got, expect)
+
     def test_zero_residual_gives_zero_gradients(self):
         params = positive_params(Arch.dae(), 4, 3)
         rng = make_rng(13)
@@ -311,6 +349,21 @@ class TestRunNca:
         assert state.p.shape == (4, 5, 5)
         assert state.losses[0] == compositional_objective(p0, p, make_target(p, x))[1]
 
+    def test_compositional_peak_memory_is_bounded(self):
+        # with n large relative to T the n x n arrays set the peak; it was
+        # 47 of them while the float gate pre-activations, out-of-place
+        # factors and residual, and parameter-sized Adam scratch were held
+        n = 257
+        params = init_params(Arch.mss_dae(2), n, make_rng(1))
+        x = np.abs(make_rng(2).normal(size=(n, 32))) + 0.1
+        tracemalloc.start()
+        try:
+            run_nca(params, x, NcaConfig(strategy="compositional", iterations=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 38 * n * n * 8
+
     def test_deterministic(self):
         p = positive_params(Arch.sf(), 4, 5)
         x = np.abs(make_rng(6).normal(size=(4, 12))) + 0.1
@@ -392,6 +445,17 @@ class TestCouplingsCodec:
         path = tmp_path / "c.ncc"
         save_couplings(path, np.eye(2), {"strategy": "student", key: 5})
         with pytest.raises(serial.FormatError, match=f"'{key}' is not a string"):
+            load_couplings(path)
+
+    @pytest.mark.parametrize("label", ["identity", "linear"])
+    def test_strategy_must_be_an_extraction_strategy(self, tmp_path, label):
+        # a baseline's name would make analyze score the file as that baseline
+        path = tmp_path / "c.ncc"
+        for strategy in ("student", "compositional"):
+            save_couplings(path, np.eye(2), {"strategy": strategy})
+            assert load_couplings(path)[1]["strategy"] == strategy
+        save_couplings(path, np.eye(2), {"strategy": label})
+        with pytest.raises(serial.FormatError, match="strategy"):
             load_couplings(path)
 
     def test_hostile_size(self, tmp_path):

@@ -112,6 +112,15 @@ def test_str_round_trip_utf8():
     assert serial.read_str(buf) == "mss-dae é"
 
 
+def test_read_str_rejects_invalid_utf8():
+    buf = io.BytesIO()
+    serial.write_str(buf, "mss-dae é")
+    raw = bytearray(buf.getvalue())
+    raw[-2] = 0xFF  # first byte of the two-byte é
+    with pytest.raises(serial.FormatError, match="UTF-8"):
+        serial.read_str(io.BytesIO(bytes(raw)))
+
+
 def test_write_file_atomic_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.bin"
     serial.write_file_atomic(target, b"hello")

@@ -4,6 +4,7 @@ import pytest
 from neural_couplings.models import Arch, ModelParams, forward, mse
 from neural_couplings.spectral import BinScaler, Dataset, Spectrogram, StftConfig
 from neural_couplings.training import (
+    CHUNK,
     Adam,
     EpochStats,
     TrainConfig,
@@ -84,6 +85,35 @@ class TestAdam:
         with pytest.raises(TrainingError, match="non-finite"):
             Adam(0.1).step(p, np.array([np.nan]))
         assert p[0] == 1.0
+
+    @pytest.mark.parametrize("size, width", [(66049, 33025), (2 * CHUNK + 3, 43692)])
+    def test_chunked_step_matches_whole_array_recipe(self, size, width):
+        # the recipe written once over whole arrays, out of place; the step
+        # runs it over equal chunks of at most CHUNK elements
+        rng = np.random.default_rng(size)
+        p = rng.normal(size=size)
+        want, m, v = p.copy(), np.zeros(size), np.zeros(size)
+        adam = Adam(lr=1e-3)
+        for t in range(1, 6):
+            g = rng.normal(size=size) * rng.choice([1e-6, 1.0, 1e3], size=size)
+            g_before = g.copy()
+            adam.step(p, g)
+            assert np.array_equal(g, g_before)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * (g * g)
+            want = want - 1e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert np.array_equal(p, want)
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+        # both moments and both scratch rows share one allocation
+        assert adam._scratch.shape == (2, width)
+        assert adam.m.base is adam.v.base is adam._scratch.base
+
+    def test_rejects_non_contiguous_param(self):
+        # a strided p would be copied by the flattening and lose its update
+        base = np.ones((4, 4))
+        with pytest.raises(TrainingError, match="contiguous"):
+            Adam(0.1).step(base[:, ::2], np.ones((4, 2)))
+        assert np.array_equal(base, np.ones((4, 4)))
 
     def test_rejects_param_count_change_after_first_step(self):
         # the moments take the parameter shape on the first step
