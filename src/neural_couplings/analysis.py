@@ -97,33 +97,27 @@ def couplings_estimate(params: ModelParams, c: Mat, x_mix: Mat) -> Mat:
 
 
 def evaluate_segment(
-    params: ModelParams,
-    c: Mat,
-    x_mix: Mat,
-    x_true: Mat,
-    method: str = "student",
-    segment: str = "",
-) -> MetricsRecord:
-    """Score one couplings matrix on one segment.
+    params: ModelParams, x_mix: Mat, x_true: Mat, scored: list[tuple[str, Mat]], segment: str = ""
+) -> list[MetricsRecord]:
+    """Score (method, C) pairs on one segment from one run of the model.
 
-    The model reference is the model's own spectral output on x_mix. The
-    identity baseline scores the raw mixture itself; every other method
-    scores the clipped couplings estimate.
+    The model runs once on x_mix, and its spectral output is the model
+    reference of every record. The identity baseline scores the raw mixture
+    itself; every other method scores the clipped couplings estimate of its
+    C. TOD-R always comes from C.
     """
     trace = forward(params, x_mix)
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (params.n, params.n):
-        raise ShapeError(f"couplings matrix has shape {c.shape}, model is {params.n}-dimensional")
     x = trace.x_input
-    est = x if method == "identity" else couplings_estimate(params, c, x)
-    return MetricsRecord(
-        arch=params.arch.tag,
-        method=method,
-        segment=segment,
-        tod_r=tod_r(c),
-        snr_model_db=snr_db(trace.output, est),
-        snr_truth_db=snr_db(x_true, est),
-    )
+    records = []
+    for method, c in scored:
+        c = np.asarray(c, dtype=np.float64)
+        if c.shape != (params.n, params.n):
+            raise ShapeError(
+                f"couplings matrix has shape {c.shape}, model is {params.n}-dimensional")
+        est = x if method == "identity" else couplings_estimate(params, c, x)
+        records.append(MetricsRecord(params.arch.tag, method, segment, tod_r(c),
+                                     snr_db(trace.output, est), snr_db(x_true, est)))
+    return records
 
 
 def _stats(values: list[float]) -> dict:

@@ -10,6 +10,7 @@ Errors print one JSON line to stderr and exit non-zero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob as globlib
 import json
 import sys
@@ -55,14 +56,15 @@ def _hash_paths(paths) -> dict[str, str]:
     return {str(p): serial.sha256_file(p) for p in sorted(str(p) for p in paths)}
 
 
-def write_manifest(
-    manifest_path: Path, command: str, flags: dict, inputs, outputs, started: float, **extra
-) -> None:
+def write_manifest(manifest_path: Path, args, inputs, outputs, started: float, **extra) -> None:
+    """Record the parsed command line as typed, the hashed inputs and outputs
+    and the wall time since started."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
         **extra,
         "tool": "nca",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "flags": flags,
         "inputs": _hash_paths(inputs),
         "outputs": _hash_paths(outputs),
@@ -94,14 +96,21 @@ def parse_segment_id(segment: str) -> tuple[int, int, int]:
     return pair_idx, start, stop
 
 
+@contextlib.contextmanager
+def _naming(where: str):
+    """Prefix a FloatingPointError raised inside with the input it came from."""
+    try:
+        yield
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{where}: {e}") from None
+
+
 def cmd_synth(args) -> int:
     started = time.perf_counter()
     ds = make_synthetic_dataset(args.n, args.frames, args.pairs, args.seed)
     out = Path(args.out)
     save_dataset(ds, out)
-    flags = {"n": args.n, "frames": args.frames, "pairs": args.pairs, "seed": args.seed,
-             "out": str(out)}
-    write_manifest(Path(str(out) + ".manifest.json"), "synth", flags, [], [out], started)
+    write_manifest(Path(str(out) + ".manifest.json"), args, [], [out], started)
     return 0
 
 
@@ -139,10 +148,8 @@ def cmd_ingest(args) -> int:
     scaler = fit_scaler([mix for mix, _ in pairs])
     out = Path(args.out)
     save_dataset(Dataset(cfg, pairs, scaler), out)
-    flags = {"input": str(in_dir), "out": str(out), "sr": args.sr, "window": args.window,
-             "hop": args.hop, "fft": args.fft}
     inputs = list(mixes.values()) + list(voxes.values())
-    write_manifest(Path(str(out) + ".manifest.json"), "ingest", flags, inputs, [out], started)
+    write_manifest(Path(str(out) + ".manifest.json"), args, inputs, [out], started)
     return 0
 
 
@@ -160,16 +167,17 @@ def _parse_seeds(raw: str) -> list[int]:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    seeds = _parse_seeds(args.seeds)
+    # the manifest records the parsed list
+    seeds = args.seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise CliError("no seeds given")
-    ds = load_dataset(args.dataset)
-    arch = Arch.mss_dae(args.hidden_layers) if args.model == "mss-dae" else Arch(args.model)
     cfg = TrainConfig(
         batch_size=args.batch_size,
         initial_lr=args.lr,
         max_epochs=args.max_epochs,
     )
+    ds = load_dataset(args.dataset)
+    arch = Arch.mss_dae(args.hidden_layers) if args.model == "mss-dae" else Arch(args.model)
     results = train_multi_seed(arch, ds, cfg, seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -180,12 +188,9 @@ def cmd_train(args) -> int:
         csv_path = out_dir / f"{args.model}-seed{seed}-history.csv"
         write_history_csv(result.history, csv_path)
         outputs += [ck_path, csv_path]
-    flags = {"dataset": args.dataset, "model": args.model, "hidden_layers": args.hidden_layers,
-             "seeds": seeds, "batch_size": args.batch_size, "lr": args.lr,
-             "max_epochs": args.max_epochs, "out": str(out_dir)}
     runs = [{"seed": seed, "epochs": result.epochs, "stopped_by": result.stopped_by}
             for seed, result in zip(seeds, results)]
-    write_manifest(out_dir / f"train-{args.model}.manifest.json", "train", flags,
+    write_manifest(out_dir / f"train-{args.model}.manifest.json", args,
                    [args.dataset], outputs, started, runs=runs)
     return 0
 
@@ -201,11 +206,13 @@ def cmd_couplings(args) -> int:
     --checkpoint is a glob, so one process serves every checkpoint of a run:
     the dataset and the segment windows are loaded once, and every matched
     checkpoint is loaded and its width checked before the first extraction.
-    Each checkpoint writes the same files and manifest a single-checkpoint
-    call would; its manifest's wall time runs from the previous manifest (the
-    command start, for the first).
+    The settings are checked before any file is read. Each checkpoint writes
+    the same files and manifest a single-checkpoint call would; its
+    manifest's wall time runs from the previous manifest (the command start,
+    for the first).
     """
     started = time.perf_counter()
+    cfg = NcaConfig(strategy=args.strategy, iterations=args.iters, lr=args.lr, seed=args.seed)
     ck_paths = sorted(globlib.glob(args.checkpoint))
     if not ck_paths:
         raise CliError(f"no checkpoints match {args.checkpoint!r}")
@@ -244,22 +251,20 @@ def cmd_couplings(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     windows = [normalized_window(ds, *seg)[0] for seg in segments]
 
-    cfg = NcaConfig(strategy=args.strategy, iterations=args.iters, lr=args.lr, seed=args.seed)
-    flags = {"checkpoint": args.checkpoint, "dataset": args.dataset, "strategy": args.strategy,
-             "segment": args.segment, "iters": args.iters, "lr": args.lr,
-             "frames": args.frames, "seed": args.seed, "out": str(out)}
     for ck_path in ck_paths:
         ck = load_checkpoint(ck_path)
         ck_hash = serial.sha256_file(ck_path)
         ck_stem = Path(ck_path).stem
         outputs = []
         for (pair_idx, start, stop), x_mix in zip(segments, windows):
-            state = run_nca(ck.params, x_mix, cfg)
+            seg = segment_id(pair_idx, start, stop)
+            with _naming(f"checkpoint {ck_path}, segment {seg}"):
+                state = run_nca(ck.params, x_mix, cfg)
             meta = {
                 "strategy": args.strategy,
                 "arch": ck.params.arch.tag,
                 "checkpoint": ck_hash,
-                "segment": segment_id(pair_idx, start, stop),
+                "segment": seg,
                 "final_loss": state.losses[-1],
                 "iterations": args.iters,
                 "lr": args.lr,
@@ -278,13 +283,18 @@ def cmd_couplings(args) -> int:
             if single_file
             else out / f"couplings-{ck_stem}-{args.strategy}.manifest.json"
         )
-        write_manifest(manifest_path, "couplings", flags,
-                       [ck_path, args.dataset], outputs, started)
+        write_manifest(manifest_path, args, [ck_path, args.dataset], outputs, started)
         started = time.perf_counter()
     return 0
 
 
 def cmd_analyze(args) -> int:
+    """Score every couplings file and, per (checkpoint, segment) they name,
+    the linear and identity baselines, all from one model run per segment.
+
+    Every file's metadata is checked before any model runs. Each checkpoint
+    is loaded once; one model and one segment's matrices are held at a time.
+    Records go by checkpoint, then segment, in the sorted files' order."""
     started = time.perf_counter()
     couplings_paths = sorted(globlib.glob(args.couplings))
     if not couplings_paths:
@@ -295,37 +305,37 @@ def cmd_analyze(args) -> int:
         raise CliError(f"no checkpoints (*.ncm) found in {ck_dir}")
     ds = load_dataset(args.dataset)
 
-    records: list[MetricsRecord] = []
-    baseline_done: set[tuple[str, str]] = set()
+    groups: dict[str, dict[str, list[str]]] = {}  # checkpoint hash -> segment -> paths
     for c_path in couplings_paths:
-        c, meta = load_couplings(c_path)
-        ck_hash = meta.get("checkpoint", "")
+        _, meta = load_couplings(c_path)
+        ck_hash, seg = meta.get("checkpoint", ""), meta.get("segment", "")
         if ck_hash not in by_hash:
             raise CliError(f"{c_path}: no checkpoint in {ck_dir} matches hash {ck_hash[:12]}...")
-        ck = load_checkpoint(by_hash[ck_hash])
-        seg = meta.get("segment", "")
-        pair_idx, start, stop = parse_segment_id(seg)
-        x_mix, x_true = normalized_window(ds, pair_idx, start, stop)
-        records.append(
-            evaluate_segment(ck.params, c, x_mix, x_true, meta.get("strategy", "student"), seg)
-        )
-        if (ck_hash, seg) not in baseline_done:
-            baseline_done.add((ck_hash, seg))
-            lin = linear_composition(ck.params)
-            records.append(evaluate_segment(ck.params, lin, x_mix, x_true, "linear", seg))
-            eye = np.eye(ck.params.n)
-            records.append(evaluate_segment(ck.params, eye, x_mix, x_true, "identity", seg))
+        parse_segment_id(seg)
+        groups.setdefault(ck_hash, {}).setdefault(seg, []).append(c_path)
+
+    records: list[MetricsRecord] = []
+    for ck_hash, segments in groups.items():
+        ck_path = by_hash[ck_hash]
+        params = load_checkpoint(ck_path).params
+        with _naming(f"checkpoint {ck_path}"):
+            baselines = [("linear", linear_composition(params)), ("identity", np.eye(params.n))]
+        for seg, paths in segments.items():
+            x_mix, x_true = normalized_window(ds, *parse_segment_id(seg))
+            scored = []
+            for c_path in paths:
+                c, meta = load_couplings(c_path)
+                scored.append((meta.get("strategy", "student"), c))
+            with _naming(f"checkpoint {ck_path}, segment {seg}"):
+                records += evaluate_segment(params, x_mix, x_true, scored + baselines, seg)
 
     out = Path(args.out)
     report = aggregate(records)
     write_report_json(report, out)
     csv_path = out.with_suffix(".csv")
     write_report_csv(records, csv_path)
-    flags = {"couplings": args.couplings, "checkpoints": str(ck_dir),
-             "dataset": args.dataset, "out": str(out)}
     inputs = list(couplings_paths) + list(by_hash.values()) + [args.dataset]
-    write_manifest(Path(str(out) + ".manifest.json"), "analyze", flags, inputs,
-                   [out, csv_path], started)
+    write_manifest(Path(str(out) + ".manifest.json"), args, inputs, [out, csv_path], started)
     return 0
 
 
@@ -342,10 +352,7 @@ def cmd_heatmap(args) -> int:
     out = Path(args.out)
     fmt = "png" if out.suffix == ".png" else "pgm"
     export_heatmap(c, HeatmapSpec(zoom=zoom, row_normalize=args.row_normalize, fmt=fmt), out)
-    flags = {"couplings": args.couplings, "zoom": args.zoom,
-             "row_normalize": args.row_normalize, "out": str(out)}
-    write_manifest(Path(str(out) + ".manifest.json"), "heatmap", flags,
-                   [args.couplings], [out], started)
+    write_manifest(Path(str(out) + ".manifest.json"), args, [args.couplings], [out], started)
     return 0
 
 

@@ -54,8 +54,8 @@ class NcaConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass
@@ -117,17 +117,19 @@ def compositional_objective(
 
     With M_l = G_l . W_l, C = M_L ... M_1 is the last of the prefix products
     M_1, M_2 M_1, .... The gradient through the product is
-    dE/dM_l = A_l^T D B_l^T where D = sign(C X - Y) X^T, A_l is the product
-    of factors downstream of layer l and B_l the product of factors upstream
-    of it; an empty product is skipped rather than multiplied as I. Then
+    dE/dM_l = A_l^T D B_l^T where D = sign(C X - Y) X^T is the student
+    gradient at C (student_objective gives it with the loss), A_l is the
+    product of factors downstream of layer l and B_l the product of factors
+    upstream of it; an empty product is skipped rather than multiplied as I.
+    Then
     dE/dP_l = (dE/dM_l . W_l . relu'(G_hat_l)) (W_l + b_l).
 
     Memory: the live set peaks at the L factors, L - 1 prefix products, the
     running downstream product and a few n x n temporaries, plus an (n, T)
     residual and L bool gate masks (an eighth of a matrix each). Each factor
-    is formed in its gate's buffer, the residual in its product's buffer,
-    and each masked factor gradient in place before one matmul writes
-    grads[l]; every step rounds as its out-of-place form.
+    is formed in its gate's buffer and each masked factor gradient in place
+    before one matmul writes grads[l]; every step rounds as its out-of-place
+    form.
     """
     if len(p) != len(params.layers):
         raise ValueError(f"{len(p)} gate drivers for {len(params.layers)} layers")
@@ -140,11 +142,7 @@ def compositional_objective(
         factors.append(g)
         prefix.append(g if not prefix else g @ prefix[-1])
     c = prefix[-1]
-    r = c @ batch.x_mix
-    r -= batch.y
-    loss = float(np.abs(r).sum())
-    delta = np.sign(r) @ batch.x_mix.T
-    del r
+    loss, delta = student_objective(c, batch)
 
     grads = np.empty((len(p), params.n, params.n))
     down = None  # M_L ... M_{l+1}, None while empty

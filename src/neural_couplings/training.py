@@ -119,8 +119,8 @@ class TrainConfig:
             raise ValueError("batch_size and max_epochs must be positive")
         if self.halve_patience < 1 or self.stop_patience < self.halve_patience:
             raise ValueError("need stop_patience >= halve_patience >= 1")
-        if not self.initial_lr > 0:
-            raise ValueError("initial_lr must be positive")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
+            raise ValueError(f"initial_lr must be finite and positive, got {self.initial_lr}")
 
 
 @dataclass

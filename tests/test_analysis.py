@@ -129,7 +129,7 @@ class TestEvaluateSegment:
 
     def test_couplings_method_scores_c_estimate(self):
         c = 0.5 * np.eye(2)
-        rec = evaluate_segment(self.params, c, self.x, self.truth, "student", "0:2")
+        [rec] = evaluate_segment(self.params, self.x, self.truth, [("student", c)], "0:2")
         # model output is exactly 0.5 x and C x matches it
         assert rec.snr_model_db == 300.0
         assert rec.snr_truth_db == 300.0
@@ -138,7 +138,7 @@ class TestEvaluateSegment:
 
     def test_identity_method_scores_raw_mixture(self):
         c = 0.5 * np.eye(2)
-        rec = evaluate_segment(self.params, c, self.x, self.truth, "identity", "0:2")
+        [rec] = evaluate_segment(self.params, self.x, self.truth, [("identity", c)], "0:2")
         model_out = forward(self.params, self.x).output
         assert math.isclose(
             rec.snr_model_db,
@@ -148,12 +148,12 @@ class TestEvaluateSegment:
 
     def test_tod_r_comes_from_c_even_for_identity(self):
         c = np.array([[1.0, 2.0], [3.0, -4.0]])
-        rec = evaluate_segment(self.params, c, self.x, self.truth, "identity")
+        [rec] = evaluate_segment(self.params, self.x, self.truth, [("identity", c)])
         assert math.isclose(rec.tod_r, math.sqrt(2.0), rel_tol=1e-12)
 
     def test_zero_couplings_score_zero_db_against_model(self):
-        rec = evaluate_segment(
-            self.params, np.zeros((2, 2)), self.x, self.truth, "student", "0:2"
+        [rec] = evaluate_segment(
+            self.params, self.x, self.truth, [("student", np.zeros((2, 2)))], "0:2"
         )
         # the estimate collapses to zero, so the error is the output itself
         assert rec.snr_model_db == 0.0
@@ -167,7 +167,7 @@ class TestEvaluateSegment:
         params = ModelParams(Arch.dae(), layers, 8)
         x = np.abs(rng.normal(size=(8, 64))) + 0.1
         state = run_nca(params, x, NcaConfig("student", iterations=2000, lr=2.5e-3))
-        rec = evaluate_segment(params, state.c, x, x, "student", "0:64")
+        [rec] = evaluate_segment(params, x, x, [("student", state.c)], "0:64")
         assert rec.snr_model_db >= 60.0
 
 

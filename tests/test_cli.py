@@ -1,3 +1,4 @@
+import glob
 import json
 import time
 import warnings
@@ -5,18 +6,26 @@ import warnings
 import numpy as np
 import pytest
 
-from neural_couplings import serial
+from neural_couplings import analysis, cli, serial
+from neural_couplings.analysis import (
+    aggregate,
+    evaluate_segment,
+    linear_composition,
+    write_report_csv,
+    write_report_json,
+)
 from neural_couplings.cli import list_segments, main, parse_segment_id
 from neural_couplings.linalg import make_rng
 from neural_couplings.models import (
     Arch,
     ModelParams,
+    forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
 from neural_couplings.nca import load_couplings, save_couplings
-from neural_couplings.spectral import load_dataset
+from neural_couplings.spectral import load_dataset, normalized_window
 from neural_couplings.synth import make_synthetic_dataset
 
 MANIFEST_KEYS = {"tool", "version", "command", "flags", "inputs", "outputs", "wall_clock_s"}
@@ -53,6 +62,18 @@ def pipeline(tmp_path_factory):
             "--checkpoints", str(ck_dir), "--dataset", str(ds),
             "--out", str(report)])
     return root
+
+
+def huge_checkpoint(pipeline, ck_dir, weight_scale, bias):
+    """dae-seed0 with every weight scaled and the encoder bias set, saved
+    alone in ck_dir; its model overflows on any dataset window."""
+    ck = load_checkpoint(pipeline / "ck" / "dae-seed0.ncm")
+    ck_dir.mkdir()
+    (w1, b1), *rest = [(w * weight_scale, b) for w, b in ck.params.layers]
+    layers = [(w1, np.full_like(b1, bias)), *rest]
+    path = ck_dir / "dae-seed0.ncm"
+    save_checkpoint(path, ModelParams(ck.params.arch, layers, ck.params.n), 0, 1)
+    return path
 
 
 class TestHelpers:
@@ -148,7 +169,7 @@ class TestTrainCommand:
         assert seed in err["message"]
         assert not (tmp_path / "ck").exists()
 
-    @pytest.mark.parametrize("lr", ["0", "-1"])
+    @pytest.mark.parametrize("lr", ["0", "-1", "nan", "inf"])
     def test_non_positive_lr(self, pipeline, tmp_path, capsys, lr):
         err = run_fail(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
                         "--out", str(tmp_path / "ck"), "--lr", lr], capsys, "ValueError")
@@ -279,6 +300,27 @@ class TestCouplingsCommand:
         assert "b.ncm" in err["message"] and "20" in err["message"]
         assert not (tmp_path / "cp").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                             ("--lr", "0"), ("--iters", "0")])
+    def test_bad_settings_fail_before_any_work(self, pipeline, tmp_path, capsys, flag, value):
+        # the dataset does not exist, so a ValueError proves the check runs first
+        assert main(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed0.ncm"),
+                     "--dataset", str(tmp_path / "gone.ncd"), "--strategy", "student",
+                     "--out", str(tmp_path / "cp"), flag, value]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValueError"
+        assert not (tmp_path / "cp").exists()
+
+    def test_overflow_names_checkpoint_and_segment(self, pipeline, tmp_path, capsys):
+        huge = huge_checkpoint(pipeline, tmp_path / "ck", 1e160, 0.0)
+        err = run_fail(["couplings", "--checkpoint", str(huge),
+                        "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
+                        "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"],
+                       capsys, "FloatingPointError")
+        assert "overflow" in err["message"]
+        assert str(huge) in err["message"] and "0:0:20" in err["message"]
+
     def test_dimension_mismatch(self, pipeline, tmp_path, capsys):
         other = tmp_path / "wide.ncd"
         run_ok(["synth", "--out", str(other), "--n", "20", "--frames", "40", "--pairs", "1"])
@@ -355,12 +397,8 @@ class TestAnalyzeCommand:
     def test_overflow_is_an_error_not_a_report(self, pipeline, tmp_path, capsys):
         # finite weights whose products overflow used to give a report with
         # NaN scores (not valid JSON), exit 0 and warning lines on stderr
-        ck = load_checkpoint(pipeline / "ck" / "dae-seed0.ncm")
         ck_dir = tmp_path / "ck"
-        ck_dir.mkdir()
-        huge = ck_dir / "dae-seed0.ncm"
-        layers = [(w * 1e160, b) for w, b in ck.params.layers]
-        save_checkpoint(huge, ModelParams(ck.params.arch, layers, ck.params.n), 0, 1)
+        huge = huge_checkpoint(pipeline, ck_dir, 1e160, 0.0)
         c, meta = load_couplings(pipeline / "cp" / "dae-seed0-student-0-0.ncc")
         crafted = tmp_path / "c.ncc"
         save_couplings(crafted, c, {**meta, "checkpoint": serial.sha256_file(huge)})
@@ -371,8 +409,76 @@ class TestAnalyzeCommand:
                             "--dataset", str(pipeline / "ds.ncd"),
                             "--out", str(tmp_path / "r.json")], capsys, "FloatingPointError")
         assert "overflow" in err["message"]
+        assert str(huge) in err["message"]
         assert not caught
         assert not (tmp_path / "r.json").exists()
+
+    def test_overflow_in_a_segment_names_it(self, pipeline, tmp_path, capsys):
+        # the weight product stays finite; only the model run overflows
+        ck_dir = tmp_path / "ck"
+        huge = huge_checkpoint(pipeline, ck_dir, 1e10, 1e300)
+        c, meta = load_couplings(pipeline / "cp" / "dae-seed0-student-0-20.ncc")
+        crafted = tmp_path / "c.ncc"
+        save_couplings(crafted, c, {**meta, "checkpoint": serial.sha256_file(huge)})
+        err = run_fail(["analyze", "--couplings", str(crafted), "--checkpoints", str(ck_dir),
+                        "--dataset", str(pipeline / "ds.ncd"),
+                        "--out", str(tmp_path / "r.json")], capsys, "FloatingPointError")
+        assert str(huge) in err["message"] and "0:20:40" in err["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    @staticmethod
+    def two_by_two(pipeline, tmp_path):
+        """Couplings of both checkpoints x both strategies x both segments."""
+        for strategy in ("student", "compositional"):
+            run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed*.ncm"),
+                    "--dataset", str(pipeline / "ds.ncd"), "--strategy", strategy,
+                    "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"])
+        return ["analyze", "--couplings", str(tmp_path / "cp" / "*.ncc"),
+                "--checkpoints", str(pipeline / "ck"), "--dataset", str(pipeline / "ds.ncd"),
+                "--out", str(tmp_path / "report.json")]
+
+    def test_one_load_per_checkpoint_one_forward_per_segment(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        argv = self.two_by_two(pipeline, tmp_path)
+        loads, runs = [], []
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda path: loads.append(str(path)) or load_checkpoint(path))
+        monkeypatch.setattr(analysis, "forward",
+                            lambda params, x: runs.append((id(params), x.tobytes()))
+                            or forward(params, x))
+        run_ok(argv)
+        assert sorted(loads) == [str(pipeline / "ck" / f"dae-seed{s}.ncm") for s in (0, 1)]
+        assert len(runs) == len(set(runs)) == 2 * 2
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["record_count"] == 2 * 2 * (2 + 2)
+
+    def test_report_matches_the_per_file_loop(self, pipeline, tmp_path):
+        # the loop analyze used to run: one checkpoint load and one model run
+        # per couplings file, the baselines scored with the first file of
+        # each (checkpoint, segment)
+        argv = self.two_by_two(pipeline, tmp_path)
+        run_ok(argv)
+        ck_dir = pipeline / "ck"
+        by_hash = {serial.sha256_file(p): p for p in sorted(ck_dir.glob("*.ncm"))}
+        ds = load_dataset(pipeline / "ds.ncd")
+        records, baseline_done = [], set()
+        for c_path in sorted(glob.glob(str(tmp_path / "cp" / "*.ncc"))):
+            c, meta = load_couplings(c_path)
+            params = load_checkpoint(by_hash[meta["checkpoint"]]).params
+            seg = meta["segment"]
+            x_mix, x_true = normalized_window(ds, *parse_segment_id(seg))
+            records += evaluate_segment(params, x_mix, x_true, [(meta["strategy"], c)], seg)
+            if (meta["checkpoint"], seg) not in baseline_done:
+                baseline_done.add((meta["checkpoint"], seg))
+                for baseline in (("linear", linear_composition(params)),
+                                 ("identity", np.eye(params.n))):
+                    records += evaluate_segment(params, x_mix, x_true, [baseline], seg)
+        write_report_json(aggregate(records), tmp_path / "loop.json")
+        write_report_csv(records, tmp_path / "loop.csv")
+        for suffix in (".json", ".csv"):
+            assert (tmp_path / f"report{suffix}").read_bytes() == \
+                (tmp_path / f"loop{suffix}").read_bytes()
 
     def test_checkpoint_hash_must_match(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -49,6 +49,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             NcaConfig("student", lr=0.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_lr_must_be_finite(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            NcaConfig("student", lr=lr)
+
 
 def student_loss(c, b):
     return student_objective(c, b)[0]

@@ -134,7 +134,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(halve_patience=3, stop_patience=2)
 
-    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive_lr(self, lr):
         with pytest.raises(ValueError, match="initial_lr"):
             TrainConfig(initial_lr=lr)
