@@ -14,8 +14,6 @@ OUT="${1:-desk-run}"
 
 run() { python3 -m neural_couplings.cli "$@"; }
 
-mkdir -p "$OUT"
-
 run synth --out "$OUT/dataset.ncd" --n 64 --frames 720 --pairs 2 --seed 0
 
 for model in dae mss-dae sf; do

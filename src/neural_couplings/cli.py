@@ -180,7 +180,6 @@ def cmd_train(args) -> int:
     arch = Arch.mss_dae(args.hidden_layers) if args.model == "mss-dae" else Arch(args.model)
     results = train_multi_seed(arch, ds, cfg, seeds)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for seed, result in zip(seeds, results):
         ck_path = out_dir / f"{args.model}-seed{seed}.ncm"
@@ -204,19 +203,42 @@ def cmd_couplings(args) -> int:
     """Extract one couplings file and loss curve per (checkpoint, segment).
 
     --checkpoint is a glob, so one process serves every checkpoint of a run:
-    the dataset and the segment windows are loaded once, and every matched
-    checkpoint is loaded and its width checked before the first extraction.
-    The settings are checked before any file is read. Each checkpoint writes
-    the same files and manifest a single-checkpoint call would; its
-    manifest's wall time runs from the previous manifest (the command start,
-    for the first).
+    the dataset is loaded once and freed as soon as the segment windows are
+    cut, and every matched checkpoint is loaded and its width checked before
+    the first extraction. The flags are checked before any file is read, and
+    the segment index right after the dataset loads. One model and one
+    problem's result are held at a time. Each checkpoint writes the same
+    files and manifest a single-checkpoint call would; its manifest's wall
+    time runs from the previous manifest (the command start, for the first).
     """
     started = time.perf_counter()
     cfg = NcaConfig(strategy=args.strategy, iterations=args.iters, lr=args.lr, seed=args.seed)
+    if args.frames < 1:
+        raise CliError(f"--frames must be positive, got {args.frames}")
+    idx = None
+    if args.segment != "all":
+        try:
+            idx = int(args.segment)
+        except ValueError:
+            raise CliError(f"--segment must be an index or 'all', got {args.segment!r}") from None
     ck_paths = sorted(globlib.glob(args.checkpoint))
     if not ck_paths:
         raise CliError(f"no checkpoints match {args.checkpoint!r}")
     ds = load_dataset(args.dataset)
+    segments = list_segments(ds, args.frames)
+    if not segments:
+        raise CliError(f"dataset has no full {args.frames}-frame window")
+    if idx is not None:
+        if not 0 <= idx < len(segments):
+            raise CliError(f"segment index {idx} out of range ({len(segments)} windows)")
+        segments = [segments[idx]]
+    out = Path(args.out)
+    single_file = out.suffix == ".ncc"
+    if single_file and len(ck_paths) * len(segments) > 1:
+        raise CliError(
+            f"{len(ck_paths)} checkpoints x {len(segments)} segments selected; "
+            "--out must be a directory"
+        )
     for ck_path in ck_paths:
         # loaded again below, one at a time: all at once would hold every
         # model in memory
@@ -226,30 +248,8 @@ def cmd_couplings(args) -> int:
                 f"checkpoint {ck_path} is {n}-dimensional but dataset keeps "
                 f"{ds.config.bins_kept} bins"
             )
-    if args.frames < 1:
-        raise CliError(f"--frames must be positive, got {args.frames}")
-    segments = list_segments(ds, args.frames)
-    if not segments:
-        raise CliError(f"dataset has no full {args.frames}-frame window")
-    if args.segment != "all":
-        try:
-            idx = int(args.segment)
-        except ValueError:
-            raise CliError(f"--segment must be an index or 'all', got {args.segment!r}") from None
-        if not 0 <= idx < len(segments):
-            raise CliError(f"segment index {idx} out of range ({len(segments)} windows)")
-        segments = [segments[idx]]
-
-    out = Path(args.out)
-    single_file = out.suffix == ".ncc"
-    if single_file and len(ck_paths) * len(segments) > 1:
-        raise CliError(
-            f"{len(ck_paths)} checkpoints x {len(segments)} segments selected; "
-            "--out must be a directory"
-        )
-    if not single_file:
-        out.mkdir(parents=True, exist_ok=True)
     windows = [normalized_window(ds, *seg)[0] for seg in segments]
+    del ds
 
     for ck_path in ck_paths:
         ck = load_checkpoint(ck_path)
@@ -277,7 +277,9 @@ def cmd_couplings(args) -> int:
             save_couplings(c_path, state.c, meta)
             loss_path = Path(str(c_path)[: -len(".ncc")] + "-loss.csv")
             _couplings_loss_csv(loss_path, state.losses)
+            del state
             outputs += [c_path, loss_path]
+        del ck
         manifest_path = (
             Path(str(out) + ".manifest.json")
             if single_file
@@ -292,8 +294,9 @@ def cmd_analyze(args) -> int:
     """Score every couplings file and, per (checkpoint, segment) they name,
     the linear and identity baselines, all from one model run per segment.
 
-    Every file's metadata is checked before any model runs. Each checkpoint
-    is loaded once; one model and one segment's matrices are held at a time.
+    Every file's metadata is checked before any model runs, and its matrix
+    is read only when its segment is scored. Each checkpoint is loaded once;
+    one model and one segment's matrices are held at a time.
     Records go by checkpoint, then segment, in the sorted files' order."""
     started = time.perf_counter()
     couplings_paths = sorted(globlib.glob(args.couplings))
@@ -307,7 +310,7 @@ def cmd_analyze(args) -> int:
 
     groups: dict[str, dict[str, list[str]]] = {}  # checkpoint hash -> segment -> paths
     for c_path in couplings_paths:
-        _, meta = load_couplings(c_path)
+        _, meta = load_couplings(c_path, matrix=False)
         ck_hash, seg = meta.get("checkpoint", ""), meta.get("segment", "")
         if ck_hash not in by_hash:
             raise CliError(f"{c_path}: no checkpoint in {ck_dir} matches hash {ck_hash[:12]}...")

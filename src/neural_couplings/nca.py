@@ -90,17 +90,22 @@ def make_target(params: ModelParams, x_mix) -> TargetBatch:
     return TargetBatch(trace.x_input, trace.decoder_output)
 
 
-def student_objective(c: Mat, batch: TargetBatch) -> tuple[float, Mat]:
+def student_objective(
+    c: Mat, batch: TargetBatch, grad: Mat | None = None, *, loss_only: bool = False
+) -> tuple[float, Mat | None]:
     """L1 loss of Y - C X and its subgradient in C, sign(C X - Y) X^T with
-    sign(0) = 0, both from one residual.
+    sign(0) = 0, both from one residual. The subgradient is written into
+    grad when one is given, and skipped (None) when loss_only.
 
     The residual is formed in place in the product's buffer, which rounds
-    as the out-of-place form. Its sign is a fresh array: numpy's in-place
-    sign runs about 5x slower than the out-of-place one.
+    as the out-of-place form, and |R| is taken in place once its sign is.
+    The sign is a fresh array: numpy's in-place sign runs about 5x slower
+    than the out-of-place one.
     """
     r = c @ batch.x_mix
     r -= batch.y
-    return float(np.abs(r).sum()), np.sign(r) @ batch.x_mix.T
+    d = None if loss_only else np.matmul(np.sign(r), batch.x_mix.T, out=grad)
+    return float(np.abs(r, out=r).sum()), d
 
 
 def compute_gate(p: Mat, w: Mat, b: Mat) -> tuple[Mat, Mat]:
@@ -110,10 +115,16 @@ def compute_gate(p: Mat, w: Mat, b: Mat) -> tuple[Mat, Mat]:
 
 
 def compositional_objective(
-    p: Mat, params: ModelParams, batch: TargetBatch
-) -> tuple[Mat, float, Mat]:
+    p: Mat,
+    params: ModelParams,
+    batch: TargetBatch,
+    grads: Mat | None = None,
+    *,
+    loss_only: bool = False,
+) -> tuple[Mat, float, Mat | None]:
     """The composition C, the L1 loss of Y - C X and its (L, n, n) gradient
-    in the gate drivers P_l = p[l].
+    in the gate drivers P_l = p[l], written into grads when one is given and
+    skipped (None) when loss_only.
 
     With M_l = G_l . W_l, C = M_L ... M_1 is the last of the prefix products
     M_1, M_2 M_1, .... The gradient through the product is
@@ -124,12 +135,14 @@ def compositional_objective(
     Then
     dE/dP_l = (dE/dM_l . W_l . relu'(G_hat_l)) (W_l + b_l).
 
-    Memory: the live set peaks at the L factors, L - 1 prefix products, the
-    running downstream product and a few n x n temporaries, plus an (n, T)
-    residual and L bool gate masks (an eighth of a matrix each). Each factor
-    is formed in its gate's buffer and each masked factor gradient in place
-    before one matmul writes grads[l]; every step rounds as its out-of-place
-    form.
+    Memory: besides grads, the live set peaks at the L factors, L - 1 prefix
+    products, the running downstream product and a few n x n temporaries,
+    plus an (n, T) residual and L bool gate masks (an eighth of a matrix
+    each). Each factor is formed in its gate's buffer, the backward pass
+    drops each prefix product and factor after its last use, and each
+    masked factor gradient is formed in place before one matmul writes
+    grads[l]; every step rounds as its out-of-place form. run_nca passes one
+    grads stack for the whole run, so an iteration allocates none.
     """
     if len(p) != len(params.layers):
         raise ValueError(f"{len(p)} gate drivers for {len(params.layers)} layers")
@@ -142,15 +155,21 @@ def compositional_objective(
         factors.append(g)
         prefix.append(g if not prefix else g @ prefix[-1])
     c = prefix[-1]
-    loss, delta = student_objective(c, batch)
+    loss, delta = student_objective(c, batch, loss_only=loss_only)
+    if loss_only:
+        return c, loss, None
 
-    grads = np.empty((len(p), params.n, params.n))
+    if grads is None:
+        grads = np.empty((len(p), params.n, params.n))
     down = None  # M_L ... M_{l+1}, None while empty
     for l in range(len(p) - 1, -1, -1):
         d_factor = delta if down is None else down.T @ delta
         if l > 0:
+            # each prefix product and factor is dropped after its last use
             d_factor = d_factor @ prefix[l - 1].T
+            prefix[l - 1] = None
             down = factors[l] if down is None else down @ factors[l]
+            factors[l] = None
         w, b = params.layers[l]
         d_factor *= w
         d_factor *= masks[l]
@@ -163,9 +182,10 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
 
     The unknown theta is C itself (student) or the (L, n, n) gate drivers
     (compositional), drawn in one piece and stepped in place by Adam. Each
-    iteration evaluates the objective once, records its loss and takes an
-    Adam step; a final evaluation records the loss of the returned C, so the
-    loss curve has cfg.iterations + 1 values.
+    iteration evaluates the objective once into one gradient buffer held for
+    the run, records its loss and takes an Adam step; nothing else of an
+    evaluation outlives it. A final loss-only evaluation forms the returned C
+    and records its loss, so the loss curve has cfg.iterations + 1 values.
     """
     x = np.asarray(x_mix, dtype=np.float64)
     rng = make_rng(cfg.seed)
@@ -182,15 +202,16 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     student = cfg.strategy == "student"
     if student:
         theta = glorot_like_init(rng, n, n, n)
-        objective = lambda t: (t, *student_objective(t, batch))
+        objective = lambda t, g, **kw: (t, *student_objective(t, batch, g, **kw))
     else:
         theta = glorot_like_init(rng, len(params.layers) * n, n, n).reshape(-1, n, n)
-        objective = lambda t: compositional_objective(t, params, batch)
+        objective = lambda t, g, **kw: compositional_objective(t, params, batch, g, **kw)
+    grad = np.empty_like(theta)
     for i in range(cfg.iterations):
-        _, e, grad = objective(theta)
-        record(e, i)
+        record(objective(theta, grad)[1], i)
         adam.step(theta, grad)
-    c, e, _ = objective(theta)
+    del grad
+    c, e, _ = objective(theta, None, loss_only=True)
     record(e, "final")
     return NcaState(c, losses, None if student else theta)
 
@@ -222,12 +243,18 @@ def save_couplings(path, c: Mat, metadata: dict) -> None:
     serial.write_file_atomic(path, buf.getvalue())
 
 
-def load_couplings(path) -> tuple[Mat, dict]:
+def load_couplings(path, *, matrix: bool = True) -> tuple[Mat | None, dict]:
+    """The matrix and the checked metadata. With matrix=False the matrix is
+    skipped, once its size is checked against the file, and None returned."""
     with open(path, "rb") as f:
         serial.expect_magic(f, COUPLINGS_MAGIC)
         serial.read_version(f, COUPLINGS_VERSION)
         n = serial.read_u32(f)
-        c = serial.read_f64s(f, n * n).reshape(n, n)
+        if matrix:
+            c = serial.read_f64s(f, n * n).reshape(n, n)
+        else:
+            c = None
+            serial.skip_sized(f, n * n * 8)
         meta_len = serial.read_u32(f)
         try:
             metadata = json.loads(serial.read_sized(f, meta_len).decode("utf-8"))

@@ -29,16 +29,28 @@ def read_exact(f: BinaryIO, n: int) -> bytes:
     return data
 
 
-def read_sized(f: BinaryIO, n: int) -> bytes:
-    """read_exact for a byte count the file itself declares: n is checked
-    against the bytes left before anything is allocated, so a hostile header
-    is a FormatError rather than a huge read."""
+def _check_left(f: BinaryIO, n: int) -> int:
+    """f's position, once n is checked against the bytes left after it."""
     here = f.tell()
     left = f.seek(0, os.SEEK_END) - here
     f.seek(here)
     if n > left:
         raise FormatError(f"truncated file: expected {n} more bytes, found {left}")
+    return here
+
+
+def read_sized(f: BinaryIO, n: int) -> bytes:
+    """read_exact for a byte count the file itself declares: n is checked
+    against the bytes left before anything is allocated, so a hostile header
+    is a FormatError rather than a huge read."""
+    _check_left(f, n)
     return read_exact(f, n)
+
+
+def skip_sized(f: BinaryIO, n: int) -> None:
+    """Seek past a byte count the file itself declares, checked as read_sized
+    checks it."""
+    f.seek(_check_left(f, n) + n)
 
 
 def read_f64s(f: BinaryIO, count: int) -> np.ndarray:
@@ -125,12 +137,15 @@ def read_str(f: BinaryIO) -> str:
 
 
 def write_file_atomic(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place;
+    the directory is created first if it is missing."""
     path = Path(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     except OSError as e:
-        # mkstemp names its random temp file; the caller asked for path
+        # mkdir names a parent and mkstemp its random temp file; the caller
+        # asked for path
         raise type(e)(e.errno, e.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as f:

@@ -166,7 +166,8 @@ def train(arch: Arch, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     batch rebuilds the parameters or concatenates the gradient. The mixture
     and target frames are copied once into frames-major (T, n) arrays, so a
     batch gathers contiguous rows and hands their (n, B) transposed view to
-    `forward` and `backward`; the bits match a column gather.
+    `forward` and `backward`; the bits match a column gather. The best
+    epoch's weights are copied into one snapshot buffer held for the run.
     """
     mix_rows, tgt_rows = (np.ascontiguousarray(x.T) for x in normalized_pair_matrices(dataset))
     total_frames, n = mix_rows.shape
@@ -201,7 +202,7 @@ def train(arch: Arch, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
 
         if epoch_loss < best_loss * (1.0 - IMPROVEMENT_REL):
             best_loss = epoch_loss
-            best_theta = theta.copy()
+            np.copyto(best_theta, theta)
             bad_epochs = 0
         else:
             bad_epochs += 1

@@ -2,6 +2,7 @@ import glob
 import json
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from neural_couplings.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from neural_couplings.nca import load_couplings, save_couplings
+from neural_couplings.nca import load_couplings, run_nca, save_couplings
 from neural_couplings.spectral import load_dataset, normalized_window
 from neural_couplings.synth import make_synthetic_dataset
 
@@ -118,10 +119,17 @@ class TestSynthCommand:
         run_fail(["synth", "--out", str(tmp_path / "x.ncd"), "--n", "4"],
                  capsys, "ValueError")
 
-    def test_missing_output_directory_names_the_target(self, tmp_path, capsys):
-        out = tmp_path / "nodir" / "ds.ncd"
+    def test_missing_output_directory_is_created(self, tmp_path):
+        out = tmp_path / "new" / "ds.ncd"
+        run_ok(["synth", "--out", str(out), "--n", "16", "--frames", "20"])
+        assert load_dataset(out).config.bins_kept == 16
+        assert (tmp_path / "new" / "ds.ncd.manifest.json").exists()
+
+    def test_unwritable_output_names_the_target(self, tmp_path, capsys):
+        (tmp_path / "file").write_bytes(b"")
+        out = tmp_path / "file" / "ds.ncd"
         err = run_fail(["synth", "--out", str(out), "--n", "16", "--frames", "20"],
-                       capsys, "FileNotFoundError")
+                       capsys, "FileExistsError")
         assert err["message"].endswith(repr(str(out)))
 
 
@@ -176,6 +184,13 @@ class TestTrainCommand:
         assert "initial_lr" in err["message"]
         assert not (tmp_path / "ck").exists()
 
+    def test_missing_output_directories_are_created(self, pipeline, tmp_path):
+        out = tmp_path / "a" / "b"
+        run_ok(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "sf",
+                "--out", str(out), "--max-epochs", "1"])
+        assert sorted(p.name for p in out.iterdir()) == [
+            "sf-seed0-history.csv", "sf-seed0.ncm", "train-sf.manifest.json"]
+
     def test_missing_dataset_file(self, tmp_path, capsys):
         err = run_fail(["train", "--dataset", str(tmp_path / "gone.ncd"), "--model", "dae",
                         "--out", str(tmp_path / "ck")], capsys, "FileNotFoundError")
@@ -215,6 +230,64 @@ class TestCouplingsCommand:
         assert (tmp_path / "one-loss.csv").exists()
         assert (tmp_path / "one.ncc.manifest.json").exists()
 
+    def test_single_file_under_a_missing_directory(self, pipeline, tmp_path):
+        out = tmp_path / "new" / "one.ncc"
+        run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed0.ncm"),
+                "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
+                "--out", str(out), "--segment", "0", "--iters", "3", "--frames", "20"])
+        assert load_couplings(out)[1]["segment"] == "0:0:20"
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "one-loss.csv", "one.ncc", "one.ncc.manifest.json"]
+
+    @pytest.mark.parametrize("flag, value", [("--frames", "0"), ("--segment", "first")])
+    def test_bad_flags_fail_before_any_file_is_read(self, pipeline, tmp_path, capsys,
+                                                    flag, value):
+        # the dataset does not exist, so a CliError proves the check runs first
+        assert main(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed0.ncm"),
+                     "--dataset", str(tmp_path / "gone.ncd"), "--strategy", "student",
+                     "--out", str(tmp_path / "cp"), flag, value]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "CliError" and flag in err["message"]
+        assert not (tmp_path / "cp").exists()
+
+    def test_segment_index_is_checked_before_any_checkpoint_is_read(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        loads = []
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda path: loads.append(path) or load_checkpoint(path))
+        err = run_fail(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed*.ncm"),
+                        "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
+                        "--out", str(tmp_path / "cp"), "--segment", "99", "--frames", "20"],
+                       capsys, "CliError")
+        assert "out of range" in err["message"]
+        assert loads == []
+
+    def test_one_problem_is_held_at_a_time(self, pipeline, tmp_path, monkeypatch):
+        # before every extraction the dataset and every earlier result are gone
+        datasets, results = [], []
+
+        def loading(path):
+            ds = load_dataset(path)
+            datasets.append(weakref.ref(ds))
+            return ds
+
+        def extracting(params, x_mix, cfg):
+            assert len(datasets) == 1 and datasets[0]() is None
+            assert all(ref() is None for ref in results)
+            state = run_nca(params, x_mix, cfg)
+            results.extend(weakref.ref(a) for a in (state, state.c, state.p))
+            return state
+
+        monkeypatch.setattr(cli, "load_dataset", loading)
+        monkeypatch.setattr(cli, "run_nca", extracting)
+        run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed*.ncm"),
+                "--dataset", str(pipeline / "ds.ncd"), "--strategy", "compositional",
+                "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"])
+        assert len(results) == 3 * 2 * 2  # 2 checkpoints x 2 segments
+
     def test_multiple_segments_refuse_single_file(self, pipeline, tmp_path, capsys):
         err = run_fail(
             ["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed0.ncm"),
@@ -249,7 +322,7 @@ class TestCouplingsCommand:
         crafted.write_bytes(bytes(raw))
         run_fail(["couplings", "--checkpoint", str(crafted), "--dataset",
                   str(pipeline / "ds.ncd"), "--strategy", "student",
-                  "--out", str(tmp_path / "c")], capsys, "FormatError")
+                  "--out", str(tmp_path / "c"), "--frames", "20"], capsys, "FormatError")
 
     def test_checkpoint_glob_matches_single_checkpoint_calls(self, pipeline, tmp_path):
         common = ["--dataset", str(pipeline / "ds.ncd"), "--strategy", "compositional",
@@ -480,6 +553,39 @@ class TestAnalyzeCommand:
             assert (tmp_path / f"report{suffix}").read_bytes() == \
                 (tmp_path / f"loop{suffix}").read_bytes()
 
+    def test_each_matrix_is_read_once(self, pipeline, tmp_path, monkeypatch):
+        argv = self.two_by_two(pipeline, tmp_path)
+        reads = []
+        monkeypatch.setattr(cli, "load_couplings",
+                            lambda path, **kw: reads.append((str(path), kw.get("matrix", True)))
+                            or load_couplings(path, **kw))
+        run_ok(argv)
+        files = sorted(glob.glob(str(tmp_path / "cp" / "*.ncc")))
+        assert len(files) == 2 * 2 * 2
+        assert sorted(path for path, matrix in reads if matrix) == files
+        assert sorted(path for path, matrix in reads if not matrix) == files
+
+    def test_non_finite_matrix_is_a_format_error(self, pipeline, tmp_path, capsys):
+        raw = bytearray((pipeline / "cp" / "dae-seed0-student-0-0.ncc").read_bytes())
+        raw[12:20] = np.array([np.nan], dtype="<f8").tobytes()
+        crafted = tmp_path / "nan.ncc"
+        crafted.write_bytes(bytes(raw))
+        err = run_fail(["analyze", "--couplings", str(crafted),
+                        "--checkpoints", str(pipeline / "ck"),
+                        "--dataset", str(pipeline / "ds.ncd"),
+                        "--out", str(tmp_path / "r.json")], capsys, "FormatError")
+        assert "non-finite" in err["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_report_under_a_missing_directory(self, pipeline, tmp_path):
+        out = tmp_path / "new" / "r.json"
+        run_ok(["analyze", "--couplings", str(pipeline / "cp" / "*.ncc"),
+                "--checkpoints", str(pipeline / "ck"), "--dataset", str(pipeline / "ds.ncd"),
+                "--out", str(out)])
+        assert out.read_bytes() == (pipeline / "report.json").read_bytes()
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "r.csv", "r.json", "r.json.manifest.json"]
+
     def test_checkpoint_hash_must_match(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -515,12 +621,12 @@ class TestHeatmapCommand:
                  capsys, "FormatError")
         assert not out.exists()
 
-    def test_missing_output_directory_names_the_target(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "nodir" / "c.png"
-        err = run_fail(["heatmap", "--couplings",
-                        str(pipeline / "cp" / "dae-seed0-student-0-0.ncc"), "--out", str(out)],
-                       capsys, "FileNotFoundError")
-        assert err["message"].endswith(repr(str(out)))
+    def test_missing_output_directory_is_created(self, pipeline, tmp_path, parse_png):
+        out = tmp_path / "new" / "c.png"
+        run_ok(["heatmap", "--couplings",
+                str(pipeline / "cp" / "dae-seed0-student-0-0.ncc"), "--out", str(out)])
+        assert parse_png(out.read_bytes()).shape == (16, 16)
+        assert (tmp_path / "new" / "c.png.manifest.json").exists()
 
     def test_bad_zoom_string(self, pipeline, tmp_path, capsys):
         run_fail(["heatmap", "--couplings",
@@ -553,6 +659,13 @@ class TestIngestCommand:
         assert [m.source_id for m, _ in ds.pairs] == ["alpha", "beta"]
         # 200 samples, window 32, hop 16 -> 11 frames
         assert ds.pairs[0][0].frames == 11
+
+    def test_dataset_under_a_missing_directory(self, tmp_path, wav_builder):
+        d = self.build_wavs(tmp_path, wav_builder)
+        out = tmp_path / "new" / "ing.ncd"
+        run_ok(self.ingest_args(d, out))
+        assert load_dataset(out).config.bins_kept == 17
+        assert (tmp_path / "new" / "ing.ncd.manifest.json").exists()
 
     def test_unpaired_track_rejected(self, tmp_path, wav_builder, capsys):
         d = self.build_wavs(tmp_path, wav_builder)

@@ -135,11 +135,27 @@ def test_write_file_atomic_overwrites(tmp_path):
     assert target.read_bytes() == b"new"
 
 
-def test_write_file_atomic_names_the_target_when_its_directory_is_missing(tmp_path):
-    target = tmp_path / "nodir" / "out.bin"
-    with pytest.raises(FileNotFoundError) as info:
+def test_write_file_atomic_creates_missing_directories(tmp_path):
+    target = tmp_path / "a" / "b" / "out.bin"
+    serial.write_file_atomic(target, b"x")
+    assert target.read_bytes() == b"x"
+    assert sorted(p.name for p in target.parent.iterdir()) == ["out.bin"]
+
+
+def test_write_file_atomic_names_the_target_when_its_directory_is_a_file(tmp_path):
+    (tmp_path / "file").write_bytes(b"")
+    target = tmp_path / "file" / "sub" / "out.bin"
+    with pytest.raises(OSError) as info:
         serial.write_file_atomic(target, b"x")
     assert info.value.filename == str(target)
+
+
+def test_skip_sized_checks_the_bytes_left():
+    f = io.BytesIO(b"abcdef")
+    serial.skip_sized(f, 4)
+    assert f.read() == b"ef"
+    with pytest.raises(serial.FormatError, match="truncated"):
+        serial.skip_sized(f, 1)
 
 
 def test_sha256_matches_known_digest(tmp_path):
