@@ -33,7 +33,6 @@ from .models import (
     forward,
     init_params,
     load_checkpoint,
-    mse,
     save_checkpoint,
 )
 from .nca import (

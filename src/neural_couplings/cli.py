@@ -31,7 +31,7 @@ from .analysis import (
     write_report_json,
 )
 from .linalg import ShapeError
-from .models import ARCH_TAGS, Arch, load_checkpoint, save_checkpoint
+from .models import ARCH_TAGS, Arch, checkpoint_width, load_checkpoint, save_checkpoint
 from .nca import NcaConfig, NcaError, load_couplings, run_nca, save_couplings
 from .spectral import (
     Dataset,
@@ -98,11 +98,26 @@ def parse_segment_id(segment: str) -> tuple[int, int, int]:
 
 @contextlib.contextmanager
 def _naming(where: str):
-    """Prefix a FloatingPointError raised inside with the input it came from."""
+    """Prefix a FloatingPointError or FormatError raised inside with the input
+    it came from, keeping its type."""
     try:
         yield
-    except FloatingPointError as e:
-        raise FloatingPointError(f"{where}: {e}") from None
+    except (FloatingPointError, serial.FormatError) as e:
+        raise type(e)(f"{where}: {e}") from None
+
+
+def _models(ck_paths, n: int):
+    """Check every checkpoint's width against n from its header, then load and
+    yield (ck_path, params) one at a time: a corrupt body fails on its turn."""
+    for ck_path in ck_paths:
+        with _naming(f"checkpoint {ck_path}"):
+            if (width := checkpoint_width(ck_path)) != n:
+                raise CliError(f"checkpoint {ck_path} is {width} bins wide, the dataset {n}")
+    for ck_path in ck_paths:
+        with _naming(f"checkpoint {ck_path}"):
+            params = load_checkpoint(ck_path).params
+        yield ck_path, params
+        del params  # the caller drops its reference too, so one model is held
 
 
 def cmd_synth(args) -> int:
@@ -204,12 +219,12 @@ def cmd_couplings(args) -> int:
 
     --checkpoint is a glob, so one process serves every checkpoint of a run:
     the dataset is loaded once and freed as soon as the segment windows are
-    cut, and every matched checkpoint is loaded and its width checked before
+    cut, and every matched checkpoint's width is read from its header before
     the first extraction. The flags are checked before any file is read, and
-    the segment index right after the dataset loads. One model and one
-    problem's result are held at a time. Each checkpoint writes the same
-    files and manifest a single-checkpoint call would; its manifest's wall
-    time runs from the previous manifest (the command start, for the first).
+    the segment index right after the dataset loads. One model, loaded once,
+    and one problem's result are held at a time. Each checkpoint writes the
+    same files and manifest a single-checkpoint call would; its manifest's
+    wall time runs from the previous one (the command start, for the first).
     """
     started = time.perf_counter()
     cfg = NcaConfig(strategy=args.strategy, iterations=args.iters, lr=args.lr, seed=args.seed)
@@ -239,30 +254,21 @@ def cmd_couplings(args) -> int:
             f"{len(ck_paths)} checkpoints x {len(segments)} segments selected; "
             "--out must be a directory"
         )
-    for ck_path in ck_paths:
-        # loaded again below, one at a time: all at once would hold every
-        # model in memory
-        n = load_checkpoint(ck_path).params.n
-        if n != ds.config.bins_kept:
-            raise CliError(
-                f"checkpoint {ck_path} is {n}-dimensional but dataset keeps "
-                f"{ds.config.bins_kept} bins"
-            )
+    n = ds.config.bins_kept
     windows = [normalized_window(ds, *seg)[0] for seg in segments]
     del ds
 
-    for ck_path in ck_paths:
-        ck = load_checkpoint(ck_path)
+    for ck_path, params in _models(ck_paths, n):
         ck_hash = serial.sha256_file(ck_path)
         ck_stem = Path(ck_path).stem
         outputs = []
         for (pair_idx, start, stop), x_mix in zip(segments, windows):
             seg = segment_id(pair_idx, start, stop)
             with _naming(f"checkpoint {ck_path}, segment {seg}"):
-                state = run_nca(ck.params, x_mix, cfg)
+                state = run_nca(params, x_mix, cfg)
             meta = {
                 "strategy": args.strategy,
-                "arch": ck.params.arch.tag,
+                "arch": params.arch.tag,
                 "checkpoint": ck_hash,
                 "segment": seg,
                 "final_loss": state.losses[-1],
@@ -279,7 +285,7 @@ def cmd_couplings(args) -> int:
             _couplings_loss_csv(loss_path, state.losses)
             del state
             outputs += [c_path, loss_path]
-        del ck
+        del params
         manifest_path = (
             Path(str(out) + ".manifest.json")
             if single_file
@@ -294,9 +300,9 @@ def cmd_analyze(args) -> int:
     """Score every couplings file and, per (checkpoint, segment) they name,
     the linear and identity baselines, all from one model run per segment.
 
-    Every file's metadata is checked before any model runs, and its matrix
-    is read only when its segment is scored. Each checkpoint is loaded once;
-    one model and one segment's matrices are held at a time.
+    Every file's metadata is checked before the dataset loads, and its matrix
+    is read only when its segment is scored. Each segment is cut once, then
+    the dataset is freed; checkpoints go through the loop couplings uses.
     Records go by checkpoint, then segment, in the sorted files' order."""
     started = time.perf_counter()
     couplings_paths = sorted(globlib.glob(args.couplings))
@@ -306,25 +312,27 @@ def cmd_analyze(args) -> int:
     by_hash = {serial.sha256_file(p): p for p in sorted(ck_dir.glob("*.ncm"))}
     if not by_hash:
         raise CliError(f"no checkpoints (*.ncm) found in {ck_dir}")
-    ds = load_dataset(args.dataset)
 
-    groups: dict[str, dict[str, list[str]]] = {}  # checkpoint hash -> segment -> paths
+    groups: dict[Path, dict[str, list[str]]] = {}  # checkpoint -> segment -> paths
+    bounds: dict[str, tuple[int, int, int]] = {}  # segment -> (pair, start, stop)
     for c_path in couplings_paths:
         _, meta = load_couplings(c_path, matrix=False)
         ck_hash, seg = meta.get("checkpoint", ""), meta.get("segment", "")
         if ck_hash not in by_hash:
             raise CliError(f"{c_path}: no checkpoint in {ck_dir} matches hash {ck_hash[:12]}...")
-        parse_segment_id(seg)
-        groups.setdefault(ck_hash, {}).setdefault(seg, []).append(c_path)
+        bounds[seg] = parse_segment_id(seg)
+        groups.setdefault(by_hash[ck_hash], {}).setdefault(seg, []).append(c_path)
+    ds = load_dataset(args.dataset)
+    n = ds.config.bins_kept
+    windows = {seg: normalized_window(ds, *bound) for seg, bound in bounds.items()}
+    del ds
 
     records: list[MetricsRecord] = []
-    for ck_hash, segments in groups.items():
-        ck_path = by_hash[ck_hash]
-        params = load_checkpoint(ck_path).params
+    for ck_path, params in _models(list(groups), n):
         with _naming(f"checkpoint {ck_path}"):
             baselines = [("linear", linear_composition(params)), ("identity", np.eye(params.n))]
-        for seg, paths in segments.items():
-            x_mix, x_true = normalized_window(ds, *parse_segment_id(seg))
+        for seg, paths in groups[ck_path].items():
+            x_mix, x_true = windows[seg]
             scored = []
             for c_path in paths:
                 c, meta = load_couplings(c_path)

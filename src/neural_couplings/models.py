@@ -21,9 +21,8 @@ from .linalg import Mat, ShapeError, glorot_like_init
 CHECKPOINT_MAGIC = b"NCM1"
 CHECKPOINT_VERSION = 1
 
+# the .ncm header stores a checkpoint's architecture as its index here
 ARCH_TAGS = ("dae", "mss-dae", "sf")
-_ARCH_BYTE = {"dae": 0, "mss-dae": 1, "sf": 2}
-_BYTE_ARCH = {v: k for k, v in _ARCH_BYTE.items()}
 
 
 @dataclass(frozen=True)
@@ -135,16 +134,6 @@ def forward(params: ModelParams, x_batch) -> ForwardTrace:
     return ForwardTrace(x, pre, post, post[-1])
 
 
-def mse(x_batch, xhat_batch) -> float:
-    """Mean over the batch of the per-column (1/n)*||x - xhat||^2."""
-    x = np.asarray(x_batch, dtype=np.float64)
-    xh = np.asarray(xhat_batch, dtype=np.float64)
-    if x.shape != xh.shape:
-        raise ShapeError(f"mse: shapes {x.shape} and {xh.shape} differ")
-    d = x - xh
-    return float(np.mean(d * d))
-
-
 def backward(
     params: ModelParams, trace: ForwardTrace, x_target, grads: list[tuple[Mat, Mat]]
 ) -> float:
@@ -152,10 +141,10 @@ def backward(
 
     grads holds one preallocated (dW, db) pair per layer, in layer order, of
     the shapes of params.layers; every value in it is overwritten. The
-    residual output - target is formed once and gives both the loss, equal
-    to mse(x_target, trace.output) bit for bit, and the gradient. For sf the
-    loss gradient reaches the decoder through the masking product, so it is
-    weighted by the input before entering the ReLU chain.
+    residual output - target is formed once and gives both the loss,
+    mean((output - target)^2) over the whole batch, and the gradient. For sf
+    the loss gradient reaches the decoder through the masking product, so it
+    is weighted by the input before entering the ReLU chain.
 
     Every product and reduction yields a C-order (n, B) array and sums in the
     same order whatever the layout of x_input and x_target, so a batch
@@ -195,7 +184,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int, epochs: in
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     serial.write_u32(buf, CHECKPOINT_VERSION)
-    serial.write_u8(buf, _ARCH_BYTE[params.arch.tag])
+    serial.write_u8(buf, ARCH_TAGS.index(params.arch.tag))
     serial.write_u32(buf, params.n)
     serial.write_u32(buf, len(params.layers))
     for w, b in params.layers:
@@ -206,26 +195,31 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int, epochs: in
     serial.write_file_atomic(path, buf.getvalue())
 
 
+def _read_header(f) -> tuple[str, int]:
+    """The architecture tag and width n, after the magic and version."""
+    serial.expect_magic(f, CHECKPOINT_MAGIC)
+    serial.read_version(f, CHECKPOINT_VERSION)
+    tag_byte = serial.read_u8(f)
+    if tag_byte >= len(ARCH_TAGS):
+        raise serial.FormatError(f"unknown architecture byte {tag_byte}")
+    return ARCH_TAGS[tag_byte], serial.read_u32(f)
+
+
+def checkpoint_width(path: str | Path) -> int:
+    """A checkpoint's width n, read and checked from its header alone."""
+    with open(path, "rb") as f:
+        return _read_header(f)[1]
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     with open(path, "rb") as f:
-        serial.expect_magic(f, CHECKPOINT_MAGIC)
-        serial.read_version(f, CHECKPOINT_VERSION)
-        tag_byte = serial.read_u8(f)
-        if tag_byte not in _BYTE_ARCH:
-            raise serial.FormatError(f"unknown architecture byte {tag_byte}")
-        tag = _BYTE_ARCH[tag_byte]
-        n = serial.read_u32(f)
+        tag, n = _read_header(f)
         n_layers = serial.read_u32(f)
         layers = [(serial.read_mat(f), serial.read_mat(f)) for _ in range(n_layers)]
         seed = serial.read_u64(f)
         epochs = serial.read_u32(f)
-    if tag == "mss-dae":
-        arch = Arch.mss_dae(n_layers - 2) if n_layers >= 3 else None
-    else:
-        arch = Arch(tag) if n_layers == 2 else None
-    if arch is None:
-        raise serial.FormatError(f"{tag} checkpoint with {n_layers} layers is malformed")
     try:
+        arch = Arch(tag, hidden_layers=n_layers - 2)  # checks the layer count
         return Checkpoint(ModelParams(arch, layers, n), seed, epochs)
     except (ValueError, ShapeError) as e:
-        raise serial.FormatError(f"invalid stored checkpoint: {e}") from None
+        raise serial.FormatError(f"malformed checkpoint: {e}") from None

@@ -1,5 +1,6 @@
-"""Shared test fixtures: a WAV byte builder, grayscale image parsers and a
-`models.backward` caller that allocates the gradient arrays."""
+"""Shared test fixtures: a WAV byte builder, grayscale image parsers, a
+`models.backward` caller that allocates the gradient arrays and the batch
+MSE oracle that pins the loss `backward` returns."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
+from neural_couplings.linalg import ShapeError
 from neural_couplings.models import backward
 
 
@@ -94,6 +96,21 @@ def _backward_grads(params, trace, target):
 @pytest.fixture
 def backward_grads():
     return _backward_grads
+
+
+def _mse(x_batch, xhat_batch) -> float:
+    """Mean over the batch of the per-column (1/n)*||x - xhat||^2."""
+    x = np.asarray(x_batch, dtype=np.float64)
+    xh = np.asarray(xhat_batch, dtype=np.float64)
+    if x.shape != xh.shape:
+        raise ShapeError(f"mse: shapes {x.shape} and {xh.shape} differ")
+    d = x - xh
+    return float(np.mean(d * d))
+
+
+@pytest.fixture
+def mse():
+    return _mse
 
 
 @pytest.fixture

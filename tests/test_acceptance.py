@@ -24,7 +24,6 @@ from neural_couplings.models import (
     forward,
     init_params,
     load_checkpoint,
-    mse,
     save_checkpoint,
 )
 from neural_couplings.nca import (
@@ -128,7 +127,7 @@ def recovery_runs():
     return {"runs": runs, "elapsed_s": time.perf_counter() - started}
 
 
-def test_criterion_1_model_gradient_fidelity(backward_grads):
+def test_criterion_1_model_gradient_fidelity(backward_grads, mse):
     started = time.perf_counter()
     h = 1e-6
     worst = 0.0

@@ -266,13 +266,20 @@ class TestCouplingsCommand:
         assert loads == []
 
     def test_one_problem_is_held_at_a_time(self, pipeline, tmp_path, monkeypatch):
-        # before every extraction the dataset and every earlier result are gone
-        datasets, results = [], []
+        # before every extraction the dataset and every earlier result are
+        # gone, and before every checkpoint load every earlier model is
+        datasets, results, models = [], [], []
 
         def loading(path):
             ds = load_dataset(path)
             datasets.append(weakref.ref(ds))
             return ds
+
+        def loading_model(path):
+            assert all(ref() is None for ref in models)
+            ck = load_checkpoint(path)
+            models.append(weakref.ref(ck.params))
+            return ck
 
         def extracting(params, x_mix, cfg):
             assert len(datasets) == 1 and datasets[0]() is None
@@ -282,11 +289,31 @@ class TestCouplingsCommand:
             return state
 
         monkeypatch.setattr(cli, "load_dataset", loading)
+        monkeypatch.setattr(cli, "load_checkpoint", loading_model)
         monkeypatch.setattr(cli, "run_nca", extracting)
         run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed*.ncm"),
                 "--dataset", str(pipeline / "ds.ncd"), "--strategy", "compositional",
                 "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"])
         assert len(results) == 3 * 2 * 2  # 2 checkpoints x 2 segments
+        assert len(models) == 2  # each checkpoint is loaded once
+
+    def test_corrupt_body_fails_on_its_turn_and_names_its_file(self, pipeline, tmp_path,
+                                                                capsys):
+        # headers are all read first; a body is read only when its turn comes
+        ck_dir = tmp_path / "ck"
+        ck_dir.mkdir()
+        raw = (pipeline / "ck" / "dae-seed0.ncm").read_bytes()
+        (ck_dir / "a.ncm").write_bytes(raw)
+        (ck_dir / "b.ncm").write_bytes(raw[:-100])
+        # run_fail parses stderr as one JSON document, so a second line fails it
+        err = run_fail(["couplings", "--checkpoint", str(ck_dir / "*.ncm"),
+                        "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
+                        "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"],
+                       capsys, "FormatError")
+        assert str(ck_dir / "b.ncm") in err["message"] and "truncated" in err["message"]
+        assert sorted(p.name for p in (tmp_path / "cp").iterdir()) == [
+            "a-student-0-0-loss.csv", "a-student-0-0.ncc", "a-student-0-20-loss.csv",
+            "a-student-0-20.ncc", "couplings-a-student.manifest.json"]
 
     def test_multiple_segments_refuse_single_file(self, pipeline, tmp_path, capsys):
         err = run_fail(
@@ -514,15 +541,19 @@ class TestAnalyzeCommand:
         self, pipeline, tmp_path, monkeypatch
     ):
         argv = self.two_by_two(pipeline, tmp_path)
-        loads, runs = [], []
+        loads, runs, cuts = [], [], []
         monkeypatch.setattr(cli, "load_checkpoint",
                             lambda path: loads.append(str(path)) or load_checkpoint(path))
         monkeypatch.setattr(analysis, "forward",
                             lambda params, x: runs.append((id(params), x.tobytes()))
                             or forward(params, x))
+        monkeypatch.setattr(cli, "normalized_window",
+                            lambda ds, *bounds: cuts.append(bounds)
+                            or normalized_window(ds, *bounds))
         run_ok(argv)
         assert sorted(loads) == [str(pipeline / "ck" / f"dae-seed{s}.ncm") for s in (0, 1)]
         assert len(runs) == len(set(runs)) == 2 * 2
+        assert sorted(cuts) == [(0, 0, 20), (0, 20, 40)]  # once per distinct segment
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["record_count"] == 2 * 2 * (2 + 2)
 
@@ -585,6 +616,56 @@ class TestAnalyzeCommand:
         assert out.read_bytes() == (pipeline / "report.json").read_bytes()
         assert sorted(p.name for p in out.parent.iterdir()) == [
             "r.csv", "r.json", "r.json.manifest.json"]
+
+    def test_dataset_is_freed_before_scoring(self, pipeline, tmp_path, monkeypatch):
+        argv = self.two_by_two(pipeline, tmp_path)
+        datasets, scored = [], []
+
+        def loading(path):
+            ds = load_dataset(path)
+            datasets.append(weakref.ref(ds))
+            return ds
+
+        def scoring(*args):
+            assert len(datasets) == 1 and datasets[0]() is None
+            scored.append(args[-1])
+            return evaluate_segment(*args)
+
+        monkeypatch.setattr(cli, "load_dataset", loading)
+        monkeypatch.setattr(cli, "evaluate_segment", scoring)
+        run_ok(argv)
+        assert len(scored) == 2 * 2
+
+    def test_dimension_mismatch_fails_before_any_load(self, pipeline, tmp_path, capsys,
+                                                       monkeypatch):
+        other = tmp_path / "wide.ncd"
+        run_ok(["synth", "--out", str(other), "--n", "20", "--frames", "40", "--pairs", "1"])
+        loads = []
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda path: loads.append(path) or load_checkpoint(path))
+        err = run_fail(["analyze", "--couplings", str(pipeline / "cp" / "*.ncc"),
+                        "--checkpoints", str(pipeline / "ck"), "--dataset", str(other),
+                        "--out", str(tmp_path / "r.json")], capsys, "CliError")
+        assert str(pipeline / "ck" / "dae-seed0.ncm") in err["message"]
+        assert "16" in err["message"] and "20" in err["message"]
+        assert loads == []
+        assert not (tmp_path / "r.json").exists()
+
+    def test_segment_outside_the_dataset_fails_before_any_load(self, pipeline, tmp_path,
+                                                               capsys, monkeypatch):
+        c, meta = load_couplings(pipeline / "cp" / "dae-seed0-student-0-0.ncc")
+        crafted = tmp_path / "far.ncc"
+        save_couplings(crafted, c, {**meta, "segment": "3:0:20"})
+        loads = []
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda path: loads.append(path) or load_checkpoint(path))
+        err = run_fail(["analyze", "--couplings", str(crafted),
+                        "--checkpoints", str(pipeline / "ck"),
+                        "--dataset", str(pipeline / "ds.ncd"),
+                        "--out", str(tmp_path / "r.json")], capsys, "ValueError")
+        assert "pair index 3 out of range" in err["message"]
+        assert loads == []
+        assert not (tmp_path / "r.json").exists()
 
     def test_checkpoint_hash_must_match(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -8,10 +8,10 @@ from neural_couplings.models import (
     Checkpoint,
     ModelParams,
     backward,
+    checkpoint_width,
     forward,
     init_params,
     load_checkpoint,
-    mse,
     save_checkpoint,
 )
 
@@ -123,22 +123,22 @@ class TestForward:
 
 
 class TestMse:
-    def test_hand_value(self):
+    def test_hand_value(self, mse):
         assert mse([[1.0], [0.0]], [[0.0], [1.0]]) == 1.0
 
-    def test_mean_over_all_entries(self):
+    def test_mean_over_all_entries(self, mse):
         assert mse([[1.0, 1.0]], [[0.0, 1.0]]) == 0.5
 
-    def test_zero_at_equality(self):
+    def test_zero_at_equality(self, mse):
         x = make_rng(5).normal(size=(3, 4))
         assert mse(x, x) == 0.0
 
-    def test_quadratic_in_scale(self):
+    def test_quadratic_in_scale(self, mse):
         a = make_rng(6).normal(size=(2, 3))
         b = make_rng(7).normal(size=(2, 3))
         assert np.isclose(mse(3.0 * a, 3.0 * b), 9.0 * mse(a, b), rtol=1e-12)
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, mse):
         with pytest.raises(ShapeError):
             mse(np.ones((2, 2)), np.ones((2, 3)))
 
@@ -190,7 +190,7 @@ class TestBackward:
     @pytest.mark.parametrize(
         "arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag
     )
-    def test_matches_finite_differences(self, arch, backward_grads):
+    def test_matches_finite_differences(self, arch, backward_grads, mse):
         n, t, h = 5, 3, 1e-6
         rng = make_rng([42, arch.n_layers, arch.uses_mask])
         p = init_params(arch, n, rng)
@@ -225,7 +225,7 @@ class TestBackward:
     @pytest.mark.parametrize(
         "arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag
     )
-    def test_returned_loss_is_the_batch_mse(self, arch):
+    def test_returned_loss_is_the_batch_mse(self, arch, mse):
         rng = make_rng([43, arch.n_layers, arch.uses_mask])
         p = init_params(arch, 5, rng)
         x = np.abs(rng.normal(size=(5, 7)))
@@ -289,6 +289,20 @@ class TestCheckpointCodec:
         path.write_bytes(bytes(raw))
         with pytest.raises(serial.FormatError, match="architecture byte"):
             load_checkpoint(path)
+
+    def test_width_from_the_header_alone(self, tmp_path):
+        path = tmp_path / "w.ncm"
+        save_checkpoint(path, init_params(Arch.mss_dae(2), 7, make_rng(0)), 0, 0)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:13])  # magic, version, tag and n; no body
+        assert checkpoint_width(path) == 7
+        for offset, value, match in ((0, 0, "magic"), (4, 9, "newer"),
+                                     (8, 9, "architecture byte")):
+            bad = bytearray(raw)
+            bad[offset] = value
+            path.write_bytes(bytes(bad))
+            with pytest.raises(serial.FormatError, match=match):
+                checkpoint_width(path)
 
     def test_layer_count_must_match_arch(self, tmp_path):
         # write an sf checkpoint, then relabel it mss-dae (needs >= 3 layers)

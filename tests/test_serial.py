@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,25 @@ def test_sha256_matches_known_digest(tmp_path):
     p = tmp_path / "f"
     p.write_bytes(b"abc")
     assert serial.sha256_file(p) == want
+
+
+def test_sha256_file_streams_in_fixed_blocks(tmp_path):
+    # 16 MiB plus a partial block; read whole, it would peak at 16 MiB
+    data = np.random.default_rng(0).bytes(16 * 2**20 + 12345)
+    p = tmp_path / "big"
+    p.write_bytes(data)
+    want = serial.sha256_bytes(data)
+    del data
+    tracemalloc.start()
+    try:
+        got = serial.sha256_file(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2 * 2**20
+    p.write_bytes(b"")
+    assert serial.sha256_file(p) == serial.sha256_bytes(b"")
 
 
 def test_canonical_json_is_sorted_and_compact():

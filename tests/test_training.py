@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neural_couplings.models import Arch, ModelParams, forward, mse
+from neural_couplings.models import Arch, ModelParams, forward
 from neural_couplings.spectral import BinScaler, Dataset, Spectrogram, StftConfig
 from neural_couplings.training import (
     CHUNK,
@@ -147,7 +147,7 @@ class TestTrain:
         res = train(Arch.dae(), learnable_dataset(), TrainConfig(seed=0, batch_size=8))
         assert res.best_loss < 0.35 * res.history[0].mean_loss
 
-    def test_identity_task_is_representable_and_improves(self):
+    def test_identity_task_is_representable_and_improves(self, mse):
         # target = mixture. Identity weights solve this exactly, so any
         # residual after training is pure optimization shortfall: glorot
         # init strands a few relu units and Adam cannot revive them (the
