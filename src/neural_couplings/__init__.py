@@ -63,4 +63,4 @@ from .spectral import (
     stft_mag,
 )
 from .synth import make_synthetic_dataset
-from .training import Adam, TrainConfig, TrainingError, train, train_multi_seed
+from .training import Adam, TrainConfig, TrainingError, train

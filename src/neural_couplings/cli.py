@@ -15,6 +15,7 @@ import glob as globlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +46,22 @@ from .spectral import (
     stft_mag,
 )
 from .synth import make_synthetic_dataset
-from .training import TrainConfig, TrainingError, train_multi_seed, write_history_csv
+from .training import TrainConfig, TrainingError, train, write_history_csv
 
 
 class CliError(Exception):
     pass
 
 
-def _hash_paths(paths) -> dict[str, str]:
-    return {str(p): serial.sha256_file(p) for p in sorted(str(p) for p in paths)}
+def _hash_paths(paths, hashed=None) -> dict[str, str]:
+    hashed = hashed or {}
+    return {p: hashed.get(p) or serial.sha256_file(p) for p in sorted(str(p) for p in paths)}
 
 
-def write_manifest(manifest_path: Path, args, inputs, outputs, started: float, **extra) -> None:
+def write_manifest(manifest_path: Path, args, inputs, outputs, started, hashed=None, **extra):
     """Record the parsed command line as typed, the hashed inputs and outputs
-    and the wall time since started."""
+    and the wall time since started. `hashed` maps each input path (as a str)
+    the command has already hashed to its sha256, so no input is read twice."""
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
         **extra,
@@ -66,7 +69,7 @@ def write_manifest(manifest_path: Path, args, inputs, outputs, started: float, *
         "version": __version__,
         "command": args.command,
         "flags": flags,
-        "inputs": _hash_paths(inputs),
+        "inputs": _hash_paths(inputs, hashed),
         "outputs": _hash_paths(outputs),
         "wall_clock_s": round(time.perf_counter() - started, 6),
     }
@@ -169,23 +172,27 @@ def cmd_ingest(args) -> int:
 
 
 def _parse_seeds(raw: str) -> list[int]:
-    """Comma-separated seeds, each in [0, 2**64) as the checkpoint stores a u64."""
+    """One or more distinct comma-separated seeds in [0, 2**64), as .ncm stores a u64."""
     try:
         seeds = [int(s) for s in raw.split(",") if s != ""]
     except ValueError:
         raise CliError(f"bad --seeds value {raw!r}, expected comma-separated integers") from None
-    for seed in seeds:
+    if not seeds:
+        raise CliError("no seeds given")
+    for i, seed in enumerate(seeds):
         if not 0 <= seed < 2**64:
             raise CliError(f"seed {seed} out of range, expected 0 <= seed < 2**64")
+        if seed in seeds[:i]:
+            raise CliError(f"seed {seed} given twice")
     return seeds
 
 
 def cmd_train(args) -> int:
+    """Train each seed in turn, writing its files and dropping its result before
+    the next starts. A failing seed ends the command with no manifest."""
     started = time.perf_counter()
     # the manifest records the parsed list
     seeds = args.seeds = _parse_seeds(args.seeds)
-    if not seeds:
-        raise CliError("no seeds given")
     cfg = TrainConfig(
         batch_size=args.batch_size,
         initial_lr=args.lr,
@@ -193,17 +200,20 @@ def cmd_train(args) -> int:
     )
     ds = load_dataset(args.dataset)
     arch = Arch.mss_dae(args.hidden_layers) if args.model == "mss-dae" else Arch(args.model)
-    results = train_multi_seed(arch, ds, cfg, seeds)
     out_dir = Path(args.out)
-    outputs = []
-    for seed, result in zip(seeds, results):
+    outputs, runs = [], []
+    for seed in seeds:
+        try:
+            result = train(arch, ds, replace(cfg, seed=seed))
+        except Exception as e:
+            raise TrainingError(f"seed {seed}: {e}") from None
         ck_path = out_dir / f"{args.model}-seed{seed}.ncm"
         save_checkpoint(ck_path, result.params, seed, result.epochs)
         csv_path = out_dir / f"{args.model}-seed{seed}-history.csv"
         write_history_csv(result.history, csv_path)
         outputs += [ck_path, csv_path]
-    runs = [{"seed": seed, "epochs": result.epochs, "stopped_by": result.stopped_by}
-            for seed, result in zip(seeds, results)]
+        runs.append({"seed": seed, "epochs": result.epochs, "stopped_by": result.stopped_by})
+        del result
     write_manifest(out_dir / f"train-{args.model}.manifest.json", args,
                    [args.dataset], outputs, started, runs=runs)
     return 0
@@ -257,6 +267,9 @@ def cmd_couplings(args) -> int:
     n = ds.config.bins_kept
     windows = [normalized_window(ds, *seg)[0] for seg in segments]
     del ds
+    # hashed at the first manifest: hashed before the first extraction, it
+    # raised the peak RSS of an n=257 couplings run by about 0.3 MiB
+    ds_hash = None
 
     for ck_path, params in _models(ck_paths, n):
         ck_hash = serial.sha256_file(ck_path)
@@ -291,7 +304,9 @@ def cmd_couplings(args) -> int:
             if single_file
             else out / f"couplings-{ck_stem}-{args.strategy}.manifest.json"
         )
-        write_manifest(manifest_path, args, [ck_path, args.dataset], outputs, started)
+        ds_hash = ds_hash or serial.sha256_file(args.dataset)
+        hashed = {ck_path: ck_hash, args.dataset: ds_hash}
+        write_manifest(manifest_path, args, [ck_path, args.dataset], outputs, started, hashed)
         started = time.perf_counter()
     return 0
 
@@ -339,6 +354,7 @@ def cmd_analyze(args) -> int:
                 scored.append((meta.get("strategy", "student"), c))
             with _naming(f"checkpoint {ck_path}, segment {seg}"):
                 records += evaluate_segment(params, x_mix, x_true, scored + baselines, seg)
+        del params, baselines
 
     out = Path(args.out)
     report = aggregate(records)
@@ -346,7 +362,9 @@ def cmd_analyze(args) -> int:
     csv_path = out.with_suffix(".csv")
     write_report_csv(records, csv_path)
     inputs = list(couplings_paths) + list(by_hash.values()) + [args.dataset]
-    write_manifest(Path(str(out) + ".manifest.json"), args, inputs, [out, csv_path], started)
+    hashed = {str(p): h for h, p in by_hash.items()}
+    write_manifest(Path(str(out) + ".manifest.json"), args, inputs, [out, csv_path], started,
+                   hashed)
     return 0
 
 

@@ -199,7 +199,7 @@ def stft_mag(signal, cfg: StftConfig, source_id: str = "") -> Spectrogram:
     return Spectrogram(cfg, np.ascontiguousarray(spec.T), source_id)
 
 
-def fit_scaler(spectrograms: list[Spectrogram], epsilon: float = 1e-8) -> BinScaler:
+def fit_scaler(spectrograms: list[Spectrogram]) -> BinScaler:
     """Per-bin population std over all frames of all inputs, floored at epsilon."""
     if not spectrograms:
         raise ValueError("fit_scaler: no spectrograms given")
@@ -207,7 +207,7 @@ def fit_scaler(spectrograms: list[Spectrogram], epsilon: float = 1e-8) -> BinSca
     if frames.shape[1] < 2:
         raise ValueError(f"fit_scaler: need at least 2 frames, got {frames.shape[1]}")
     std = frames.std(axis=1)  # population (ddof=0)
-    return BinScaler(np.maximum(std, epsilon), epsilon)
+    return BinScaler(np.maximum(std, BinScaler.epsilon))
 
 
 def normalized_pair_matrices(ds: Dataset) -> tuple[Mat, Mat]:

@@ -10,7 +10,7 @@ epoch loss together with the rule that ended the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,13 @@ from .spectral import Dataset, normalized_pair_matrices
 # An epoch improves only if its loss beats the best by more than this,
 # relatively; equal-to-the-eye plateaus do not reset the patience counters.
 IMPROVEMENT_REL = 1e-9
+# After each HALVE_PATIENCE non-improving epochs in a row the learning rate
+# halves; after STOP_PATIENCE the run stops.
+HALVE_PATIENCE = 2
+STOP_PATIENCE = 4
+
+# Adam's moment decay rates and denominator floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 # Elements per Adam chunk: the scratch buffers hold at most this many, 512 KiB
 # each. An n=64 parameter (at most 16,640 elements) is a single chunk.
@@ -45,11 +52,8 @@ class Adam(object):
     is a plain attribute so schedules can rewrite it.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: Mat | None = None
         self.v: Mat | None = None
@@ -82,8 +86,8 @@ class Adam(object):
         if not np.isfinite(g).all():
             raise TrainingError("non-finite gradient")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         p_flat, g_flat = p.reshape(-1), g.reshape(-1)
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) (g g), then
         # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), each operation rounded as
@@ -93,12 +97,12 @@ class Adam(object):
         # so chunking changes no bit.
         for lo, hi, m, v, s, u in self._chunks:
             g_c, p_c = g_flat[lo:hi], p_flat[lo:hi]
-            m *= self.beta1
-            m += np.multiply(g_c, 1.0 - self.beta1, out=s)
-            v *= self.beta2
-            v += np.multiply(np.multiply(g_c, g_c, out=s), 1.0 - self.beta2, out=s)
+            m *= BETA1
+            m += np.multiply(g_c, 1.0 - BETA1, out=s)
+            v *= BETA2
+            v += np.multiply(np.multiply(g_c, g_c, out=s), 1.0 - BETA2, out=s)
             np.sqrt(np.divide(v, bc2, out=s), out=s)
-            s += self.eps
+            s += EPS
             np.divide(m, bc1, out=u)
             u *= self.lr
             u /= s
@@ -109,16 +113,12 @@ class Adam(object):
 class TrainConfig:
     batch_size: int = 128
     initial_lr: float = 1e-3
-    halve_patience: int = 2
-    stop_patience: int = 4
     max_epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
-        if self.halve_patience < 1 or self.stop_patience < self.halve_patience:
-            raise ValueError("need stop_patience >= halve_patience >= 1")
         if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
             raise ValueError(f"initial_lr must be finite and positive, got {self.initial_lr}")
 
@@ -134,9 +134,8 @@ class EpochStats:
 class TrainResult:
     params: ModelParams
     history: list[EpochStats]
-    seed: int
     best_loss: float
-    # "patience" when stop_patience non-improving epochs ended the run,
+    # "patience" when STOP_PATIENCE non-improving epochs ended the run,
     # "max_epochs" when the epoch budget ran out first
     stopped_by: str
 
@@ -206,31 +205,13 @@ def train(arch: Arch, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs >= cfg.stop_patience:
+            if bad_epochs >= STOP_PATIENCE:
                 stopped_by = "patience"
                 break
-            if bad_epochs % cfg.halve_patience == 0:
+            if bad_epochs % HALVE_PATIENCE == 0:
                 adam.lr *= 0.5
 
-    return TrainResult(
-        _params_view(arch, best_theta, n), history, cfg.seed, best_loss, stopped_by
-    )
-
-
-def train_multi_seed(
-    arch: Arch, dataset: Dataset, cfg: TrainConfig, seeds: list[int]
-) -> list[TrainResult]:
-    """One independent run per seed; sibling runs finish even if one fails."""
-    results: list[TrainResult] = []
-    failures: list[str] = []
-    for seed in seeds:
-        try:
-            results.append(train(arch, dataset, replace(cfg, seed=seed)))
-        except Exception as e:  # collected, re-raised after all runs finish
-            failures.append(f"seed {seed}: {e}")
-    if failures:
-        raise TrainingError("; ".join(failures))
-    return results
+    return TrainResult(_params_view(arch, best_theta, n), history, best_loss, stopped_by)
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:

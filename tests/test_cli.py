@@ -28,6 +28,7 @@ from neural_couplings.models import (
 from neural_couplings.nca import load_couplings, run_nca, save_couplings
 from neural_couplings.spectral import load_dataset, normalized_window
 from neural_couplings.synth import make_synthetic_dataset
+from neural_couplings.training import train
 
 MANIFEST_KEYS = {"tool", "version", "command", "flags", "inputs", "outputs", "wall_clock_s"}
 
@@ -196,6 +197,61 @@ class TestTrainCommand:
                         "--out", str(tmp_path / "ck")], capsys, "FileNotFoundError")
         assert "gone.ncd" in err["message"]
 
+    def test_empty_seed_list(self, pipeline, tmp_path, capsys):
+        err = run_fail(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
+                        "--out", str(tmp_path / "ck"), "--seeds", ","], capsys, "CliError")
+        assert err["message"] == "no seeds given"
+        assert not (tmp_path / "ck").exists()
+
+    def test_repeated_seed_fails_before_loading(self, tmp_path, capsys):
+        # the dataset does not exist, so a CliError proves the check runs first
+        err = run_fail(["train", "--dataset", str(tmp_path / "gone.ncd"), "--model", "dae",
+                        "--out", str(tmp_path / "ck"), "--seeds", "6,2,6"], capsys, "CliError")
+        assert err["message"] == "seed 6 given twice"
+        assert not (tmp_path / "ck").exists()
+
+    def test_runs_each_seed_independently(self, pipeline, tmp_path):
+        for name, seeds in (("pair", "4,9"), ("solo", "9")):
+            run_ok(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
+                    "--out", str(tmp_path / name), "--seeds", seeds, "--max-epochs", "3"])
+        assert (tmp_path / "pair" / "dae-seed9.ncm").read_bytes() == \
+            (tmp_path / "solo" / "dae-seed9.ncm").read_bytes()
+
+    def test_one_result_is_held_at_a_time(self, pipeline, tmp_path, monkeypatch):
+        # every earlier seed's result and model are gone when a seed starts
+        results = []
+
+        def training(arch, ds, cfg):
+            assert all(ref() is None for ref in results)
+            result = train(arch, ds, cfg)
+            results.extend(weakref.ref(a) for a in (result, result.params))
+            return result
+
+        monkeypatch.setattr(cli, "train", training)
+        run_ok(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "mss-dae",
+                "--out", str(tmp_path / "ck"), "--seeds", "0,1,2", "--max-epochs", "1"])
+        assert len(results) == 2 * 3
+
+    def test_failing_seed_ends_the_command(self, pipeline, tmp_path, capsys, monkeypatch):
+        # seed 0's files are written as it finishes; seed 2 never starts
+        started = []
+
+        def training(arch, ds, cfg):
+            started.append(cfg.seed)
+            if cfg.seed == 1:
+                raise FloatingPointError("overflow encountered in matmul")
+            return train(arch, ds, cfg)
+
+        monkeypatch.setattr(cli, "train", training)
+        # run_fail parses stderr as one JSON document, so a second line fails it
+        err = run_fail(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
+                        "--out", str(tmp_path / "ck"), "--seeds", "0,1,2", "--max-epochs", "1"],
+                       capsys, "TrainingError")
+        assert err["message"] == "seed 1: overflow encountered in matmul"
+        assert started == [0, 1]
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
+            "dae-seed0-history.csv", "dae-seed0.ncm"]
+
 
 class TestCouplingsCommand:
     def test_one_file_per_segment_with_loss_curves(self, pipeline):
@@ -296,6 +352,19 @@ class TestCouplingsCommand:
                 "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"])
         assert len(results) == 3 * 2 * 2  # 2 checkpoints x 2 segments
         assert len(models) == 2  # each checkpoint is loaded once
+
+    def test_each_input_is_hashed_once(self, pipeline, tmp_path, monkeypatch):
+        hashed = []
+        sha256_file = serial.sha256_file
+        monkeypatch.setattr(serial, "sha256_file",
+                            lambda path: hashed.append(str(path)) or sha256_file(path))
+        run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed*.ncm"),
+                "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
+                "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"])
+        inputs = [str(pipeline / "ck" / f"dae-seed{s}.ncm") for s in (0, 1)]
+        inputs.append(str(pipeline / "ds.ncd"))
+        assert [hashed.count(p) for p in inputs] == [1, 1, 1]
+        assert len(hashed) == len(set(hashed))  # and each output once
 
     def test_corrupt_body_fails_on_its_turn_and_names_its_file(self, pipeline, tmp_path,
                                                                 capsys):
@@ -544,8 +613,11 @@ class TestAnalyzeCommand:
         loads, runs, cuts = [], [], []
         monkeypatch.setattr(cli, "load_checkpoint",
                             lambda path: loads.append(str(path)) or load_checkpoint(path))
+        # a model is keyed by its weights, not id(): each one is freed before
+        # the next loads, so two models can share an address
         monkeypatch.setattr(analysis, "forward",
-                            lambda params, x: runs.append((id(params), x.tobytes()))
+                            lambda params, x: runs.append((params.layers[0][0].tobytes(),
+                                                           x.tobytes()))
                             or forward(params, x))
         monkeypatch.setattr(cli, "normalized_window",
                             lambda ds, *bounds: cuts.append(bounds)
@@ -635,6 +707,33 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(cli, "evaluate_segment", scoring)
         run_ok(argv)
         assert len(scored) == 2 * 2
+
+    def test_one_model_is_held_at_a_time(self, pipeline, tmp_path, monkeypatch):
+        argv = self.two_by_two(pipeline, tmp_path)
+        models = []
+
+        def loading_model(path):
+            assert all(ref() is None for ref in models)
+            ck = load_checkpoint(path)
+            models.append(weakref.ref(ck.params))
+            return ck
+
+        monkeypatch.setattr(cli, "load_checkpoint", loading_model)
+        run_ok(argv)
+        assert len(models) == 2
+
+    def test_each_input_is_hashed_once(self, pipeline, tmp_path, monkeypatch):
+        argv = self.two_by_two(pipeline, tmp_path)
+        hashed = []
+        sha256_file = serial.sha256_file
+        monkeypatch.setattr(serial, "sha256_file",
+                            lambda path: hashed.append(str(path)) or sha256_file(path))
+        run_ok(argv)
+        inputs = sorted(glob.glob(str(tmp_path / "cp" / "*.ncc")))
+        inputs += [str(pipeline / "ck" / f"dae-seed{s}.ncm") for s in (0, 1)]
+        inputs.append(str(pipeline / "ds.ncd"))
+        assert [hashed.count(p) for p in inputs] == [1] * (2 * 2 * 2 + 2 + 1)
+        assert len(hashed) == len(set(hashed))  # and each output once
 
     def test_dimension_mismatch_fails_before_any_load(self, pipeline, tmp_path, capsys,
                                                        monkeypatch):

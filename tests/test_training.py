@@ -5,12 +5,12 @@ from neural_couplings.models import Arch, ModelParams, forward
 from neural_couplings.spectral import BinScaler, Dataset, Spectrogram, StftConfig
 from neural_couplings.training import (
     CHUNK,
+    STOP_PATIENCE,
     Adam,
     EpochStats,
     TrainConfig,
     TrainingError,
     train,
-    train_multi_seed,
     write_history_csv,
 )
 
@@ -130,10 +130,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
-    def test_stop_must_cover_halve(self):
-        with pytest.raises(ValueError):
-            TrainConfig(halve_patience=3, stop_patience=2)
-
     @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive_lr(self, lr):
         with pytest.raises(ValueError, match="initial_lr"):
@@ -200,8 +196,8 @@ class TestTrain:
         levels = [lrs[0]] + [b for a, b in zip(lrs, lrs[1:]) if b != a]
         assert len(levels) >= 2
         assert all(b == 0.5 * a for a, b in zip(levels, levels[1:]))
-        # the run ends on a streak of stop_patience non-improving epochs
-        tail = [h.mean_loss for h in res.history[-cfg.stop_patience :]]
+        # the run ends on a streak of STOP_PATIENCE non-improving epochs
+        tail = [h.mean_loss for h in res.history[-STOP_PATIENCE:]]
         assert all(t >= res.best_loss * (1 - 1e-9) for t in tail)
 
     def test_stopped_by_names_the_ending_rule(self):
@@ -284,36 +280,6 @@ class TestTrain:
         for (wa, ba), (wb, bb) in zip(res.params.layers, layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
-
-
-class TestMultiSeed:
-    def test_runs_each_seed_independently(self):
-        ds = learnable_dataset()
-        cfg = TrainConfig(max_epochs=5)
-        results = train_multi_seed(Arch.dae(), ds, cfg, [4, 9])
-        assert [r.seed for r in results] == [4, 9]
-        solo = train(Arch.dae(), ds, TrainConfig(max_epochs=5, seed=9))
-        assert np.array_equal(results[1].params.layers[0][0], solo.params.layers[0][0])
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_collects_all_failures(self):
-        cfg = TrainConfig(initial_lr=1e200, max_epochs=2)
-        with pytest.raises(TrainingError) as exc:
-            train_multi_seed(Arch.dae(), halving_dataset(), cfg, [0, 1])
-        assert "seed 0" in str(exc.value)
-        assert "seed 1" in str(exc.value)
-
-    def test_duplicate_seeds_give_identical_checkpoints(self):
-        results = train_multi_seed(
-            Arch.dae(), learnable_dataset(), TrainConfig(max_epochs=4), [6, 6]
-        )
-        assert results[0].best_loss == results[1].best_loss
-        for (wa, ba), (wb, bb) in zip(results[0].params.layers, results[1].params.layers):
-            assert np.array_equal(wa, wb)
-            assert np.array_equal(ba, bb)
-
-    def test_empty_seed_list(self):
-        assert train_multi_seed(Arch.dae(), halving_dataset(), TrainConfig(), []) == []
 
 
 def test_write_history_csv(tmp_path):
