@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Peak memory of each pipeline command at one width:
+#
+#   scripts/peak_rss.sh <n> [out-dir]
+#
+# Runs synth (2 pairs of 720 frames, n bins), train (mss-dae, seed 0, 2
+# epochs), couplings (student, then compositional, 20 iterations on every
+# 350-frame window) and analyze, each in a fresh interpreter with BLAS pinned
+# to one thread and this tree's src/ first on the path. For each command it
+# prints its peak resident set size above what importing the CLI took
+# (ru_maxrss after the command minus ru_maxrss after the import), in MiB, so
+# a memory change can say which command sets the pipeline's peak. Files go to
+# out-dir, or to a temporary directory that is removed on exit.
+set -euo pipefail
+
+n="${1:?usage: peak_rss.sh <n> [out-dir]}"
+root="$(cd "$(dirname "$0")/.." && pwd)"
+if [[ $# -ge 2 ]]; then
+  out="$2"
+  mkdir -p "$out"
+else
+  out="$(mktemp -d)"
+  trap 'rm -rf "$out"' EXIT
+fi
+
+run() {  # <label> <nca arguments...>
+  OPENBLAS_NUM_THREADS=1 PYTHONPATH="$root/src" python3 - "$@" <<'EOF'
+import resource
+import sys
+
+
+def peak_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+from neural_couplings import cli
+
+base = peak_mib()
+if cli.main(sys.argv[2:]) != 0:
+    sys.exit(1)
+print(f"{sys.argv[1]:24} {peak_mib() - base:8.2f} MiB")
+EOF
+}
+
+echo "n=$n: peak RSS above import"
+run synth synth --out "$out/dataset.ncd" --n "$n" --frames 720 --pairs 2 --seed 0
+run train train --dataset "$out/dataset.ncd" --model mss-dae --out "$out/checkpoints" \
+  --seeds 0 --max-epochs 2
+for strategy in student compositional; do
+  run "couplings $strategy" couplings --checkpoint "$out/checkpoints/*.ncm" \
+    --dataset "$out/dataset.ncd" --strategy "$strategy" --iters 20 --frames 350 \
+    --out "$out/couplings"
+done
+run analyze analyze --couplings "$out/couplings/*.ncc" --checkpoints "$out/checkpoints" \
+  --dataset "$out/dataset.ncd" --out "$out/report.json"

@@ -57,7 +57,7 @@ from .spectral import (
     fit_scaler,
     load_dataset,
     load_wav_mono,
-    normalized_pair_matrices,
+    normalized_pair_rows,
     normalized_window,
     save_dataset,
     stft_mag,

@@ -41,6 +41,7 @@ from .spectral import (
     fit_scaler,
     load_dataset,
     load_wav_mono,
+    normalized_pair_rows,
     normalized_window,
     save_dataset,
     stft_mag,
@@ -189,7 +190,9 @@ def _parse_seeds(raw: str) -> list[int]:
 
 def cmd_train(args) -> int:
     """Train each seed in turn, writing its files and dropping its result before
-    the next starts. A failing seed ends the command with no manifest."""
+    the next starts. A failing seed ends the command with no manifest. The
+    normalized rows are built once, and the dataset freed, before the first
+    seed."""
     started = time.perf_counter()
     # the manifest records the parsed list
     seeds = args.seeds = _parse_seeds(args.seeds)
@@ -198,13 +201,13 @@ def cmd_train(args) -> int:
         initial_lr=args.lr,
         max_epochs=args.max_epochs,
     )
-    ds = load_dataset(args.dataset)
+    rows = normalized_pair_rows(load_dataset(args.dataset))
     arch = Arch.mss_dae(args.hidden_layers) if args.model == "mss-dae" else Arch(args.model)
     out_dir = Path(args.out)
     outputs, runs = [], []
     for seed in seeds:
         try:
-            result = train(arch, ds, replace(cfg, seed=seed))
+            result = train(arch, rows, replace(cfg, seed=seed))
         except Exception as e:
             raise TrainingError(f"seed {seed}: {e}") from None
         ck_path = out_dir / f"{args.model}-seed{seed}.ncm"

@@ -9,7 +9,6 @@ rather than the spectra themselves.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,18 +180,17 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int, epochs: in
     for i, (w, b) in enumerate(params.layers):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"refusing to save checkpoint: layer {i} has non-finite values")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    serial.write_u32(buf, CHECKPOINT_VERSION)
-    serial.write_u8(buf, ARCH_TAGS.index(params.arch.tag))
-    serial.write_u32(buf, params.n)
-    serial.write_u32(buf, len(params.layers))
-    for w, b in params.layers:
-        serial.write_mat(buf, w)
-        serial.write_mat(buf, b)
-    serial.write_u64(buf, seed)
-    serial.write_u32(buf, epochs)
-    serial.write_file_atomic(path, buf.getvalue())
+    with serial.atomic_writer(path) as f:
+        f.write(CHECKPOINT_MAGIC)
+        serial.write_u32(f, CHECKPOINT_VERSION)
+        serial.write_u8(f, ARCH_TAGS.index(params.arch.tag))
+        serial.write_u32(f, params.n)
+        serial.write_u32(f, len(params.layers))
+        for w, b in params.layers:
+            serial.write_mat(f, w)
+            serial.write_mat(f, b)
+        serial.write_u64(f, seed)
+        serial.write_u32(f, epochs)
 
 
 def _read_header(f) -> tuple[str, int]:

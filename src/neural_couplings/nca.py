@@ -20,7 +20,6 @@ any printed derivation.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -121,10 +120,12 @@ def compositional_objective(
     grads: Mat | None = None,
     *,
     loss_only: bool = False,
-) -> tuple[Mat, float, Mat | None]:
-    """The composition C, the L1 loss of Y - C X and its (L, n, n) gradient
-    in the gate drivers P_l = p[l], written into grads when one is given and
-    skipped (None) when loss_only.
+) -> tuple[Mat | None, float, Mat | None]:
+    """The L1 loss of Y - C X for the composition C and either C (loss_only)
+    or the (L, n, n) gradient in the gate drivers P_l = p[l], written into
+    grads when one is given; the other of the two is None. A gradient call
+    forms C in grads[L-1], which its backward pass overwrites, so only a
+    loss_only call returns C.
 
     With M_l = G_l . W_l, C = M_L ... M_1 is the last of the prefix products
     M_1, M_2 M_1, .... The gradient through the product is
@@ -135,32 +136,37 @@ def compositional_objective(
     Then
     dE/dP_l = (dE/dM_l . W_l . relu'(G_hat_l)) (W_l + b_l).
 
-    Memory: besides grads, the live set peaks at the L factors, L - 1 prefix
-    products, the running downstream product and a few n x n temporaries,
-    plus an (n, T) residual and L bool gate masks (an eighth of a matrix
-    each). Each factor is formed in its gate's buffer, the backward pass
-    drops each prefix product and factor after its last use, and each
-    masked factor gradient is formed in place before one matmul writes
-    grads[l]; every step rounds as its out-of-place form. run_nca passes one
-    grads stack for the whole run, so an iteration allocates none.
+    Memory: a gradient call forms each prefix product M_l ... M_1 (l > 0),
+    C included, in grads[l], and D in grads[0]; the backward pass writes
+    grads[l] only after its last read of what that slot holds. Besides
+    grads, the live set peaks at the L factors, the running downstream
+    product and a few n x n temporaries, plus an (n, T) residual and L bool
+    gate masks (an eighth of a matrix each). Each factor is formed in its
+    gate's buffer, the backward pass drops each factor after its last use,
+    and each masked factor gradient is formed in place, written to grads[l]
+    by one matmul and freed before the next; every step rounds as its
+    out-of-place form. run_nca passes one grads stack for the whole run, so
+    an iteration allocates none.
     """
     if len(p) != len(params.layers):
         raise ValueError(f"{len(p)} gate drivers for {len(params.layers)} layers")
+    if grads is None and not loss_only:
+        grads = np.empty((len(p), params.n, params.n))
+    # where prefix product l and D are formed; a loss_only call forms its own
+    slots = [None] * len(p) if loss_only else grads
     masks, factors, prefix = [], [], []
-    for p_l, (w, b) in zip(p, params.layers):
+    for l, (p_l, (w, b)) in enumerate(zip(p, params.layers)):
         g_hat, g = compute_gate(p_l, w, b)
         masks.append(g_hat > 0.0)
         del g_hat
         g *= w
         factors.append(g)
-        prefix.append(g if not prefix else g @ prefix[-1])
-    c = prefix[-1]
-    loss, delta = student_objective(c, batch, loss_only=loss_only)
+        prefix.append(np.matmul(g, prefix[-1], out=slots[l]) if l else g)
+    c = prefix.pop()
+    loss, delta = student_objective(c, batch, slots[0], loss_only=loss_only)
     if loss_only:
         return c, loss, None
 
-    if grads is None:
-        grads = np.empty((len(p), params.n, params.n))
     down = None  # M_L ... M_{l+1}, None while empty
     for l in range(len(p) - 1, -1, -1):
         d_factor = delta if down is None else down.T @ delta
@@ -174,7 +180,8 @@ def compositional_objective(
         d_factor *= w
         d_factor *= masks[l]
         np.matmul(d_factor, w + b.T, out=grads[l])
-    return c, loss, grads
+        del d_factor
+    return None, loss, grads
 
 
 def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
@@ -232,15 +239,14 @@ def save_couplings(path, c: Mat, metadata: dict) -> None:
         raise ValueError(f"couplings matrix must be square, got {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("refusing to save non-finite couplings matrix")
-    buf = io.BytesIO()
-    buf.write(COUPLINGS_MAGIC)
-    serial.write_u32(buf, COUPLINGS_VERSION)
-    serial.write_u32(buf, c.shape[0])
-    buf.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
     meta = serial.canonical_json(metadata).encode("utf-8")
-    serial.write_u32(buf, len(meta))
-    buf.write(meta)
-    serial.write_file_atomic(path, buf.getvalue())
+    with serial.atomic_writer(path) as f:
+        f.write(COUPLINGS_MAGIC)
+        serial.write_u32(f, COUPLINGS_VERSION)
+        serial.write_u32(f, c.shape[0])
+        serial.write_f64s(f, c)
+        serial.write_u32(f, len(meta))
+        f.write(meta)
 
 
 def load_couplings(path, *, matrix: bool = True) -> tuple[Mat | None, dict]:

@@ -3,6 +3,7 @@ couplings codecs, plus atomic file writing and content hashing."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -113,7 +114,13 @@ def write_mat(f: BinaryIO, m: np.ndarray) -> None:
         raise ValueError(f"write_mat: expected a 2-D matrix, got shape {m.shape}")
     write_u32(f, m.shape[0])
     write_u32(f, m.shape[1])
-    f.write(m.tobytes())
+    write_f64s(f, m)
+
+
+def write_f64s(f: BinaryIO, a: np.ndarray) -> None:
+    """a's values as little-endian float64, written from a's own buffer when
+    it already is one, so no payload-sized copy is made."""
+    f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B"))
 
 
 def read_mat(f: BinaryIO) -> np.ndarray:
@@ -136,9 +143,12 @@ def read_str(f: BinaryIO) -> str:
         raise FormatError(f"stored string is not UTF-8: {e}") from None
 
 
-def write_file_atomic(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place;
-    the directory is created first if it is missing."""
+@contextlib.contextmanager
+def atomic_writer(path: str | Path):
+    """A binary file to stream into, renamed onto path when the block ends
+    without an exception and removed otherwise. It is a temp file in the
+    same directory, created with it if it is missing, and gets the mode a
+    new file would (0o666 less the umask) before the rename."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -149,12 +159,24 @@ def write_file_atomic(path: str | Path, data: bytes) -> None:
         raise type(e)(e.errno, e.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
+        # mkstemp's 0o600 would survive the rename. Reading the umask means
+        # setting it, so it is put straight back.
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_file_atomic(path: str | Path, data: bytes) -> None:
+    """Write bytes already in memory, such as a text file, through
+    atomic_writer."""
+    with atomic_writer(path) as f:
+        f.write(data)
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -9,7 +9,6 @@ so one file serves both.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -210,15 +209,21 @@ def fit_scaler(spectrograms: list[Spectrogram]) -> BinScaler:
     return BinScaler(np.maximum(std, BinScaler.epsilon))
 
 
-def normalized_pair_matrices(ds: Dataset) -> tuple[Mat, Mat]:
-    """All frames of all pairs, scaler-applied, stacked column-wise:
-    (mixture matrix, target matrix)."""
+def normalized_pair_rows(ds: Dataset) -> tuple[Mat, Mat]:
+    """All frames of all pairs, scaler-applied, one frame per row:
+    (mixture rows, target rows), each a (total frames, bins) C-order array.
+    Each pair is divided straight into its rows, so no other copy is made."""
     if not ds.pairs:
         raise ValueError("dataset has no pairs")
     scale = ds.scaler.per_bin_std[:, None]
-    mixes = [m.mags / scale for m, _ in ds.pairs]
-    tgts = [t.mags / scale for _, t in ds.pairs]
-    return np.concatenate(mixes, axis=1), np.concatenate(tgts, axis=1)
+    total = sum(mix.frames for mix, _ in ds.pairs)
+    mix_rows, tgt_rows = np.empty((2, total, ds.config.bins_kept))
+    k = 0
+    for mix, tgt in ds.pairs:
+        np.divide(mix.mags, scale, out=mix_rows[k : k + mix.frames].T)
+        np.divide(tgt.mags, scale, out=tgt_rows[k : k + mix.frames].T)
+        k += mix.frames
+    return mix_rows, tgt_rows
 
 
 def normalized_window(ds: Dataset, pair_idx: int, start: int, stop: int) -> tuple[Mat, Mat]:
@@ -257,19 +262,18 @@ def _read_config(f) -> StftConfig:
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    buf = io.BytesIO()
-    buf.write(DATASET_MAGIC)
-    serial.write_u32(buf, DATASET_VERSION)
-    _write_config(buf, ds.config)
-    serial.write_u32(buf, len(ds.pairs))
-    for mix, tgt in ds.pairs:
-        serial.write_str(buf, mix.source_id)
-        serial.write_mat(buf, mix.mags)
-        serial.write_mat(buf, tgt.mags)
-    serial.write_u32(buf, ds.scaler.per_bin_std.shape[0])
-    buf.write(np.ascontiguousarray(ds.scaler.per_bin_std, dtype="<f8").tobytes())
-    serial.write_f64(buf, ds.scaler.epsilon)
-    serial.write_file_atomic(path, buf.getvalue())
+    with serial.atomic_writer(path) as f:
+        f.write(DATASET_MAGIC)
+        serial.write_u32(f, DATASET_VERSION)
+        _write_config(f, ds.config)
+        serial.write_u32(f, len(ds.pairs))
+        for mix, tgt in ds.pairs:
+            serial.write_str(f, mix.source_id)
+            serial.write_mat(f, mix.mags)
+            serial.write_mat(f, tgt.mags)
+        serial.write_u32(f, ds.scaler.per_bin_std.shape[0])
+        serial.write_f64s(f, ds.scaler.per_bin_std)
+        serial.write_f64(f, ds.scaler.epsilon)
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -17,7 +17,6 @@ import numpy as np
 from . import serial
 from .linalg import Mat, make_rng
 from .models import Arch, ModelParams, backward, forward, init_params
-from .spectral import Dataset, normalized_pair_matrices
 
 # An epoch improves only if its loss beats the best by more than this,
 # relatively; equal-to-the-eye plateaus do not reset the patience counters.
@@ -156,19 +155,23 @@ def _params_view(arch: Arch, theta: Mat, n: int) -> ModelParams:
     return ModelParams(arch, layers, n)
 
 
-def train(arch: Arch, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
-    """Train one model; deterministic given (arch, dataset, cfg).
+def train(arch: Arch, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
+    """Train one model on rows = (mixture rows, target rows), the
+    normalized frames one per row as `spectral.normalized_pair_rows` builds
+    them; deterministic given (arch, rows, cfg).
 
     All weights live in one flat vector that Adam updates in place, and the
     gradient in a second one that `backward` overwrites every batch; the
     model's W and b and the per-layer gradients are views of them, so no
-    batch rebuilds the parameters or concatenates the gradient. The mixture
-    and target frames are copied once into frames-major (T, n) arrays, so a
-    batch gathers contiguous rows and hands their (n, B) transposed view to
-    `forward` and `backward`; the bits match a column gather. The best
-    epoch's weights are copied into one snapshot buffer held for the run.
+    batch rebuilds the parameters or concatenates the gradient. A batch
+    gathers contiguous rows and hands their (n, B) transposed view to
+    `forward` and `backward`; the bits match a column gather. The rows are
+    only read, so one copy serves every seed of a run. The best epoch's
+    weights are copied into one snapshot buffer held for the run.
     """
-    mix_rows, tgt_rows = (np.ascontiguousarray(x.T) for x in normalized_pair_matrices(dataset))
+    mix_rows, tgt_rows = rows
+    if mix_rows.shape != tgt_rows.shape:
+        raise ValueError(f"mixture rows {mix_rows.shape} and target rows {tgt_rows.shape} differ")
     total_frames, n = mix_rows.shape
     theta = _flat(init_params(arch, n, make_rng(cfg.seed)).layers)
     params = _params_view(arch, theta, n)

@@ -1,6 +1,7 @@
 import glob
 import json
 import time
+import tracemalloc
 import warnings
 import weakref
 
@@ -26,7 +27,7 @@ from neural_couplings.models import (
     save_checkpoint,
 )
 from neural_couplings.nca import load_couplings, run_nca, save_couplings
-from neural_couplings.spectral import load_dataset, normalized_window
+from neural_couplings.spectral import load_dataset, normalized_window, save_dataset
 from neural_couplings.synth import make_synthetic_dataset
 from neural_couplings.training import train
 
@@ -202,6 +203,28 @@ class TestTrainCommand:
                         "--out", str(tmp_path / "ck"), "--seeds", ","], capsys, "CliError")
         assert err["message"] == "no seeds given"
         assert not (tmp_path / "ck").exists()
+
+    def test_peak_memory_is_model_state_plus_one_dataset(self, tmp_path):
+        # n=257, two 1000-frame pairs: the dataset is 7.8 MiB and one mss-dae
+        # parameter vector P is 2.0 MiB. A seed holds 5 P of model state
+        # (weights, gradient, best-epoch snapshot, Adam's two moments) and
+        # the normalized rows, one dataset; a sixth P and half a dataset
+        # cover the initial draw, Adam's scratch and a batch's activations.
+        # While the raw dataset stayed loaded beside the rows, the peak was
+        # one dataset more.
+        n, frames = 257, 1000
+        ds_path = tmp_path / "ds.ncd"
+        save_dataset(make_synthetic_dataset(n, frames, 2, 0), ds_path)
+        dataset_bytes = 2 * 2 * n * frames * 8
+        param_bytes = Arch.mss_dae(2).n_layers * (n * n + n) * 8
+        tracemalloc.start()
+        try:
+            run_ok(["train", "--dataset", str(ds_path), "--model", "mss-dae",
+                    "--out", str(tmp_path / "ck"), "--seeds", "0,1", "--max-epochs", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * param_bytes + 1.5 * dataset_bytes
 
     def test_repeated_seed_fails_before_loading(self, tmp_path, capsys):
         # the dataset does not exist, so a CliError proves the check runs first

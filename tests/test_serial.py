@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -58,12 +59,15 @@ def test_version_error_is_a_format_error():
 
 def test_mat_round_trip_preserves_values_and_shape():
     m = np.array([[1.5, -2.0, 3.25], [0.0, 5e-300, -1e300]])
-    buf = io.BytesIO()
-    serial.write_mat(buf, m)
-    buf.seek(0)
-    out = serial.read_mat(buf)
-    assert out.shape == (2, 3)
-    assert np.array_equal(out, m)
+    # a transposed view and a big-endian copy are written as their values
+    for given in (m, m.T, m.astype(">f8")):
+        buf = io.BytesIO()
+        serial.write_mat(buf, given)
+        assert buf.getvalue()[8:] == np.ascontiguousarray(given, dtype="<f8").tobytes()
+        buf.seek(0)
+        out = serial.read_mat(buf)
+        assert out.shape == given.shape
+        assert np.array_equal(out, given)
 
 
 def test_write_mat_rejects_non_2d():
@@ -149,6 +153,32 @@ def test_write_file_atomic_names_the_target_when_its_directory_is_a_file(tmp_pat
     with pytest.raises(OSError) as info:
         serial.write_file_atomic(target, b"x")
     assert info.value.filename == str(target)
+
+
+def test_atomic_writer_keeps_the_old_file_when_the_block_raises(tmp_path):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with serial.atomic_writer(target) as f:
+            f.write(b"partial")
+            raise RuntimeError("writer failed")
+    assert target.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+def test_written_files_get_the_mode_of_a_new_file(tmp_path, umask):
+    # mkstemp creates its file 0o600, which would survive the rename
+    old = os.umask(umask)
+    try:
+        serial.write_file_atomic(tmp_path / "a", b"x")
+        with serial.atomic_writer(tmp_path / "b") as f:
+            f.write(b"x")
+        (tmp_path / "c").write_bytes(b"x")
+    finally:
+        os.umask(old)
+    modes = [(tmp_path / name).stat().st_mode & 0o777 for name in "abc"]
+    assert modes == [0o666 & ~umask] * 3
 
 
 def test_skip_sized_checks_the_bytes_left():

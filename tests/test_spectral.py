@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from neural_couplings.spectral import (
     fit_scaler,
     load_dataset,
     load_wav_mono,
-    normalized_pair_matrices,
+    normalized_pair_rows,
     normalized_window,
     save_dataset,
     stft_mag,
@@ -208,8 +210,8 @@ class TestScaler:
     def test_apply_divides_rows(self):
         s = spec([[2.0, 4.0], [3.0, 9.0]])
         ds = Dataset(TINY, [(s, s)], BinScaler(np.array([2.0, 3.0])))
-        x_mix, x_tgt = normalized_pair_matrices(ds)
-        assert x_mix.tolist() == [[1.0, 2.0], [1.0, 3.0]]
+        x_mix, x_tgt = normalized_pair_rows(ds)
+        assert x_mix.tolist() == [[1.0, 1.0], [2.0, 3.0]]
         assert x_tgt.tolist() == x_mix.tolist()
 
     def test_apply_checks_length(self):
@@ -219,8 +221,8 @@ class TestScaler:
 
     def test_fit_then_apply_gives_unit_variance_rows(self):
         s = spec(np.random.default_rng(4).uniform(0.1, 5.0, size=(2, 50)))
-        x_mix, _ = normalized_pair_matrices(Dataset(TINY, [(s, s)], fit_scaler([s])))
-        assert np.allclose(x_mix.std(axis=1), 1.0, atol=1e-12)
+        x_mix, _ = normalized_pair_rows(Dataset(TINY, [(s, s)], fit_scaler([s])))
+        assert np.allclose(x_mix.std(axis=0), 1.0, atol=1e-12)
 
 
 def tiny_dataset():
@@ -241,10 +243,29 @@ class TestDataset:
         with pytest.raises(ValueError, match="scaler"):
             Dataset(TINY, [(mix, mix)], BinScaler(np.ones(3)))
 
-    def test_normalized_pair_matrices(self):
-        x, y = normalized_pair_matrices(tiny_dataset())
+    def test_normalized_pair_rows(self):
+        # one frame per row
+        x, y = normalized_pair_rows(tiny_dataset())
         assert x.tolist() == [[1.0, 2.0], [2.0, 2.0]]
         assert y.tolist() == [[0.5, 1.0], [1.0, 0.0]]
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+
+    def test_normalized_pair_rows_match_the_column_recipe(self):
+        # each pair divided straight into its transposed rows gives the bits
+        # of dividing every pair, concatenating the columns and transposing
+        rng = np.random.default_rng(9)
+        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512, bins_kept=257)
+        pairs = [
+            tuple(spec(rng.uniform(0.1, 5.0, size=(257, frames)), cfg) for _ in range(2))
+            for frames in (3, 40, 17)
+        ]
+        ds = Dataset(cfg, pairs, fit_scaler([m for m, _ in pairs]))
+        scale = ds.scaler.per_bin_std[:, None]
+        mix_rows, tgt_rows = normalized_pair_rows(ds)
+        for got, k in ((mix_rows, 0), (tgt_rows, 1)):
+            want = np.concatenate([pair[k].mags / scale for pair in pairs], axis=1).T
+            assert got.shape == want.shape == (60, 257)
+            assert np.array_equal(got, want)
 
     def test_normalized_window_slices(self):
         x, y = normalized_window(tiny_dataset(), 0, 1, 2)
@@ -272,6 +293,29 @@ class TestDatasetCodec:
         assert np.array_equal(back.pairs[0][1].mags, ds.pairs[0][1].mags)
         assert np.array_equal(back.scaler.per_bin_std, ds.scaler.per_bin_std)
         assert back.scaler.epsilon == ds.scaler.epsilon
+
+    def test_save_streams_without_a_dataset_sized_buffer(self, tmp_path):
+        # 4 MiB of spectrograms at 1 MiB each; each matrix is written from
+        # its own buffer, not collected into one in-memory file first
+        rng = np.random.default_rng(3)
+        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512, bins_kept=257)
+        pairs = [
+            tuple(spec(rng.uniform(0.0, 2.0, size=(257, 500)), cfg, f"t{i}") for _ in range(2))
+            for i in range(2)
+        ]
+        ds = Dataset(cfg, pairs, fit_scaler([m for m, _ in pairs]))
+        p = tmp_path / "big.ncd"
+        tracemalloc.start()
+        try:
+            save_dataset(ds, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
+        back = load_dataset(p)
+        for (mix, tgt), (got_mix, got_tgt) in zip(ds.pairs, back.pairs):
+            assert np.array_equal(got_mix.mags, mix.mags)
+            assert np.array_equal(got_tgt.mags, tgt.mags)
 
     def test_writes_are_byte_identical(self, tmp_path):
         ds = tiny_dataset()

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from neural_couplings.models import Arch, ModelParams, forward
-from neural_couplings.spectral import BinScaler, Dataset, Spectrogram, StftConfig
+from neural_couplings.spectral import (
+    BinScaler,
+    Dataset,
+    Spectrogram,
+    StftConfig,
+    normalized_pair_rows,
+)
 from neural_couplings.training import (
     CHUNK,
     STOP_PATIENCE,
@@ -17,23 +23,23 @@ from neural_couplings.training import (
 CFG6 = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=10, bins_kept=6)
 
 
-def make_ds(mix_mags, tgt_mags):
+def make_rows(mix_mags, tgt_mags):
     mix = Spectrogram(CFG6, mix_mags, "t0")
     tgt = Spectrogram(CFG6, tgt_mags, "t0")
-    return Dataset(CFG6, [(mix, tgt)], BinScaler(np.ones(6)))
+    return normalized_pair_rows(Dataset(CFG6, [(mix, tgt)], BinScaler(np.ones(6))))
 
 
-def halving_dataset():
+def halving_rows():
     """Frames are all identical, so the loss plateaus once Adam converges."""
     col = np.linspace(0.5, 1.5, 6)[:, None]
     mix = np.tile(col, (1, 40))
-    return make_ds(mix, 0.5 * mix)
+    return make_rows(mix, 0.5 * mix)
 
 
-def learnable_dataset():
+def learnable_rows():
     rng = np.random.default_rng(7)
     mix = np.abs(rng.normal(size=(6, 40))) + 0.2
-    return make_ds(mix, 0.5 * mix)
+    return make_rows(mix, 0.5 * mix)
 
 
 class TestAdam:
@@ -140,7 +146,7 @@ class TestTrain:
     def test_learns_a_scaling_task(self):
         # at this width a few relu units die at init, so convergence stops
         # well short of zero; a 3x loss reduction still proves learning
-        res = train(Arch.dae(), learnable_dataset(), TrainConfig(seed=0, batch_size=8))
+        res = train(Arch.dae(), learnable_rows(), TrainConfig(seed=0, batch_size=8))
         assert res.best_loss < 0.35 * res.history[0].mean_loss
 
     def test_identity_task_is_representable_and_improves(self, mse):
@@ -158,15 +164,15 @@ class TestTrain:
         assert mse(forward(exact, mix_mags).output, mix_mags) == 0.0
 
         cfg = TrainConfig(seed=4, batch_size=16, initial_lr=1e-2, max_epochs=50)
-        res = train(Arch.dae(), ds, cfg)
+        res = train(Arch.dae(), normalized_pair_rows(ds), cfg)
         assert res.history[-1].mean_loss < 0.5 * res.history[0].mean_loss
         assert res.best_loss < 0.2
 
     def test_deterministic(self):
-        ds = learnable_dataset()
+        rows = learnable_rows()
         cfg = TrainConfig(seed=3, max_epochs=20)
-        a = train(Arch.dae(), ds, cfg)
-        b = train(Arch.dae(), ds, cfg)
+        a = train(Arch.dae(), rows, cfg)
+        b = train(Arch.dae(), rows, cfg)
         assert [(h.epoch, h.mean_loss, h.lr) for h in a.history] == [
             (h.epoch, h.mean_loss, h.lr) for h in b.history
         ]
@@ -175,18 +181,18 @@ class TestTrain:
             assert np.array_equal(ba, bb)
 
     def test_seed_changes_the_run(self):
-        ds = learnable_dataset()
-        a = train(Arch.dae(), ds, TrainConfig(seed=0, max_epochs=5))
-        b = train(Arch.dae(), ds, TrainConfig(seed=1, max_epochs=5))
+        rows = learnable_rows()
+        a = train(Arch.dae(), rows, TrainConfig(seed=0, max_epochs=5))
+        b = train(Arch.dae(), rows, TrainConfig(seed=1, max_epochs=5))
         assert not np.array_equal(a.params.layers[0][0], b.params.layers[0][0])
 
     def test_best_loss_is_the_history_minimum(self):
-        res = train(Arch.dae(), learnable_dataset(), TrainConfig(seed=0, max_epochs=30))
+        res = train(Arch.dae(), learnable_rows(), TrainConfig(seed=0, max_epochs=30))
         assert np.isclose(res.best_loss, min(h.mean_loss for h in res.history), rtol=1e-8)
 
     def test_plateau_halves_lr_then_stops(self):
         cfg = TrainConfig(seed=0, max_epochs=500)
-        res = train(Arch.dae(), halving_dataset(), cfg)
+        res = train(Arch.dae(), halving_rows(), cfg)
         lrs = [h.lr for h in res.history]
         assert res.epochs < cfg.max_epochs
         assert lrs[0] == cfg.initial_lr
@@ -201,18 +207,23 @@ class TestTrain:
         assert all(t >= res.best_loss * (1 - 1e-9) for t in tail)
 
     def test_stopped_by_names_the_ending_rule(self):
-        budget = train(Arch.dae(), learnable_dataset(), TrainConfig(seed=0, max_epochs=3))
+        budget = train(Arch.dae(), learnable_rows(), TrainConfig(seed=0, max_epochs=3))
         assert (budget.stopped_by, budget.epochs) == ("max_epochs", 3)
         cfg = TrainConfig(seed=0, max_epochs=500)
-        plateau = train(Arch.dae(), halving_dataset(), cfg)
+        plateau = train(Arch.dae(), halving_rows(), cfg)
         assert plateau.stopped_by == "patience"
         assert plateau.epochs < cfg.max_epochs
+
+    def test_rejects_rows_of_different_shapes(self):
+        mix_rows, tgt_rows = learnable_rows()
+        with pytest.raises(ValueError, match="differ"):
+            train(Arch.dae(), (mix_rows, tgt_rows[1:]), TrainConfig(max_epochs=1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         cfg = TrainConfig(seed=0, initial_lr=1e200, max_epochs=3)
         with pytest.raises(TrainingError, match="diverged"):
-            train(Arch.dae(), halving_dataset(), cfg)
+            train(Arch.dae(), halving_rows(), cfg)
 
     @pytest.mark.parametrize(
         "arch, n, frames, batch_size",
@@ -243,7 +254,7 @@ class TestTrain:
         pair = (Spectrogram(cfg_n, x_mix, "t0"), Spectrogram(cfg_n, x_tgt, "t0"))
         ds = Dataset(cfg_n, [pair], BinScaler(np.ones(n)))  # scaler is all ones
         cfg = TrainConfig(seed=2, max_epochs=1, batch_size=batch_size)
-        res = train(arch, ds, cfg)
+        res = train(arch, normalized_pair_rows(ds), cfg)
 
         layers = init_params(arch, n, make_rng(2)).layers
         flat_p = np.concatenate([a.ravel() for layer in layers for a in layer])
