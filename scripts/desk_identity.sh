@@ -6,11 +6,13 @@
 # Extracts <parent-rev> with `git archive` into .perfbench_work/identity-<pid>/
 # and runs each tree's own scripts/desk_scale.sh there, with BLAS pinned to
 # one thread and PYTHONPATH set to that tree's src/ so each run imports its
-# own package. It then compares the two runs' scripts/artifact_digests.sh
-# listings, and every *.manifest.json with wall_clock_s dropped. Differing
-# lines are printed and the exit status is 1; no output and status 0 mean
-# every artifact is byte-identical and the manifests agree. The temporary
-# directory is removed on exit.
+# own package. Each tree's scripts/peak_rss.sh then runs the pipeline once
+# more at n=257, a width whose matrices overflow L2, with its output
+# discarded. For both widths it compares the two runs'
+# scripts/artifact_digests.sh listings, and every *.manifest.json with
+# wall_clock_s dropped. Differing lines are printed and the exit status is
+# 1; no output and status 0 mean every artifact is byte-identical and the
+# manifests agree. The temporary directory is removed on exit.
 set -euo pipefail
 
 parent_rev="${1:?usage: desk_identity.sh <parent-rev>}"
@@ -30,6 +32,8 @@ desk() {  # <tree> <output directory>
 
 desk "$work/parent" "$work/run-parent"
 desk "$root" "$work/run-change"
+bash "$work/parent/scripts/peak_rss.sh" 257 "$work/wide-parent" > /dev/null
+bash "$root/scripts/peak_rss.sh" 257 "$work/wide-change" > /dev/null
 
 # one line per manifest: its path, then its JSON with wall_clock_s dropped
 # and the run directory written as <run>
@@ -49,7 +53,9 @@ EOF
 }
 
 status=0
-diff <("$root/scripts/artifact_digests.sh" "$work/run-parent") \
-     <("$root/scripts/artifact_digests.sh" "$work/run-change") || status=1
-diff <(manifests "$work/run-parent") <(manifests "$work/run-change") || status=1
+for run in run wide; do
+  diff <("$root/scripts/artifact_digests.sh" "$work/$run-parent") \
+       <("$root/scripts/artifact_digests.sh" "$work/$run-change") || status=1
+  diff <(manifests "$work/$run-parent") <(manifests "$work/$run-change") || status=1
+done
 exit "$status"

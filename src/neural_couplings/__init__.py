@@ -27,7 +27,6 @@ from .linalg import Mat, ShapeError, make_rng
 from .models import (
     Arch,
     Checkpoint,
-    ForwardTrace,
     ModelParams,
     backward,
     forward,
@@ -39,11 +38,9 @@ from .nca import (
     NcaConfig,
     NcaError,
     NcaState,
-    TargetBatch,
     compositional_objective,
     compute_gate,
     load_couplings,
-    make_target,
     run_nca,
     save_couplings,
     student_objective,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import serial
 from .linalg import Mat, ShapeError
-from .models import ModelParams, forward
+from .models import ModelParams, forward, model_output
 
 SNR_CAP_DB = 300.0
 
@@ -106,8 +106,9 @@ def evaluate_segment(
     itself; every other method scores the clipped couplings estimate of its
     C. TOD-R always comes from C.
     """
-    trace = forward(params, x_mix)
-    x = trace.x_input
+    acts = forward(params, x_mix)
+    x, reference = acts[0], model_output(params, acts)
+    del acts
     records = []
     for method, c in scored:
         c = np.asarray(c, dtype=np.float64)
@@ -116,7 +117,7 @@ def evaluate_segment(
                 f"couplings matrix has shape {c.shape}, model is {params.n}-dimensional")
         est = x if method == "identity" else couplings_estimate(params, c, x)
         records.append(MetricsRecord(params.arch.tag, method, segment, tod_r(c),
-                                     snr_db(trace.output, est), snr_db(x_true, est)))
+                                     snr_db(reference, est), snr_db(x_true, est)))
     return records
 
 

@@ -5,6 +5,11 @@ autoencoder (dae) is encoder + decoder; the deeper variant (mss-dae) inserts
 extra hidden layers between them; the skip-filtering model (sf) multiplies
 its decoder output element-wise with the input, so the decoder learns a mask
 rather than the spectra themselves.
+
+A forward pass is its activations [X, A_1, ..., A_L]: the input and each
+layer's ReLU output, one array per layer. The last one, A_L, is the decoder
+output (the mask for sf); model_output applies the sf mask, and backward
+needs nothing else, because relu'(Z) is A > 0.
 """
 
 from __future__ import annotations
@@ -81,23 +86,6 @@ class ModelParams:
 
 
 @dataclass
-class ForwardTrace:
-    """Activations retained for backprop: per-layer pre/post ReLU, the final
-    estimate, and (sf only) the mask."""
-
-    x_input: Mat
-    pre: list[Mat]
-    post: list[Mat]
-    output: Mat
-    mask: Mat | None = None
-
-    @property
-    def decoder_output(self) -> Mat:
-        """Last-layer ReLU output: the spectral estimate, or the mask for sf."""
-        return self.post[-1]
-
-
-@dataclass
 class Checkpoint:
     params: ModelParams
     seed: int
@@ -112,64 +100,69 @@ def init_params(arch: Arch, n: int, rng: np.random.Generator) -> ModelParams:
     return ModelParams(arch, layers, n)
 
 
-def forward(params: ModelParams, x_batch) -> ForwardTrace:
-    """Run the model on a batch of column frames (n x T)."""
+def forward(params: ModelParams, x_batch) -> list[Mat]:
+    """Run the model on a batch of column frames (n x T).
+
+    Returns the activations [X, A_1, ..., A_L]: the checked float64 input
+    and each layer's ReLU output, the one array kept per layer. Each ReLU is
+    taken in place on its pre-activation, which backward never needs, since
+    relu'(Z) is A > 0.
+    """
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != params.n:
         raise ShapeError(f"input batch has shape {x.shape}, expected ({params.n}, T)")
     if not np.isfinite(x).all():
         raise ValueError("forward: non-finite values in input batch")
-    a = x
-    pre: list[Mat] = []
-    post: list[Mat] = []
+    acts = [x]
     for w, b in params.layers:
-        z = w @ a
+        z = w @ acts[-1]
         z += b
-        a = np.maximum(z, 0.0)
-        pre.append(z)
-        post.append(a)
-    if params.arch.uses_mask:
-        return ForwardTrace(x, pre, post, post[-1] * x, mask=post[-1])
-    return ForwardTrace(x, pre, post, post[-1])
+        acts.append(np.maximum(z, 0.0, out=z))
+    return acts
+
+
+def model_output(params: ModelParams, acts: list[Mat]) -> Mat:
+    """The spectral estimate of a forward pass: A_L, or for sf the mask A_L
+    applied to the input, A_L * X."""
+    return acts[-1] * acts[0] if params.arch.uses_mask else acts[-1]
 
 
 def backward(
-    params: ModelParams, trace: ForwardTrace, x_target, grads: list[tuple[Mat, Mat]]
+    params: ModelParams, acts: list[Mat], x_target, grads: list[tuple[Mat, Mat]]
 ) -> float:
     """Write the analytic MSE gradient of every layer into grads; return the MSE.
 
-    grads holds one preallocated (dW, db) pair per layer, in layer order, of
-    the shapes of params.layers; every value in it is overwritten. The
-    residual output - target is formed once and gives both the loss,
-    mean((output - target)^2) over the whole batch, and the gradient. For sf
-    the loss gradient reaches the decoder through the masking product, so it
-    is weighted by the input before entering the ReLU chain.
+    acts is what forward returned. grads holds one preallocated (dW, db)
+    pair per layer, in layer order, of the shapes of params.layers; every
+    value in it is overwritten. The residual output - target is formed once
+    and gives both the loss, mean((output - target)^2) over the whole batch,
+    and the gradient. For sf the loss gradient reaches the decoder through
+    the masking product, so it is weighted by the input before entering the
+    ReLU chain. relu'(Z_l) is taken as A_l > 0, which equals Z_l > 0 for
+    every float, ±0 and NaN included.
 
     Every product and reduction yields a C-order (n, B) array and sums in the
-    same order whatever the layout of x_input and x_target, so a batch
+    same order whatever the layout of the input and x_target, so a batch
     gathered frames-major gives the same bits as one gathered by column.
     """
-    if len(trace.pre) != len(params.layers):
-        raise ValueError(
-            f"trace has {len(trace.pre)} layers, params have {len(params.layers)}"
-        )
+    if len(acts) != len(params.layers) + 1:
+        raise ValueError(f"{len(acts)} activations for {len(params.layers)} layers")
     tgt = np.asarray(x_target, dtype=np.float64)
-    if tgt.shape != trace.output.shape:
-        raise ShapeError(f"target shape {tgt.shape} differs from output {trace.output.shape}")
-    n, t = trace.output.shape
+    if tgt.shape != acts[-1].shape:
+        raise ShapeError(f"target shape {tgt.shape} differs from output {acts[-1].shape}")
+    n, t = tgt.shape
     # d is the loss gradient with respect to each layer's output, then, after
     # the relu mask, its pre-activation; it is C-order from here on
-    d = np.subtract(trace.output, tgt, order="C")
+    d = np.subtract(model_output(params, acts), tgt, order="C")
     loss = float(np.mean(d * d))
     d *= 2.0 / (n * t)
     if params.arch.uses_mask:
-        d *= trace.x_input
+        d *= acts[0]
 
     for layer in reversed(range(len(params.layers))):
-        d *= trace.pre[layer] > 0.0
-        a_prev = trace.post[layer - 1] if layer > 0 else trace.x_input
+        d *= acts[layer + 1] > 0.0
         dw, db = grads[layer]
-        np.matmul(d, a_prev.T, out=dw)
+        np.matmul(d, acts[layer].T, out=dw)
         np.sum(d, axis=1, keepdims=True, out=db)
         if layer > 0:
             d = params.layers[layer][0].T @ d

@@ -11,9 +11,11 @@ compositional  C is rebuilt every iteration as the product over layers of
                and (W_l + b_l) adds b_l[j] to every element of column j.
                Only the P_l are optimized; W_l and b_l stay frozen.
 
-Each strategy has one objective function returning the loss and the
-gradients from one pass, evaluated once per Adam iteration: the residual
-R = C X - Y is formed once and shared by the loss |R| and the gradient.
+Each strategy has one objective function of the plain arrays X and Y
+returning the loss and the gradients from one pass, evaluated once per Adam
+iteration: the residual R = C X - Y is formed once and shared by the loss
+|R| and the gradient. run_nca takes X and Y from one forward pass of the
+model, its first and last activations, and keeps nothing else of it.
 Correctness is pinned by finite-difference tests rather than by trusting
 any printed derivation.
 """
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import serial
 from .linalg import Mat, glorot_like_init, make_rng
-from .models import ForwardTrace, ModelParams, forward
+from .models import ModelParams, forward
 from .training import Adam
 
 COUPLINGS_MAGIC = b"NCC1"
@@ -58,18 +60,6 @@ class NcaConfig:
 
 
 @dataclass
-class TargetBatch:
-    """Input frames and the model output the couplings matrix must reproduce."""
-
-    x_mix: Mat
-    y: Mat
-
-    def __post_init__(self):
-        if self.x_mix.shape != self.y.shape:
-            raise ValueError(f"x_mix {self.x_mix.shape} and y {self.y.shape} differ")
-
-
-@dataclass
 class NcaState:
     """The fitted C and the per-iteration loss curve.
 
@@ -83,14 +73,8 @@ class NcaState:
     p: Mat | None = None
 
 
-def make_target(params: ModelParams, x_mix) -> TargetBatch:
-    """Probe the model: Y is the last-layer ReLU output (the mask for sf)."""
-    trace: ForwardTrace = forward(params, x_mix)
-    return TargetBatch(trace.x_input, trace.decoder_output)
-
-
 def student_objective(
-    c: Mat, batch: TargetBatch, grad: Mat | None = None, *, loss_only: bool = False
+    c: Mat, x: Mat, y: Mat, grad: Mat | None = None, *, loss_only: bool = False
 ) -> tuple[float, Mat | None]:
     """L1 loss of Y - C X and its subgradient in C, sign(C X - Y) X^T with
     sign(0) = 0, both from one residual. The subgradient is written into
@@ -101,9 +85,9 @@ def student_objective(
     The sign is a fresh array: numpy's in-place sign runs about 5x slower
     than the out-of-place one.
     """
-    r = c @ batch.x_mix
-    r -= batch.y
-    d = None if loss_only else np.matmul(np.sign(r), batch.x_mix.T, out=grad)
+    r = c @ x
+    r -= y
+    d = None if loss_only else np.matmul(np.sign(r), x.T, out=grad)
     return float(np.abs(r, out=r).sum()), d
 
 
@@ -116,7 +100,8 @@ def compute_gate(p: Mat, w: Mat, b: Mat) -> tuple[Mat, Mat]:
 def compositional_objective(
     p: Mat,
     params: ModelParams,
-    batch: TargetBatch,
+    x: Mat,
+    y: Mat,
     grads: Mat | None = None,
     *,
     loss_only: bool = False,
@@ -163,7 +148,7 @@ def compositional_objective(
         factors.append(g)
         prefix.append(np.matmul(g, prefix[-1], out=slots[l]) if l else g)
     c = prefix.pop()
-    loss, delta = student_objective(c, batch, slots[0], loss_only=loss_only)
+    loss, delta = student_objective(c, x, y, slots[0], loss_only=loss_only)
     if loss_only:
         return c, loss, None
 
@@ -194,9 +179,11 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     evaluation outlives it. A final loss-only evaluation forms the returned C
     and records its loss, so the loss curve has cfg.iterations + 1 values.
     """
-    x = np.asarray(x_mix, dtype=np.float64)
     rng = make_rng(cfg.seed)
-    batch = make_target(params, x)
+    # the target Y is the last-layer ReLU output, the mask for sf
+    acts = forward(params, x_mix)
+    x, y = acts[0], acts[-1]
+    del acts
     adam = Adam(cfg.lr)
     n = params.n
     losses: list[float] = []
@@ -209,10 +196,10 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     student = cfg.strategy == "student"
     if student:
         theta = glorot_like_init(rng, n, n, n)
-        objective = lambda t, g, **kw: (t, *student_objective(t, batch, g, **kw))
+        objective = lambda t, g, **kw: (t, *student_objective(t, x, y, g, **kw))
     else:
         theta = glorot_like_init(rng, len(params.layers) * n, n, n).reshape(-1, n, n)
-        objective = lambda t, g, **kw: compositional_objective(t, params, batch, g, **kw)
+        objective = lambda t, g, **kw: compositional_objective(t, params, x, y, g, **kw)
     grad = np.empty_like(theta)
     for i in range(cfg.iterations):
         record(objective(theta, grad)[1], i)

@@ -55,8 +55,15 @@ def skip_sized(f: BinaryIO, n: int) -> None:
 
 
 def read_f64s(f: BinaryIO, count: int) -> np.ndarray:
-    """count little-endian float64 values, all of which must be finite."""
-    a = np.frombuffer(read_sized(f, count * 8), dtype="<f8").astype(np.float64)
+    """count little-endian float64 values, all of which must be finite. They
+    are read straight into the returned array, once the count is checked
+    against the file as read_sized checks it."""
+    _check_left(f, count * 8)
+    a = np.empty(count, dtype="<f8")
+    got = f.readinto(memoryview(a).cast("B"))
+    if got != count * 8:
+        raise FormatError(f"truncated file: expected {count * 8} more bytes, found {got}")
+    a = a.astype(np.float64, copy=False)  # a no-op on a little-endian host
     if not np.isfinite(a).all():
         raise FormatError("non-finite values in stored float64 payload")
     return a

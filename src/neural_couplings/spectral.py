@@ -127,8 +127,8 @@ def load_wav_mono(path: str | Path, expect_rate: int | None = None) -> np.ndarra
     """Decode a PCM WAV file to a mono float64 signal in [-1, 1].
 
     Supports 16/24-bit integer and 32-bit float encodings, mono or stereo
-    (stereo is averaged). If expect_rate is given, a differing file rate is
-    an error.
+    (stereo is averaged). NaN or infinite float samples are an error, and
+    so, if expect_rate is given, is a differing file rate.
     """
     path = Path(path)
     try:
@@ -169,6 +169,8 @@ def load_wav_mono(path: str | Path, expect_rate: int | None = None) -> np.ndarra
         x = v.astype(np.float64) / 8388608.0
     elif audio_format == 3 and bits == 32:
         x = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4").astype(np.float64)
+        if not np.isfinite(x).all():
+            raise WavError(f"{path}: non-finite float samples")
     else:
         raise WavError(f"{path}: unsupported encoding (format={audio_format}, bits={bits})")
 

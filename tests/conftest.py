@@ -86,10 +86,10 @@ def _parse_png(data: bytes) -> np.ndarray:
     return np.stack(rows)
 
 
-def _backward_grads(params, trace, target):
+def _backward_grads(params, acts, target):
     """Per-layer (dW, db) from `backward` written into NaN-filled arrays."""
     grads = [(np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in params.layers]
-    backward(params, trace, target, grads)
+    backward(params, acts, target, grads)
     return grads
 
 

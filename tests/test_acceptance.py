@@ -24,6 +24,7 @@ from neural_couplings.models import (
     forward,
     init_params,
     load_checkpoint,
+    model_output,
     save_checkpoint,
 )
 from neural_couplings.nca import (
@@ -31,7 +32,6 @@ from neural_couplings.nca import (
     compositional_objective,
     compute_gate,
     load_couplings,
-    make_target,
     moving_average,
     run_nca,
     save_couplings,
@@ -115,7 +115,7 @@ def recovery_runs():
         params = ModelParams(Arch.dae(), layers, 8)
         x = np.abs(rng.normal(size=(8, 64))) + 0.1
         state = run_nca(params, x, NcaConfig("student", iterations=600, lr=2.5e-3, seed=0))
-        y_l1 = float(np.abs(make_target(params, x).y).sum())
+        y_l1 = float(np.abs(forward(params, x)[-1]).sum())
         c_lin = layers[1][0] @ layers[0][0]
         runs.append(
             {
@@ -150,7 +150,8 @@ def test_criterion_1_model_gradient_fidelity(backward_grads, mse):
             def loss_with(layer, which, idx, delta):
                 layers = [(w.copy(), b.copy()) for w, b in params.layers]
                 layers[layer][which][idx] += delta
-                return mse(tgt, forward(ModelParams(arch, layers, n), x).output)
+                q = ModelParams(arch, layers, n)
+                return mse(tgt, model_output(q, forward(q, x)))
 
             for layer in range(arch.n_layers):
                 for which in (0, 1):
@@ -174,7 +175,7 @@ def test_criterion_1_model_gradient_fidelity(backward_grads, mse):
     )
 
 
-def _transcribed_two_layer_grads(params, p_list, tb):
+def _transcribed_two_layer_grads(params, p_list, x, y):
     """Literal rewrite of the two-layer gate gradients from first principles:
     C = M2 M1 with M_l = relu(P_l (W_l + b_l)^T) . W_l, so
     dE/dM1 = M2^T D and dE/dM2 = D M1^T with D = sign(C X - Y) X^T."""
@@ -185,7 +186,7 @@ def _transcribed_two_layer_grads(params, p_list, tb):
     gh2 = p_list[1] @ wb2.T
     m1 = np.maximum(gh1, 0.0) * w1
     m2 = np.maximum(gh2, 0.0) * w2
-    delta = np.sign((m2 @ m1) @ tb.x_mix - tb.y) @ tb.x_mix.T
+    delta = np.sign((m2 @ m1) @ x - y) @ x.T
     d_m1 = m2.T @ delta
     d_m2 = delta @ m1.T
     g1 = (d_m1 * w1 * (gh1 > 0)) @ wb1
@@ -204,10 +205,10 @@ def test_criterion_2_compositional_gradient_fidelity():
         params = init_params(arch, n, make_rng([50, inst]))
         rng = make_rng([51, inst])
         x = np.abs(rng.normal(size=(n, t))) + 0.1
-        tb = make_target(params, x)
+        y = forward(params, x)[-1]
         p_list = [rng.normal(size=(n, n)) * np.sqrt(1.0 / n) for _ in range(2)]
-        _, _, got = compositional_objective(p_list, params, tb)
-        want = _transcribed_two_layer_grads(params, p_list, tb)
+        _, _, got = compositional_objective(p_list, params, x, y)
+        want = _transcribed_two_layer_grads(params, p_list, x, y)
         if np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]):
             exact += 1
 
@@ -221,9 +222,9 @@ def test_criterion_2_compositional_gradient_fidelity():
         params = init_params(arch4, n, make_rng([52, inst]))
         rng = make_rng([53, inst])
         x = np.abs(rng.normal(size=(n, t))) + 0.1
-        tb = make_target(params, x)
+        y = forward(params, x)[-1]
         p_list = [rng.normal(size=(n, n)) * np.sqrt(1.0 / n) for _ in range(4)]
-        _, _, grads = compositional_objective(p_list, params, tb)
+        _, _, grads = compositional_objective(p_list, params, x, y)
         g_hats = [compute_gate(q, w, b)[0] for q, (w, b) in zip(p_list, params.layers)]
         for layer in range(4):
             for idx in np.ndindex(n, n):
@@ -235,8 +236,8 @@ def test_criterion_2_compositional_gradient_fidelity():
                 pp[layer][idx] += h
                 pm[layer][idx] -= h
                 fd = (
-                    compositional_objective(pp, params, tb)[1]
-                    - compositional_objective(pm, params, tb)[1]
+                    compositional_objective(pp, params, x, y)[1]
+                    - compositional_objective(pm, params, x, y)[1]
                 ) / (2 * h)
                 g = grads[layer][idx]
                 if max(abs(fd), abs(g)) < 1e-8:

@@ -139,7 +139,7 @@ class TestEvaluateSegment:
     def test_identity_method_scores_raw_mixture(self):
         c = 0.5 * np.eye(2)
         [rec] = evaluate_segment(self.params, self.x, self.truth, [("identity", c)], "0:2")
-        model_out = forward(self.params, self.x).output
+        model_out = forward(self.params, self.x)[-1]
         assert math.isclose(
             rec.snr_model_db,
             10 * math.log10(np.sum(model_out**2) / np.sum((model_out - self.x) ** 2)),

@@ -893,6 +893,17 @@ class TestIngestCommand:
         args[args.index("--sr") + 1] = "44100"
         run_fail(args, capsys, "WavError")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float_sample_rejected(self, tmp_path, wav_builder, capsys, bad):
+        d = self.build_wavs(tmp_path, wav_builder)
+        sig = np.full((200, 1), 0.1)
+        sig[57, 0] = bad
+        (d / "alpha.mix.wav").write_bytes(wav_builder(8000, sig, 32, 3))
+        out = tmp_path / "x.ncd"
+        err = run_fail(self.ingest_args(d, out), capsys, "WavError")
+        assert "alpha.mix.wav" in err["message"]
+        assert not out.exists()
+
     def test_ten_seconds_at_fft_128_ingests_quickly(self, tmp_path, wav_builder):
         # ten seconds per track at 8 kHz; the whole ingest stays far under
         # the five-second budget this tool is specified against

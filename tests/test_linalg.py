@@ -6,7 +6,6 @@ import pytest
 from neural_couplings.linalg import glorot_like_init, make_rng
 from neural_couplings.models import Arch, ModelParams, forward
 from neural_couplings.nca import (
-    TargetBatch,
     compositional_objective,
     compute_gate,
     student_objective,
@@ -41,7 +40,7 @@ def _dae(w1, b2=0.0):
 
 def test_relu_clips_negatives_only():
     x = np.array([[-1.0, 0.0, 2.5]])
-    assert forward(_dae(1.0), x).post[0].tolist() == [[0.0, 0.0, 2.5]]
+    assert forward(_dae(1.0), x)[1].tolist() == [[0.0, 0.0, 2.5]]
     _, g = compute_gate(np.eye(1), np.zeros((1, 1)), np.array([[-1.0]]))
     assert g.tolist() == [[0.0]]
 
@@ -52,15 +51,14 @@ def test_relu_deriv_is_zero_at_zero(backward_grads):
     p = _dae(1.0, b2=1.0)
     out = []
     for v in (-1.0, 0.0, 2.5):
-        tr = forward(p, [[v]])
-        out.append(backward_grads(p, tr, [[0.0]])[0][1][0, 0])
+        out.append(backward_grads(p, forward(p, [[v]]), [[0.0]])[0][1][0, 0])
     # d/db1 at 2.5: 2 * (2.5 + 1 - 0) * relu'(2.5) = 7
     assert out == [0.0, 0.0, 7.0]
 
 
 def test_signum_maps_zero_to_zero():
     y = np.array([[3.0, 0.0, -4.0]] * 3)
-    _, g = student_objective(np.zeros((3, 3)), TargetBatch(np.eye(3), y))
+    _, g = student_objective(np.zeros((3, 3)), np.eye(3), y)
     assert g.tolist() == [[-1.0, 0.0, 1.0]] * 3
 
 
@@ -69,9 +67,8 @@ def test_kernels_do_not_mutate_inputs(backward_grads):
     b = np.array([[0.5], [-0.5]])
     before = (a.copy(), b.copy())
     p = ModelParams(Arch.dae(), [(a, b), (a, b)], 2)
-    tr = forward(p, a)
-    backward_grads(p, tr, a)
+    backward_grads(p, forward(p, a), a)
     compute_gate(a, a, b)
-    compositional_objective([a, a], p, TargetBatch(a, a))
-    student_objective(a, TargetBatch(a, a))
+    compositional_objective([a, a], p, a, a)
+    student_objective(a, a, a)
     assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from neural_couplings.models import (
     forward,
     init_params,
     load_checkpoint,
+    model_output,
     save_checkpoint,
 )
 
@@ -80,35 +83,34 @@ class TestForward:
         w1 = np.array([[1.0, 0.0], [0.0, -1.0]])
         w2 = 2.0 * np.eye(2)
         p = params_from(Arch.dae(), [w1, w2], [np.array([[1.0], [0.0]]), np.zeros((2, 1))])
-        tr = forward(p, np.array([[1.0], [2.0]]))
+        acts = forward(p, np.array([[1.0], [2.0]]))
         # pre1 = [2, -2], post1 = [2, 0]; pre2 = [4, 0] -> output [4, 0]
-        assert tr.pre[0].tolist() == [[2.0], [-2.0]]
-        assert tr.post[0].tolist() == [[2.0], [0.0]]
-        assert tr.output.tolist() == [[4.0], [0.0]]
-        assert tr.mask is None
-        assert tr.decoder_output is tr.post[-1]
+        assert len(acts) == 3
+        assert acts[0].tolist() == [[1.0], [2.0]]
+        assert acts[1].tolist() == [[2.0], [0.0]]
+        assert acts[2].tolist() == [[4.0], [0.0]]
+        assert model_output(p, acts) is acts[-1]
 
     def test_sf_multiplies_mask_with_input(self):
         p = params_from(Arch.sf(), [np.eye(2), np.eye(2)])
         x = np.array([[2.0, 3.0], [0.5, 1.0]])
-        tr = forward(p, x)
-        assert np.array_equal(tr.mask, x)
-        assert np.array_equal(tr.output, x * x)
-        assert np.array_equal(tr.decoder_output, tr.mask)
+        acts = forward(p, x)
+        assert np.array_equal(acts[-1], x)
+        assert np.array_equal(model_output(p, acts), x * x)
 
     def test_encoder_weights_applied_before_decoder(self):
         w1 = np.array([[1.0, 1.0], [0.0, 1.0]])
         p = params_from(Arch.dae(), [w1, np.eye(2)])
-        tr = forward(p, np.array([[1.0], [2.0]]))
-        assert tr.post[0].tolist() == [[3.0], [2.0]]
-        assert tr.output.tolist() == [[3.0], [2.0]]
+        acts = forward(p, np.array([[1.0], [2.0]]))
+        assert acts[1].tolist() == [[3.0], [2.0]]
+        assert acts[2].tolist() == [[3.0], [2.0]]
 
     def test_batch_columns_are_independent(self):
         p = init_params(Arch.dae(), 6, make_rng(0))
         x = make_rng(1).normal(size=(6, 5))
-        batched = forward(p, x).output
+        batched = forward(p, x)[-1]
         for t in range(5):
-            single = forward(p, x[:, t : t + 1]).output
+            single = forward(p, x[:, t : t + 1])[-1]
             assert np.allclose(batched[:, t : t + 1], single, atol=1e-12)
 
     def test_rejects_wrong_row_count(self):
@@ -120,6 +122,21 @@ class TestForward:
         p = init_params(Arch.dae(), 2, make_rng(0))
         with pytest.raises(ValueError, match="non-finite"):
             forward(p, np.array([[1.0], [np.nan]]))
+
+    def test_keeps_one_array_per_layer(self):
+        # mss-dae(2) at n=257, T=350: the four ReLU outputs plus a bool
+        # finiteness temporary peak at 4.09 (n, T) arrays; 8.0 while every
+        # layer's pre-activation was kept beside its output
+        p = init_params(Arch.mss_dae(2), 257, make_rng(0))
+        x = np.abs(make_rng(1).normal(size=(257, 350))) + 0.1
+        tracemalloc.start()
+        try:
+            acts = forward(p, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(acts) == 5 and acts[0] is x
+        assert peak < 6 * x.nbytes
 
 
 class TestMse:
@@ -153,9 +170,9 @@ class TestBackward:
             n=1,
         )
         x = np.array([[1.0]])
-        tr = forward(p, x)
-        assert tr.output.tolist() == [[3.0]]
-        grads = backward_grads(p, tr, np.array([[0.0]]))
+        acts = forward(p, x)
+        assert acts[-1].tolist() == [[3.0]]
+        grads = backward_grads(p, acts, np.array([[0.0]]))
         # d_out = 2*(3-0) = 6; decoder: dW2 = 6*post1 = 12, db2 = 6
         # encoder: d_post1 = 6, dW1 = 6*x = 6, db1 = 6
         assert grads[1][0].tolist() == [[12.0]]
@@ -166,9 +183,9 @@ class TestBackward:
     def test_exact_fit_gives_zero_gradients(self, backward_grads):
         p = params_from(Arch.dae(), [np.eye(3), np.eye(3)])
         x = np.abs(make_rng(8).normal(size=(3, 5))) + 0.1
-        tr = forward(p, x)
-        assert np.array_equal(tr.output, x)
-        for dw, db in backward_grads(p, tr, x):
+        acts = forward(p, x)
+        assert np.array_equal(acts[-1], x)
+        for dw, db in backward_grads(p, acts, x):
             assert np.array_equal(dw, np.zeros((3, 3)))
             assert np.array_equal(db, np.zeros((3, 1)))
 
@@ -180,9 +197,8 @@ class TestBackward:
         for row in ([-5.0, -5.0], [0.0, 0.0]):
             w1 = np.array([[1.0, 0.0], row])
             p = params_from(Arch.dae(), [w1, np.ones((2, 2))])
-            tr = forward(p, x)
-            assert (tr.pre[0][1] <= 0.0).all()
-            grads = backward_grads(p, tr, np.zeros((2, 6)))
+            assert ((w1 @ x)[1] <= 0.0).all()
+            grads = backward_grads(p, forward(p, x), np.zeros((2, 6)))
             assert np.array_equal(grads[0][0][1, :], np.zeros(2))
             assert grads[0][1][1, 0] == 0.0
             assert np.abs(grads[0][0][0, :]).min() > 0.0
@@ -209,7 +225,7 @@ class TestBackward:
             else:
                 layers[layer][1][idx] += delta
             q = ModelParams(p.arch, layers, n)
-            return mse(tgt, forward(q, x).output)
+            return mse(tgt, model_output(q, forward(q, x)))
 
         for layer in range(arch.n_layers):
             for which, g in (("w", grads[layer][0]), ("b", grads[layer][1])):
@@ -230,9 +246,9 @@ class TestBackward:
         p = init_params(arch, 5, rng)
         x = np.abs(rng.normal(size=(5, 7)))
         tgt = np.abs(rng.normal(size=(5, 7)))
-        tr = forward(p, x)
+        acts = forward(p, x)
         grads = [(np.empty_like(w), np.empty_like(b)) for w, b in p.layers]
-        assert backward(p, tr, tgt, grads) == mse(tgt, tr.output)
+        assert backward(p, acts, tgt, grads) == mse(tgt, model_output(p, acts))
 
     @pytest.mark.parametrize(
         "arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag
@@ -248,11 +264,17 @@ class TestBackward:
             assert np.array_equal(dw, fw)
             assert np.array_equal(db, fb)
 
+    def test_activation_count_checked(self, backward_grads):
+        p = init_params(Arch.dae(), 2, make_rng(0))
+        acts = forward(p, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="4 activations for 2 layers"):
+            backward_grads(p, acts + [acts[-1]], np.ones((2, 3)))
+
     def test_target_shape_checked(self, backward_grads):
         p = init_params(Arch.dae(), 2, make_rng(0))
-        tr = forward(p, np.ones((2, 3)))
+        acts = forward(p, np.ones((2, 3)))
         with pytest.raises(ShapeError):
-            backward_grads(p, tr, np.ones((2, 2)))
+            backward_grads(p, acts, np.ones((2, 2)))
 
 
 class TestCheckpointCodec:

@@ -5,15 +5,13 @@ import pytest
 
 from neural_couplings import nca, serial
 from neural_couplings.linalg import make_rng
-from neural_couplings.models import Arch, ModelParams, init_params
+from neural_couplings.models import Arch, ModelParams, forward, init_params, model_output
 from neural_couplings.nca import (
     STRATEGIES,
     NcaConfig,
-    TargetBatch,
     compositional_objective,
     compute_gate,
     load_couplings,
-    make_target,
     moving_average,
     run_nca,
     save_couplings,
@@ -22,7 +20,13 @@ from neural_couplings.nca import (
 
 
 def batch(x, y):
-    return TargetBatch(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+
+
+def target(params, x):
+    """X and Y as run_nca probes them: the first and last activations."""
+    acts = forward(params, x)
+    return acts[0], acts[-1]
 
 
 def positive_params(arch, n, seed, lo=0.05, hi=0.3):
@@ -57,7 +61,7 @@ class TestConfig:
 
 
 def student_loss(c, b):
-    return student_objective(c, b)[0]
+    return student_objective(c, *b)[0]
 
 
 class TestObjective:
@@ -80,12 +84,12 @@ class TestObjective:
 
     def test_student_grad_hand_value(self):
         b = batch(np.eye(2), [[2.0, 1.0], [0.0, 1.0]])
-        _, g = student_objective(np.eye(2), b)
+        _, g = student_objective(np.eye(2), *b)
         # sign(CX - Y) = [[-1,-1],[0,0]]; X^T = I
         assert g.tolist() == [[-1.0, -1.0], [0.0, 0.0]]
 
     def test_student_grad_of_zero_couplings(self):
-        _, g = student_objective(np.zeros((2, 2)), batch([[1.0], [2.0]], [[3.0], [0.0]]))
+        _, g = student_objective(np.zeros((2, 2)), *batch([[1.0], [2.0]], [[3.0], [0.0]]))
         # sign(-Y) = [[-1],[0]] spread along X^T
         assert g.tolist() == [[-1.0, -2.0], [0.0, 0.0]]
 
@@ -93,7 +97,7 @@ class TestObjective:
         rng = make_rng(101)
         c = rng.normal(size=(4, 4))
         b = batch(rng.normal(size=(4, 7)), rng.normal(size=(4, 7)))
-        _, g = student_objective(c, b)
+        _, g = student_objective(c, *b)
         h = 1e-7
         for i in range(4):
             for j in range(4):
@@ -103,30 +107,37 @@ class TestObjective:
                 fd = (student_loss(cp, b) - student_loss(cm, b)) / (2 * h)
                 assert abs(fd - g[i, j]) < 1e-5
 
-    def test_target_batch_shape_check(self):
-        with pytest.raises(ValueError):
-            batch(np.ones((2, 3)), np.ones((2, 2)))
 
+class TestTarget:
+    """The X and Y that run_nca hands its objective, seen through a spy."""
 
-class TestMakeTarget:
-    def test_dae_target_is_model_output(self):
-        from neural_couplings.models import forward
+    @staticmethod
+    def fitted(p, x, monkeypatch):
+        seen = []
 
+        def spy(c, x, y, *args, **kwargs):
+            seen.append((x, y))
+            return student_objective(c, x, y, *args, **kwargs)
+
+        monkeypatch.setattr(nca, "student_objective", spy)
+        run_nca(p, x, NcaConfig("student", iterations=1))
+        assert len(seen) == 2
+        return seen[0]
+
+    def test_dae_target_is_model_output(self, monkeypatch):
         p = positive_params(Arch.dae(), 4, 1)
         x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
-        tb = make_target(p, x)
-        assert np.array_equal(tb.x_mix, x)
-        assert np.array_equal(tb.y, forward(p, x).output)
+        got_x, y = self.fitted(p, x, monkeypatch)
+        assert np.array_equal(got_x, x)
+        assert np.array_equal(y, model_output(p, forward(p, x)))
 
-    def test_sf_target_is_the_mask_not_the_product(self):
-        from neural_couplings.models import forward
-
+    def test_sf_target_is_the_mask_not_the_product(self, monkeypatch):
         p = positive_params(Arch.sf(), 4, 1)
         x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
-        tb = make_target(p, x)
-        tr = forward(p, x)
-        assert np.array_equal(tb.y, tr.mask)
-        assert not np.array_equal(tb.y, tr.output)
+        _, y = self.fitted(p, x, monkeypatch)
+        acts = forward(p, x)
+        assert np.array_equal(y, acts[-1])
+        assert not np.array_equal(y, model_output(p, acts))
 
 
 class TestGates:
@@ -147,7 +158,7 @@ class TestGates:
     def test_objective_checks_gate_driver_count(self):
         p = positive_params(Arch.dae(), 2, 0)
         with pytest.raises(ValueError):
-            compositional_objective([np.eye(2)], p, batch(np.eye(2), np.eye(2)))
+            compositional_objective([np.eye(2)], p, *batch(np.eye(2), np.eye(2)))
 
     def test_compose_hand_value(self):
         # encoder applied first: C = (G2 . W2) (G1 . W1); with b = 0 the
@@ -161,7 +172,7 @@ class TestGates:
         p1 = np.array([[1.0, 0.0], [1.0, 0.0]])
         p2 = np.array([[2.0, 0.0], [0.0, 3.0]])
         c, loss, _ = compositional_objective(
-            [p1, p2], p, batch(np.eye(2), np.zeros((2, 2))), loss_only=True
+            [p1, p2], p, *batch(np.eye(2), np.zeros((2, 2))), loss_only=True
         )
         assert c.tolist() == [[2.0, 0.0], [3.0, 3.0]]
         assert loss == 8.0
@@ -170,15 +181,13 @@ class TestGates:
         # if every gate is all ones, C X must equal the model output when all
         # relus are active, which positive weights and inputs guarantee;
         # P_l = ones (W_l + b_l)^-T opens every gate up to rounding
-        from neural_couplings.models import forward
-
         p = positive_params(Arch.mss_dae(1), 5, 3)
         x = np.abs(make_rng(4).normal(size=(5, 6))) + 0.1
         drivers = [np.ones((5, 5)) @ np.linalg.inv(w + b.T).T for w, b in p.layers]
         gates = [compute_gate(q, w, b)[1] for q, (w, b) in zip(drivers, p.layers)]
         assert all(np.allclose(g, 1.0, atol=1e-12) for g in gates)
-        c, _, _ = compositional_objective(drivers, p, batch(x, x), loss_only=True)
-        assert np.allclose(c @ x, forward(p, x).output, atol=1e-12)
+        c, _, _ = compositional_objective(drivers, p, *batch(x, x), loss_only=True)
+        assert np.allclose(c @ x, model_output(p, forward(p, x)), atol=1e-12)
 
 
 class TestCompositionalGrads:
@@ -187,9 +196,9 @@ class TestCompositionalGrads:
         params = init_params(arch, n, make_rng([50, seed]))
         rng = make_rng([51, seed])
         x = np.abs(rng.normal(size=(n, t))) + 0.1
-        tb = make_target(params, x)
+        tb = target(params, x)
         p_list = [glorot(rng, n) for _ in range(arch.n_layers)]
-        return params, tb, p_list, compositional_objective(p_list, params, tb)[2]
+        return params, tb, p_list, compositional_objective(p_list, params, *tb)[2]
 
     def test_two_layer_grads_match_direct_transcription(self):
         # independent rewrite of the two-layer case from first principles:
@@ -199,17 +208,17 @@ class TestCompositionalGrads:
             params = init_params(Arch.dae(), n, make_rng([50, seed]))
             rng = make_rng([51, seed])
             x = np.abs(rng.normal(size=(n, t))) + 0.1
-            tb = make_target(params, x)
+            x, y = target(params, x)
             p_list = [glorot(rng, n), glorot(rng, n)]
-            got_none, got_loss, got = compositional_objective(p_list, params, tb)
-            got_c, c_loss, _ = compositional_objective(p_list, params, tb, loss_only=True)
+            got_none, got_loss, got = compositional_objective(p_list, params, x, y)
+            got_c, c_loss, _ = compositional_objective(p_list, params, x, y, loss_only=True)
 
             (w1, b1), (w2, b2) = params.layers
             gh1, g1 = compute_gate(p_list[0], w1, b1)
             gh2, g2 = compute_gate(p_list[1], w2, b2)
             m1, m2 = g1 * w1, g2 * w2
             c = m2 @ m1
-            delta = np.sign(c @ tb.x_mix - tb.y) @ tb.x_mix.T
+            delta = np.sign(c @ x - y) @ x.T
             d_m1 = m2.T @ delta
             d_m2 = delta @ m1.T
             want1 = (d_m1 * w1 * (gh1 > 0)) @ add_bias(w1, b1)
@@ -218,7 +227,7 @@ class TestCompositionalGrads:
             assert np.array_equal(got[1], want2)
             assert got_none is None
             assert np.array_equal(got_c, c)
-            assert got_loss == c_loss == float(np.abs(tb.y - c @ tb.x_mix).sum())
+            assert got_loss == c_loss == float(np.abs(y - c @ x).sum())
 
     @pytest.mark.parametrize("hidden", [1, 2])
     def test_deep_grads_match_finite_differences(self, hidden):
@@ -231,8 +240,8 @@ class TestCompositionalGrads:
                 pm = [q.copy() for q in p_list]
                 pp[l][idx] += h
                 pm[l][idx] -= h
-                ep = compositional_objective(pp, params, tb)[1]
-                em = compositional_objective(pm, params, tb)[1]
+                ep = compositional_objective(pp, params, *tb)[1]
+                em = compositional_objective(pm, params, *tb)[1]
                 fd = (ep - em) / (2 * h)
                 g = grads[l][idx]
                 assert abs(fd - g) / max(abs(fd), abs(g), 1e-8) < 1e-3
@@ -246,8 +255,7 @@ class TestCompositionalGrads:
         arch = Arch.mss_dae(hidden) if hidden else Arch.dae()
         params = init_params(arch, n, make_rng([52, n]))
         rng = make_rng([53, n])
-        x = np.abs(rng.normal(size=(n, 40))) + 0.1
-        tb = make_target(params, x)
+        x, y = target(params, np.abs(rng.normal(size=(n, 40))) + 0.1)
         p = np.stack([glorot(rng, n) for _ in range(arch.n_layers)])
 
         g_hats, factors, prefix = [], [], []
@@ -255,8 +263,8 @@ class TestCompositionalGrads:
             g_hats.append(p_l @ (w + b.T).T)
             factors.append(np.maximum(g_hats[-1], 0.0) * w)
             prefix.append(factors[-1] if not prefix else factors[-1] @ prefix[-1])
-        r = prefix[-1] @ tb.x_mix - tb.y
-        delta = np.sign(r) @ tb.x_mix.T
+        r = prefix[-1] @ x - y
+        delta = np.sign(r) @ x.T
         want, down = [None] * len(p), None
         for l in reversed(range(len(p))):
             d = delta if down is None else down.T @ delta
@@ -266,12 +274,12 @@ class TestCompositionalGrads:
             w, b = params.layers[l]
             want[l] = ((d * w) * (g_hats[l] > 0.0)) @ (w + b.T)
 
-        c, loss, _ = compositional_objective(p, params, tb, loss_only=True)
+        c, loss, _ = compositional_objective(p, params, x, y, loss_only=True)
         assert np.array_equal(c, prefix[-1])
         assert loss == float(np.abs(r).sum())
         # a gradient call forms C in grads[L - 1], which its backward pass
         # overwrites, so it returns no C
-        none, loss_g, grads = compositional_objective(p, params, tb)
+        none, loss_g, grads = compositional_objective(p, params, x, y)
         assert none is None
         assert loss_g == loss
         assert grads.shape == (len(p), n, n)
@@ -285,7 +293,7 @@ class TestCompositionalGrads:
         x = np.abs(rng.normal(size=(4, 6))) + 0.1
         c = compose_from(params, p_list)
         # target manufactured to match the composition exactly
-        _, loss, grads = compositional_objective(p_list, params, batch(x, c @ x))
+        _, loss, grads = compositional_objective(p_list, params, *batch(x, c @ x))
         assert loss == 0.0
         for dp in grads:
             assert np.array_equal(dp, np.zeros((4, 4)))
@@ -316,7 +324,7 @@ class TestRunNca:
         x = np.abs(make_rng(8).normal(size=(6, 48))) + 0.1
         c_lin = p.layers[1][0] @ p.layers[0][0]
         state = run_nca(p, x, NcaConfig("student", iterations=600, lr=2.5e-3))
-        assert state.losses[-1] < 1e-2 * np.abs(make_target(p, x).y).sum()
+        assert state.losses[-1] < 1e-2 * np.abs(forward(p, x)[-1]).sum()
         assert np.abs(state.c - c_lin).mean() < 2e-2
 
     def test_student_pulls_identity_model_toward_identity_couplings(self):
@@ -339,7 +347,7 @@ class TestRunNca:
         from neural_couplings.linalg import glorot_like_init
 
         c0 = glorot_like_init(make_rng(cfg.seed), 4, 4, 4)
-        assert state.losses[0] == student_loss(c0, make_target(p, x))
+        assert state.losses[0] == student_loss(c0, target(p, x))
 
     def test_compositional_c_matches_state_p(self):
         p = positive_params(Arch.mss_dae(1), 4, 2)
@@ -347,8 +355,8 @@ class TestRunNca:
         state = run_nca(p, x, NcaConfig("compositional", iterations=15, lr=1e-3))
         assert state.p is not None and len(state.p) == 3
         assert np.array_equal(state.c, compose_from(p, state.p))
-        tb = make_target(p, x)
-        assert state.losses[-1] == float(np.abs(tb.y - state.c @ tb.x_mix).sum())
+        x, y = target(p, x)
+        assert state.losses[-1] == float(np.abs(y - state.c @ x).sum())
 
     def test_compositional_drivers_are_drawn_layer_by_layer(self):
         # one (L n, n) draw reshaped to (L, n, n) is the same stream as one
@@ -362,7 +370,7 @@ class TestRunNca:
         rng = make_rng(cfg.seed)
         p0 = [glorot_like_init(rng, 5, 5, 5) for _ in p.layers]
         assert state.p.shape == (4, 5, 5)
-        assert state.losses[0] == compositional_objective(p0, p, make_target(p, x))[1]
+        assert state.losses[0] == compositional_objective(p0, p, *target(p, x))[1]
 
     @staticmethod
     def peak_matrices(strategy):
@@ -409,7 +417,7 @@ class TestRunNca:
         x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
         state = run_nca(p, x, NcaConfig(strategy, iterations=3, lr=1e-3))
         assert formed == [True, True, True, False]
-        assert state.losses[-1] == student_loss(state.c, make_target(p, x))
+        assert state.losses[-1] == student_loss(state.c, target(p, x))
 
     def test_deterministic(self):
         p = positive_params(Arch.sf(), 4, 5)

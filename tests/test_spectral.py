@@ -317,6 +317,30 @@ class TestDatasetCodec:
             assert np.array_equal(got_mix.mags, mix.mags)
             assert np.array_equal(got_tgt.mags, tgt.mags)
 
+    def test_load_reads_each_matrix_once(self, tmp_path):
+        # four 1 MiB spectrograms, each read straight into its own array:
+        # the load peaks at 4.13 matrices (the dataset and a bool finiteness
+        # temporary), and at 5.0 while each was read as bytes and then copied
+        rng = np.random.default_rng(4)
+        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512, bins_kept=257)
+        pairs = [
+            tuple(spec(rng.uniform(0.0, 2.0, size=(257, 500)), cfg, f"t{i}") for _ in range(2))
+            for i in range(2)
+        ]
+        p = tmp_path / "big.ncd"
+        save_dataset(Dataset(cfg, pairs, fit_scaler([m for m, _ in pairs])), p)
+        matrix = pairs[0][0].mags.nbytes
+        tracemalloc.start()
+        try:
+            back = load_dataset(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * matrix
+        for (mix, tgt), (got_mix, got_tgt) in zip(pairs, back.pairs):
+            assert np.array_equal(got_mix.mags, mix.mags)
+            assert np.array_equal(got_tgt.mags, tgt.mags)
+
     def test_writes_are_byte_identical(self, tmp_path):
         ds = tiny_dataset()
         a, b = tmp_path / "a.ncd", tmp_path / "b.ncd"

@@ -161,7 +161,7 @@ class TestTrain:
         ds = Dataset(cfg16, [(mix, mix)], BinScaler(np.ones(16)))
 
         exact = ModelParams(Arch.dae(), [(np.eye(16), np.zeros((16, 1))) for _ in range(2)], 16)
-        assert mse(forward(exact, mix_mags).output, mix_mags) == 0.0
+        assert mse(forward(exact, mix_mags)[-1], mix_mags) == 0.0
 
         cfg = TrainConfig(seed=4, batch_size=16, initial_lr=1e-2, max_epochs=50)
         res = train(Arch.dae(), normalized_pair_rows(ds), cfg)
