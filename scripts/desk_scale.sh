@@ -6,8 +6,9 @@
 # Budget: the whole run is specified to finish inside 15 minutes on one
 # core. Every stage runs serially, so reruns are byte-identical for the
 # data artifacts. It starts 8 interpreters: one per command, with one
-# couplings command per strategy covering every checkpoint. Criterion 5 of
-# the acceptance suite prints this pipeline's wall time.
+# couplings command per strategy covering every checkpoint. The acceptance
+# suite runs this script twice at once with one BLAS thread; criterion 5
+# prints the first run's wall time, taken with the rerun beside it.
 set -euo pipefail
 
 OUT="${1:-desk-run}"

@@ -92,8 +92,7 @@ def snr_db(reference: Mat, estimate: Mat) -> float:
 
 def couplings_estimate(params: ModelParams, c: Mat, x_mix: Mat) -> Mat:
     """C X clipped at zero; skip-filtering models then mask the input with it."""
-    est = np.maximum(c @ x_mix, 0.0)
-    return est * x_mix if params.arch.uses_mask else est
+    return model_output(params, [x_mix, np.maximum(c @ x_mix, 0.0)])
 
 
 def evaluate_segment(

@@ -210,15 +210,6 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     return NcaState(c, losses, None if student else theta)
 
 
-def moving_average(values, window: int) -> np.ndarray:
-    """Sliding mean with the given window; length len(values) - window + 1."""
-    v = np.asarray(values, dtype=np.float64)
-    if window < 1 or window > v.shape[0]:
-        raise ValueError(f"window {window} invalid for {v.shape[0]} values")
-    csum = np.concatenate(([0.0], np.cumsum(v)))
-    return (csum[window:] - csum[:-window]) / window
-
-
 def save_couplings(path, c: Mat, metadata: dict) -> None:
     """Square matrix plus a canonical-JSON metadata block."""
     c = np.asarray(c, dtype=np.float64)

@@ -186,12 +186,8 @@ def write_file_atomic(path: str | Path, data: bytes) -> None:
         f.write(data)
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path: str | Path) -> str:
-    """sha256_bytes of a file's contents, read in blocks of at most 1 MiB."""
+    """Hex sha256 of a file's contents, read in blocks of at most 1 MiB."""
     h = hashlib.sha256()
     with open(path, "rb") as f:
         # sized to a small file: a zeroed 1 MiB buffer for every small

@@ -103,8 +103,8 @@ class BinScaler:
 class Dataset:
     """Aligned (mixture, target) spectrogram pairs plus the mixture-fit scaler.
 
-    By convention both members of a pair carry the same track source_id; the
-    file format stores one id per pair.
+    Both members of a pair carry the same track source_id; the file format
+    stores one id per pair.
     """
 
     config: StftConfig
@@ -113,6 +113,10 @@ class Dataset:
 
     def __post_init__(self):
         for mix, tgt in self.pairs:
+            if mix.source_id != tgt.source_id:
+                raise ValueError(
+                    f"pair {mix.source_id!r}: target source_id {tgt.source_id!r} differs"
+                )
             if mix.frames != tgt.frames:
                 raise ValueError(
                     f"pair {mix.source_id!r}: mixture has {mix.frames} frames, target {tgt.frames}"
@@ -201,13 +205,22 @@ def stft_mag(signal, cfg: StftConfig, source_id: str = "") -> Spectrogram:
 
 
 def fit_scaler(spectrograms: list[Spectrogram]) -> BinScaler:
-    """Per-bin population std over all frames of all inputs, floored at epsilon."""
+    """Per-bin population std over all frames of all inputs, floored at epsilon.
+    Each bin's std is taken over that bin's concatenated row, one row at a
+    time, so no copy of all the frames is made."""
     if not spectrograms:
         raise ValueError("fit_scaler: no spectrograms given")
-    frames = np.concatenate([s.mags for s in spectrograms], axis=1)
-    if frames.shape[1] < 2:
-        raise ValueError(f"fit_scaler: need at least 2 frames, got {frames.shape[1]}")
-    std = frames.std(axis=1)  # population (ddof=0)
+    n = spectrograms[0].mags.shape[0]
+    if any(s.mags.shape[0] != n for s in spectrograms):
+        raise ValueError("fit_scaler: inputs differ in bin count")
+    total = sum(s.frames for s in spectrograms)
+    if total < 2:
+        raise ValueError(f"fit_scaler: need at least 2 frames, got {total}")
+    row = np.empty(total)
+    std = np.empty(n)
+    for i in range(n):
+        np.concatenate([s.mags[i] for s in spectrograms], out=row)
+        std[i] = row.std()  # population (ddof=0)
     return BinScaler(np.maximum(std, BinScaler.epsilon))
 
 

@@ -1,6 +1,7 @@
 """Shared test fixtures: a WAV byte builder, grayscale image parsers, a
-`models.backward` caller that allocates the gradient arrays and the batch
-MSE oracle that pins the loss `backward` returns."""
+`models.backward` caller that allocates the gradient arrays, the batch
+MSE oracle that pins the loss `backward` returns and the moving average that
+acceptance criterion 7 smooths loss curves with."""
 
 from __future__ import annotations
 
@@ -111,6 +112,20 @@ def _mse(x_batch, xhat_batch) -> float:
 @pytest.fixture
 def mse():
     return _mse
+
+
+def _moving_average(values, window: int) -> np.ndarray:
+    """Sliding mean with the given window; length len(values) - window + 1."""
+    v = np.asarray(values, dtype=np.float64)
+    if window < 1 or window > v.shape[0]:
+        raise ValueError(f"window {window} invalid for {v.shape[0]} values")
+    csum = np.concatenate(([0.0], np.cumsum(v)))
+    return (csum[window:] - csum[:-window]) / window
+
+
+@pytest.fixture
+def moving_average():
+    return _moving_average
 
 
 @pytest.fixture

@@ -1,13 +1,18 @@
 """Acceptance suite: one test per shipping criterion, each printing a single
 PASS/FAIL line with the measured numbers to the real stdout.
 
-The desk-scale pipeline (synthetic dataset, three architectures over seven
-seeds, couplings extraction with both strategies over all segments, report)
-runs once as a session fixture; the trend, baseline, stability, and
-determinism criteria all read its artifacts.
+The desk-scale pipeline is scripts/desk_scale.sh, run exactly as documented
+(synthetic dataset, three architectures over seven seeds, couplings
+extraction with both strategies over all segments, report, heatmap). A
+session fixture starts it twice at once in child processes, with one BLAS
+thread each; the trend, baseline and stability criteria read the first run's
+artifacts, and the determinism criterion compares them with the second's.
 """
 
 import json
+import os
+import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -15,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neural_couplings import cli, serial
+from neural_couplings import serial
 from neural_couplings.analysis import tod_r
 from neural_couplings.linalg import make_rng
 from neural_couplings.models import (
@@ -32,7 +37,6 @@ from neural_couplings.nca import (
     compositional_objective,
     compute_gate,
     load_couplings,
-    moving_average,
     run_nca,
     save_couplings,
 )
@@ -46,8 +50,8 @@ from neural_couplings.spectral import (
 )
 
 ARCH_LIST = ("dae", "mss-dae", "sf")
-SEED_LIST = "0,1,2,3,4,5,6"
 STRATEGIES = ("student", "compositional")
+REPO = Path(__file__).resolve().parents[1]
 
 
 _CAPTURE_MANAGER = None
@@ -71,35 +75,41 @@ def verdict(criterion: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def run_pipeline(root: Path) -> None:
-    """The documented desk-scale recipe, driven through the CLI entry point."""
-    ds = root / "dataset.ncd"
-    assert cli.main(["synth", "--out", str(ds), "--n", "64", "--frames", "720",
-                     "--pairs", "2", "--seed", "0"]) == 0
-    ck = root / "checkpoints"
-    for arch in ARCH_LIST:
-        assert cli.main(["train", "--dataset", str(ds), "--model", arch,
-                         "--out", str(ck), "--seeds", SEED_LIST]) == 0
-    cp = root / "couplings"
-    for ck_path in sorted(ck.glob("*.ncm")):
-        for strategy in STRATEGIES:
-            assert cli.main(["couplings", "--checkpoint", str(ck_path),
-                             "--dataset", str(ds), "--strategy", strategy,
-                             "--out", str(cp), "--segment", "all",
-                             "--iters", "600", "--lr", "1e-3",
-                             "--frames", "350", "--seed", "0"]) == 0
-    assert cli.main(["analyze", "--couplings", str(cp / "*.ncc"),
-                     "--checkpoints", str(ck), "--dataset", str(ds),
-                     "--out", str(root / "report.json")]) == 0
-
-
 @pytest.fixture(scope="session")
 def pipeline(tmp_path_factory):
-    root = tmp_path_factory.mktemp("desk")
+    """Two runs of scripts/desk_scale.sh started together: "root" holds the
+    first run's artifacts, for criteria 5-7, and "rerun" the second's, for
+    criterion 8. wall_s is the first run's wall time, taken with the rerun
+    beside it."""
+    top = tmp_path_factory.mktemp("desk")
+    # one BLAS thread, and this tree's src/ and this interpreter's directory
+    # first on the paths, so the script's python3 is the suite's own
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    for var, first in (("PYTHONPATH", REPO / "src"), ("PATH", Path(sys.executable).parent)):
+        env[var] = os.pathsep.join(filter(None, [str(first), env.get(var)]))
+    runs = {}
     started = time.perf_counter()
-    run_pipeline(root)
-    wall = time.perf_counter() - started
-    return {"root": root, "wall_s": wall}
+    try:
+        for name in ("run", "rerun"):
+            with open(top / f"{name}.stderr", "wb") as err:
+                runs[name] = subprocess.Popen(
+                    ["bash", str(REPO / "scripts" / "desk_scale.sh"), str(top / name)],
+                    cwd=REPO, env=env, stdout=subprocess.DEVNULL, stderr=err,
+                    start_new_session=True)
+        runs["run"].wait()
+        wall = time.perf_counter() - started
+        runs["rerun"].wait()
+    finally:
+        # the script's python3 is a grandchild: end each run's whole group
+        for child in runs.values():
+            if child.poll() is None:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.wait()
+    for name, child in runs.items():
+        if child.returncode != 0:
+            pytest.fail(f"desk_scale.sh ({name}) exited {child.returncode}: "
+                        + (top / f"{name}.stderr").read_text())
+    return {"root": top / "run", "rerun": top / "rerun", "wall_s": wall}
 
 
 @pytest.fixture(scope="session")
@@ -329,7 +339,8 @@ def test_criterion_5_depth_orders_diagonal_dominance(pipeline):
         med["sf"] < med["mss-dae"] < med["dae"] and wall < 900.0,
         f"compositional TOD-R per-seed medians: sf {med['sf']:.3f} < "
         f"mss-dae {med['mss-dae']:.3f} < dae {med['dae']:.3f} "
-        f"(7 seeds, 4 segments each); pipeline {wall:.0f}s single-threaded",
+        f"(7 seeds, 4 segments each); pipeline {wall:.0f}s with one BLAS thread, "
+        f"rerun alongside",
     )
 
 
@@ -359,7 +370,7 @@ def _loss_curves(pipeline) -> list[tuple[str, list[float]]]:
     return curves
 
 
-def test_criterion_7_loss_curves_are_stable(pipeline, recovery_runs):
+def test_criterion_7_loss_curves_are_stable(pipeline, recovery_runs, moving_average):
     curves = _loss_curves(pipeline)
     curves += [(f"recovery-{i}", r["losses"]) for i, r in enumerate(recovery_runs["runs"])]
     assert len(curves) == 168 + 5
@@ -377,14 +388,13 @@ def test_criterion_7_loss_curves_are_stable(pipeline, recovery_runs):
     )
 
 
-def test_criterion_8_pipeline_is_bit_deterministic(pipeline, tmp_path_factory):
-    rerun = tmp_path_factory.mktemp("desk-rerun")
-    run_pipeline(rerun)
-    first = pipeline["root"]
+def test_criterion_8_pipeline_is_bit_deterministic(pipeline):
+    first, rerun = pipeline["root"], pipeline["rerun"]
     compared = 0
     mismatched = []
     for pattern in ("dataset.ncd", "checkpoints/*.ncm", "checkpoints/*-history.csv",
-                    "couplings/*.ncc", "couplings/*-loss.csv", "report.json", "report.csv"):
+                    "couplings/*.ncc", "couplings/*-loss.csv", "report.json", "report.csv",
+                    "sample.png"):
         a_files = sorted(first.glob(pattern))
         b_files = sorted(rerun.glob(pattern))
         assert [p.name for p in a_files] == [p.name for p in b_files]
@@ -397,7 +407,7 @@ def test_criterion_8_pipeline_is_bit_deterministic(pipeline, tmp_path_factory):
         8,
         not mismatched,
         f"{compared} artifacts (dataset, checkpoints, histories, couplings, "
-        f"loss curves, reports) bit-identical on rerun"
+        f"loss curves, reports, heatmap) bit-identical on a rerun in another process"
         + (f"; mismatched: {mismatched[:5]}" if mismatched else ""),
     )
 

@@ -12,7 +12,6 @@ from neural_couplings.nca import (
     compositional_objective,
     compute_gate,
     load_couplings,
-    moving_average,
     run_nca,
     save_couplings,
     student_objective,
@@ -437,14 +436,14 @@ class TestRunNca:
 
 
 class TestMovingAverage:
-    def test_hand_value(self):
+    def test_hand_value(self, moving_average):
         out = moving_average([1.0, 2.0, 3.0, 4.0], 2)
         assert out.tolist() == [1.5, 2.5, 3.5]
 
-    def test_window_one_is_identity(self):
+    def test_window_one_is_identity(self, moving_average):
         assert moving_average([3.0, 1.0], 1).tolist() == [3.0, 1.0]
 
-    def test_window_bounds(self):
+    def test_window_bounds(self, moving_average):
         with pytest.raises(ValueError):
             moving_average([1.0, 2.0], 3)
         with pytest.raises(ValueError):
