@@ -39,7 +39,6 @@ from .nca import (
     NcaError,
     NcaState,
     compositional_objective,
-    compute_gate,
     load_couplings,
     run_nca,
     save_couplings,

@@ -373,6 +373,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_heatmap(args) -> int:
     started = time.perf_counter()
+    out = Path(args.out)
+    if out.suffix not in (".png", ".pgm"):
+        raise CliError(f"--out {args.out!r} must end in .png or .pgm")
     c, _meta = load_couplings(args.couplings)
     zoom = None
     if args.zoom:
@@ -381,9 +384,8 @@ def cmd_heatmap(args) -> int:
         except ValueError:
             raise CliError(f"bad --zoom value {args.zoom!r}, expected lo:hi") from None
         zoom = (lo, hi)
-    out = Path(args.out)
-    fmt = "png" if out.suffix == ".png" else "pgm"
-    export_heatmap(c, HeatmapSpec(zoom=zoom, row_normalize=args.row_normalize, fmt=fmt), out)
+    spec = HeatmapSpec(zoom=zoom, row_normalize=args.row_normalize, fmt=out.suffix[1:])
+    export_heatmap(c, spec, out)
     write_manifest(Path(str(out) + ".manifest.json"), args, [args.couplings], [out], started)
     return 0
 

@@ -91,12 +91,6 @@ def student_objective(
     return float(np.abs(r, out=r).sum()), d
 
 
-def compute_gate(p: Mat, w: Mat, b: Mat) -> tuple[Mat, Mat]:
-    """Gate pre-activation and gate: G_hat = P (W + b)^T, G = relu(G_hat)."""
-    g_hat = p @ (w + b.T).T
-    return g_hat, np.maximum(g_hat, 0.0)
-
-
 def compositional_objective(
     p: Mat,
     params: ModelParams,
@@ -126,8 +120,9 @@ def compositional_objective(
     grads[l] only after its last read of what that slot holds. Besides
     grads, the live set peaks at the L factors, the running downstream
     product and a few n x n temporaries, plus an (n, T) residual and L bool
-    gate masks (an eighth of a matrix each). Each factor is formed in its
-    gate's buffer, the backward pass drops each factor after its last use,
+    gate masks (an eighth of a matrix each). Each gate is formed in its
+    pre-activation's buffer once the mask is taken, and each factor in its
+    gate's buffer; the backward pass drops each factor after its last use,
     and each masked factor gradient is formed in place, written to grads[l]
     by one matmul and freed before the next; every step rounds as its
     out-of-place form. run_nca passes one grads stack for the whole run, so
@@ -141,9 +136,10 @@ def compositional_objective(
     slots = [None] * len(p) if loss_only else grads
     masks, factors, prefix = [], [], []
     for l, (p_l, (w, b)) in enumerate(zip(p, params.layers)):
-        g_hat, g = compute_gate(p_l, w, b)
-        masks.append(g_hat > 0.0)
-        del g_hat
+        # the gate G_l = relu(G_hat_l) in its pre-activation's buffer
+        g = p_l @ (w + b.T).T
+        masks.append(g > 0.0)
+        np.maximum(g, 0.0, out=g)
         g *= w
         factors.append(g)
         prefix.append(np.matmul(g, prefix[-1], out=slots[l]) if l else g)

@@ -23,6 +23,10 @@ DATASET_VERSION = 1
 
 _WINDOW_KINDS = ("hamming",)
 
+# Frames per STFT block: stft_mag frames, windows and transforms this many at a
+# time, so its temporaries stay a few MiB at 2049 bins whatever the length.
+STFT_BLOCK = 64
+
 
 class WavError(Exception):
     """A WAV file could not be read or decoded; the message names the path."""
@@ -188,7 +192,10 @@ def stft_mag(signal, cfg: StftConfig, source_id: str = "") -> Spectrogram:
 
     Frame t covers samples [t*hop, t*hop + window_len); the frame count is
     1 + floor((len(signal) - window_len) / hop). Trailing samples that do not
-    fill a window are dropped.
+    fill a window are dropped. The frames are transformed STFT_BLOCK at a
+    time and each block's magnitudes written straight into the (bins,
+    frames) output; every frame's transform is taken alone, so the bits are
+    those of transforming all frames at once.
     """
     sig = np.asarray(signal, dtype=np.float64)
     if sig.ndim != 1:
@@ -198,10 +205,15 @@ def stft_mag(signal, cfg: StftConfig, source_id: str = "") -> Spectrogram:
             f"signal of {sig.shape[0]} samples is shorter than one {cfg.window_len}-sample window"
         )
     n_frames = 1 + (sig.shape[0] - cfg.window_len) // cfg.hop
-    idx = cfg.hop * np.arange(n_frames)[:, None] + np.arange(cfg.window_len)[None, :]
-    frames = sig[idx] * np.hamming(cfg.window_len)[None, :]
-    spec = np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1))[:, : cfg.bins_kept]
-    return Spectrogram(cfg, np.ascontiguousarray(spec.T), source_id)
+    window = np.hamming(cfg.window_len)[None, :]
+    offsets = np.arange(cfg.window_len)[None, :]
+    mags = np.empty((cfg.bins_kept, n_frames))
+    for lo in range(0, n_frames, STFT_BLOCK):
+        hi = min(lo + STFT_BLOCK, n_frames)
+        frames = sig[cfg.hop * np.arange(lo, hi)[:, None] + offsets]
+        frames *= window
+        np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1), out=mags[:, lo:hi].T)
+    return Spectrogram(cfg, mags, source_id)
 
 
 def fit_scaler(spectrograms: list[Spectrogram]) -> BinScaler:

@@ -29,9 +29,10 @@ STOP_PATIENCE = 4
 # Adam's moment decay rates and denominator floor
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-# Elements per Adam chunk: the scratch buffers hold at most this many, 512 KiB
-# each. An n=64 parameter (at most 16,640 elements) is a single chunk.
-CHUNK = 65536
+# Elements per Adam chunk: the scratch buffers hold at most this many, 130 KiB
+# each. It is the size of the largest n=64 parameter, the 4-layer mss-dae's
+# 4 (64^2 + 64) weights, so every n=64 step is a single chunk.
+CHUNK = 16640
 
 
 class TrainingError(RuntimeError):

@@ -35,7 +35,6 @@ from neural_couplings.models import (
 from neural_couplings.nca import (
     NcaConfig,
     compositional_objective,
-    compute_gate,
     load_couplings,
     run_nca,
     save_couplings,
@@ -235,7 +234,7 @@ def test_criterion_2_compositional_gradient_fidelity():
         y = forward(params, x)[-1]
         p_list = [rng.normal(size=(n, n)) * np.sqrt(1.0 / n) for _ in range(4)]
         _, _, grads = compositional_objective(p_list, params, x, y)
-        g_hats = [compute_gate(q, w, b)[0] for q, (w, b) in zip(p_list, params.layers)]
+        g_hats = [q @ (w + b.T).T for q, (w, b) in zip(p_list, params.layers)]
         for layer in range(4):
             for idx in np.ndindex(n, n):
                 if np.abs(g_hats[layer][idx[0], :]).min() < 1e-4:

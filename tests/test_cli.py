@@ -831,6 +831,14 @@ class TestHeatmapCommand:
         assert parse_png(out.read_bytes()).shape == (16, 16)
         assert (tmp_path / "new" / "c.png.manifest.json").exists()
 
+    @pytest.mark.parametrize("name", ["c.jpg", "c.PNG", "c"])
+    def test_unknown_suffix_rejected(self, pipeline, tmp_path, capsys, name):
+        err = run_fail(["heatmap", "--couplings",
+                        str(pipeline / "cp" / "dae-seed0-student-0-0.ncc"),
+                        "--out", str(tmp_path / name)], capsys, "CliError")
+        assert ".png or .pgm" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_zoom_string(self, pipeline, tmp_path, capsys):
         run_fail(["heatmap", "--couplings",
                   str(pipeline / "cp" / "dae-seed0-student-0-0.ncc"),

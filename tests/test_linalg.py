@@ -5,11 +5,7 @@ import pytest
 
 from neural_couplings.linalg import glorot_like_init, make_rng
 from neural_couplings.models import Arch, ModelParams, forward
-from neural_couplings.nca import (
-    compositional_objective,
-    compute_gate,
-    student_objective,
-)
+from neural_couplings.nca import compositional_objective, student_objective
 
 
 def test_glorot_like_init_scale_and_determinism():
@@ -41,8 +37,15 @@ def _dae(w1, b2=0.0):
 def test_relu_clips_negatives_only():
     x = np.array([[-1.0, 0.0, 2.5]])
     assert forward(_dae(1.0), x)[1].tolist() == [[0.0, 0.0, 2.5]]
-    _, g = compute_gate(np.eye(1), np.zeros((1, 1)), np.array([[-1.0]]))
-    assert g.tolist() == [[0.0]]
+    # the compositional gate: with W1 = 1 and b1 = -2 the first gate's
+    # pre-activation is -P1, and W2 = 1, b2 = 0, P2 = 1 leave C = G1
+    one = np.ones((1, 1))
+    p = ModelParams(Arch.dae(), [(one, np.array([[-2.0]])), (one, np.zeros((1, 1)))], 1)
+    gates = [
+        compositional_objective(np.array([[[p1]], one]), p, one, one, loss_only=True)[0]
+        for p1 in (1.0, 0.0, -2.5)
+    ]
+    assert [g.tolist() for g in gates] == [[[0.0]], [[0.0]], [[2.5]]]
 
 
 def test_relu_deriv_is_zero_at_zero(backward_grads):
@@ -68,7 +71,6 @@ def test_kernels_do_not_mutate_inputs(backward_grads):
     before = (a.copy(), b.copy())
     p = ModelParams(Arch.dae(), [(a, b), (a, b)], 2)
     backward_grads(p, forward(p, a), a)
-    compute_gate(a, a, b)
     compositional_objective([a, a], p, a, a)
     student_objective(a, a, a)
     assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])

@@ -10,7 +10,6 @@ from neural_couplings.nca import (
     STRATEGIES,
     NcaConfig,
     compositional_objective,
-    compute_gate,
     load_couplings,
     run_nca,
     save_couplings,
@@ -26,6 +25,11 @@ def target(params, x):
     """X and Y as run_nca probes them: the first and last activations."""
     acts = forward(params, x)
     return acts[0], acts[-1]
+
+
+def gate(p, w, b):
+    """Reference gate, G = relu(P (W + b)^T), out of place."""
+    return np.maximum(p @ (w + b.T).T, 0.0)
 
 
 def positive_params(arch, n, seed, lo=0.05, hi=0.3):
@@ -140,19 +144,32 @@ class TestTarget:
 
 
 class TestGates:
-    def test_compute_gate_hand_value(self):
-        # P = I, W = I, b = [1, -1]: (W + b) adds b_j to column j
-        g_hat, g = compute_gate(np.eye(2), np.eye(2), np.array([[1.0], [-1.0]]))
-        assert g_hat.tolist() == [[2.0, 1.0], [-1.0, 0.0]]
-        assert g.tolist() == [[2.0, 1.0], [0.0, 0.0]]
+    @staticmethod
+    def first_factor(p1, w1, b1):
+        # C = M_2 M_1 is the first factor G_1 . W_1 when the second layer is
+        # (I, 0) with all-ones drivers: its gate is all ones, its factor I
+        n = len(w1)
+        params = ModelParams(Arch.dae(), [(w1, b1), (np.eye(n), np.zeros((n, 1)))], n)
+        x = np.eye(n)
+        c, _, _ = compositional_objective([p1, np.ones((n, n))], params, x, x, loss_only=True)
+        return c
+
+    def test_gate_hand_value(self):
+        # P = I, W = ones, b = [1, -2]: (W + b) adds b_j to column j, which
+        # is row j of G_hat = [[2, 2], [-1, -1]]; the relu clips row 1, and
+        # W = ones leaves the gate itself as the factor
+        c = self.first_factor(np.eye(2), np.ones((2, 2)), np.array([[1.0], [-2.0]]))
+        assert c.tolist() == [[2.0, 2.0], [0.0, 0.0]]
 
     def test_gates_are_never_negative(self):
         rng = make_rng(12)
-        g_hat, g = compute_gate(
-            rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 1))
-        )
-        assert (g >= 0).all()
-        assert np.array_equal(g, np.maximum(g_hat, 0.0))
+        p1, w1, b1 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 1))
+        g = gate(p1, w1, b1)
+        assert (g >= 0).all() and (g == 0).any()
+        # the factor G . W never has the opposite sign of W
+        c = self.first_factor(p1, w1, b1)
+        assert (c * w1 >= 0).all()
+        assert np.array_equal(c, g * w1)
 
     def test_objective_checks_gate_driver_count(self):
         p = positive_params(Arch.dae(), 2, 0)
@@ -183,7 +200,7 @@ class TestGates:
         p = positive_params(Arch.mss_dae(1), 5, 3)
         x = np.abs(make_rng(4).normal(size=(5, 6))) + 0.1
         drivers = [np.ones((5, 5)) @ np.linalg.inv(w + b.T).T for w, b in p.layers]
-        gates = [compute_gate(q, w, b)[1] for q, (w, b) in zip(drivers, p.layers)]
+        gates = [gate(q, w, b) for q, (w, b) in zip(drivers, p.layers)]
         assert all(np.allclose(g, 1.0, atol=1e-12) for g in gates)
         c, _, _ = compositional_objective(drivers, p, *batch(x, x), loss_only=True)
         assert np.allclose(c @ x, model_output(p, forward(p, x)), atol=1e-12)
@@ -213,15 +230,15 @@ class TestCompositionalGrads:
             got_c, c_loss, _ = compositional_objective(p_list, params, x, y, loss_only=True)
 
             (w1, b1), (w2, b2) = params.layers
-            gh1, g1 = compute_gate(p_list[0], w1, b1)
-            gh2, g2 = compute_gate(p_list[1], w2, b2)
+            g1, g2 = gate(p_list[0], w1, b1), gate(p_list[1], w2, b2)
             m1, m2 = g1 * w1, g2 * w2
             c = m2 @ m1
             delta = np.sign(c @ x - y) @ x.T
             d_m1 = m2.T @ delta
             d_m2 = delta @ m1.T
-            want1 = (d_m1 * w1 * (gh1 > 0)) @ add_bias(w1, b1)
-            want2 = (d_m2 * w2 * (gh2 > 0)) @ add_bias(w2, b2)
+            # relu'(G_hat) > 0 exactly where relu(G_hat) > 0
+            want1 = (d_m1 * w1 * (g1 > 0)) @ add_bias(w1, b1)
+            want2 = (d_m2 * w2 * (g2 > 0)) @ add_bias(w2, b2)
             assert np.array_equal(got[0], want1)
             assert np.array_equal(got[1], want2)
             assert got_none is None
@@ -311,7 +328,7 @@ def compose_from(params, p_list):
     # independent of the objective: (G_l . W_l) applied in layer order
     c = np.eye(params.n)
     for q, (w, b) in zip(p_list, params.layers):
-        c = (compute_gate(q, w, b)[1] * w) @ c
+        c = (gate(q, w, b) * w) @ c
     return c
 
 
@@ -393,13 +410,16 @@ class TestRunNca:
         # while each iteration's C and gradient stack outlived it and every
         # prefix product and factor lived to the end of the backward pass,
         # and 27.4 while C, D and the other prefix products had arrays of
-        # their own rather than slots of the gradient stack; it is 24.4
-        assert self.peak_matrices("compositional") <= 25
+        # their own rather than slots of the gradient stack, and 24.4 while
+        # each gate's pre-activation was held beside it and Adam's scratch
+        # rows held 65,536 elements each; it is 23.3
+        assert self.peak_matrices("compositional") <= 24
 
     def test_student_peak_memory_is_bounded(self):
         # theta, the Adam moments and scratch, one gradient and (n, T)
-        # temporaries: 5.4; 6.4 while the last gradient outlived its step
-        assert self.peak_matrices("student") <= 6
+        # temporaries: 4.9; 5.4 while Adam's scratch rows held 65,536
+        # elements each, 6.4 while the last gradient outlived its step
+        assert self.peak_matrices("student") <= 5
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_only_the_iterations_form_a_gradient(self, strategy, monkeypatch):

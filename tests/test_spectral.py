@@ -5,6 +5,7 @@ import pytest
 
 from neural_couplings import serial
 from neural_couplings.spectral import (
+    STFT_BLOCK,
     BinScaler,
     Dataset,
     Spectrogram,
@@ -179,6 +180,32 @@ class TestStft:
         one = stft_mag(sig, self.CFG)
         two = stft_mag(2.0 * sig, self.CFG)
         assert np.allclose(two.mags, 2.0 * one.mags, rtol=1e-12)
+
+    def test_blocks_match_the_whole_signal_transform(self):
+        # three full blocks and a 5-frame tail, against every frame framed,
+        # windowed and transformed in one expression
+        cfg = self.CFG
+        n_frames = 3 * STFT_BLOCK + 5
+        sig = np.random.default_rng(4).normal(size=cfg.window_len + (n_frames - 1) * cfg.hop + 3)
+        idx = cfg.hop * np.arange(n_frames)[:, None] + np.arange(cfg.window_len)[None, :]
+        frames = sig[idx] * np.hamming(cfg.window_len)[None, :]
+        want = np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1))[:, : cfg.bins_kept].T
+        got = stft_mag(sig, cfg).mags
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_peak_memory_is_the_output_plus_one_block(self):
+        # 20 s at the default analysis: 2292 frames of 2049 bins, 35.8 MiB;
+        # transforming every frame at once peaked at 5x that
+        sig = np.random.default_rng(5).normal(size=20 * 44100)
+        tracemalloc.start()
+        try:
+            mags = stft_mag(sig, StftConfig.default()).mags
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mags.shape == (2049, 2292)
+        assert peak < 1.5 * mags.nbytes
 
     def test_signal_too_short(self):
         with pytest.raises(ValueError, match="shorter"):
