@@ -102,11 +102,11 @@ def parse_segment_id(segment: str) -> tuple[int, int, int]:
 
 @contextlib.contextmanager
 def _naming(where: str):
-    """Prefix a FloatingPointError or FormatError raised inside with the input
-    it came from, keeping its type."""
+    """Prefix a FloatingPointError, FormatError or NcaError raised inside with
+    the input it came from, keeping its type."""
     try:
         yield
-    except (FloatingPointError, serial.FormatError) as e:
+    except (FloatingPointError, serial.FormatError, NcaError) as e:
         raise type(e)(f"{where}: {e}") from None
 
 

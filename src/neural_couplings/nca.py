@@ -18,6 +18,13 @@ iteration: the residual R = C X - Y is formed once and shared by the loss
 model, its first and last activations, and keeps nothing else of it.
 Correctness is pinned by finite-difference tests rather than by trusting
 any printed derivation.
+
+Precision: the objectives and Adam follow their inputs' dtype, and run_nca
+runs every iteration in float32. The forward pass stays float64; X, Y, the
+drawn theta and, for compositional runs, the layer weights are rounded to
+float32 once per run, and the returned C and P are float64 again. Float32
+halves the memory traffic of the n x n products and doubles their SIMD
+width; the README's Precision section gives how far it moves the losses.
 """
 
 from __future__ import annotations
@@ -131,7 +138,7 @@ def compositional_objective(
     if len(p) != len(params.layers):
         raise ValueError(f"{len(p)} gate drivers for {len(params.layers)} layers")
     if grads is None and not loss_only:
-        grads = np.empty((len(p), params.n, params.n))
+        grads = np.empty((len(p), params.n, params.n), dtype=p[0].dtype)
     # where prefix product l and D are formed; a loss_only call forms its own
     slots = [None] * len(p) if loss_only else grads
     masks, factors, prefix = [], [], []
@@ -165,6 +172,20 @@ def compositional_objective(
     return None, loss, grads
 
 
+def _single(a: Mat, what: str) -> Mat:
+    """a rounded to float32; NcaError if a value rounds outside its range."""
+    # an overflowing cast is the condition checked here, not a numpy error
+    with np.errstate(over="ignore"):
+        s = a.astype(np.float32)
+    if not np.isfinite(s).all():
+        top = float(np.finfo(np.float32).max)
+        raise NcaError(
+            f"{what} holds values outside the float32 range |v| <= {top:.6g}, "
+            "in which couplings extraction runs"
+        )
+    return s
+
+
 def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     """Fit a couplings matrix to the model's response on x_mix.
 
@@ -174,11 +195,14 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     the run, records its loss and takes an Adam step; nothing else of an
     evaluation outlives it. A final loss-only evaluation forms the returned C
     and records its loss, so the loss curve has cfg.iterations + 1 values.
+
+    The iterations run in float32 (see the module docstring); a value
+    outside the float32 range is refused with NcaError.
     """
     rng = make_rng(cfg.seed)
     # the target Y is the last-layer ReLU output, the mask for sf
     acts = forward(params, x_mix)
-    x, y = acts[0], acts[-1]
+    x, y = _single(acts[0], "the window"), _single(acts[-1], "the model output")
     del acts
     adam = Adam(cfg.lr)
     n = params.n
@@ -191,19 +215,24 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
 
     student = cfg.strategy == "student"
     if student:
-        theta = glorot_like_init(rng, n, n, n)
+        theta = glorot_like_init(rng, n, n, n).astype(np.float32)
         objective = lambda t, g, **kw: (t, *student_objective(t, x, y, g, **kw))
     else:
-        theta = glorot_like_init(rng, len(params.layers) * n, n, n).reshape(-1, n, n)
-        objective = lambda t, g, **kw: compositional_objective(t, params, x, y, g, **kw)
+        layers = [
+            (_single(w, f"layer {l} W"), _single(b, f"layer {l} b"))
+            for l, (w, b) in enumerate(params.layers)
+        ]
+        single = ModelParams(params.arch, layers, n)
+        theta = glorot_like_init(rng, len(layers) * n, n, n).astype(np.float32).reshape(-1, n, n)
+        objective = lambda t, g, **kw: compositional_objective(t, single, x, y, g, **kw)
     grad = np.empty_like(theta)
     for i in range(cfg.iterations):
         record(objective(theta, grad)[1], i)
         adam.step(theta, grad)
-    del grad
+    del grad, adam
     c, e, _ = objective(theta, None, loss_only=True)
     record(e, "final")
-    return NcaState(c, losses, None if student else theta)
+    return NcaState(c.astype(np.float64), losses, None if student else theta.astype(np.float64))
 
 
 def save_couplings(path, c: Mat, metadata: dict) -> None:

@@ -9,6 +9,7 @@ so one file serves both.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +27,13 @@ _WINDOW_KINDS = ("hamming",)
 # Frames per STFT block: stft_mag frames, windows and transforms this many at a
 # time, so its temporaries stay a few MiB at 2049 bins whatever the length.
 STFT_BLOCK = 64
+
+# Sample frames per WAV block: load_wav_mono reads and decodes this many at a
+# time, so its temporaries stay under 1 MiB whatever the length.
+WAV_BLOCK = 16384
+
+# bytes per sample of each supported (format tag, bits) encoding
+_WAV_ENCODINGS = {(1, 16): 2, (1, 24): 3, (3, 32): 4}
 
 
 class WavError(Exception):
@@ -137,54 +145,74 @@ def load_wav_mono(path: str | Path, expect_rate: int | None = None) -> np.ndarra
     Supports 16/24-bit integer and 32-bit float encodings, mono or stereo
     (stereo is averaged). NaN or infinite float samples are an error, and
     so, if expect_rate is given, is a differing file rate.
+
+    Only the chunk headers and the fmt fields are read as bytes. The data
+    chunk is read from its offset WAV_BLOCK frames at a time, and each block
+    is decoded, and its channels averaged, straight into the mono output;
+    every step is elementwise or per frame, so the bits match a whole-array
+    decode.
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        f = open(path, "rb")
     except OSError as e:
         raise WavError(f"cannot read WAV file {path}: {e}") from None
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise WavError(f"{path}: not a RIFF/WAVE file")
+    with f:
+        end = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise WavError(f"{path}: not a RIFF/WAVE file")
 
-    fmt = data = None
-    pos = 12
-    while pos + 8 <= len(raw):
-        cid = raw[pos : pos + 4]
-        (size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
-        payload = raw[pos + 8 : pos + 8 + size]
-        if cid == b"fmt ":
-            fmt = payload
-        elif cid == b"data":
-            data = payload
-        pos += 8 + size + (size & 1)
-    if fmt is None or len(fmt) < 16 or data is None:
-        raise WavError(f"{path}: missing fmt or data chunk")
+        fmt = data = None
+        pos = 12
+        while pos + 8 <= end:
+            f.seek(pos)
+            cid, size = struct.unpack("<4sI", f.read(8))
+            if cid == b"fmt ":
+                fmt = f.read(min(size, 16))
+            elif cid == b"data":
+                # a chunk that runs past the end of the file is cut there
+                data = (pos + 8, min(size, end - pos - 8))
+            pos += 8 + size + (size & 1)
+        if fmt is None or len(fmt) < 16 or data is None:
+            raise WavError(f"{path}: missing fmt or data chunk")
 
-    audio_format, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
-    if channels not in (1, 2):
-        raise WavError(f"{path}: unsupported channel count {channels}")
-    if expect_rate is not None and rate != expect_rate:
-        raise WavError(f"{path}: sample rate {rate} does not match expected {expect_rate}")
+        audio_format, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt)
+        if channels not in (1, 2):
+            raise WavError(f"{path}: unsupported channel count {channels}")
+        if expect_rate is not None and rate != expect_rate:
+            raise WavError(f"{path}: sample rate {rate} does not match expected {expect_rate}")
+        width = _WAV_ENCODINGS.get((audio_format, bits))
+        if width is None:
+            raise WavError(f"{path}: unsupported encoding (format={audio_format}, bits={bits})")
 
-    if audio_format == 1 and bits == 16:
-        x = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2").astype(np.float64)
+        offset, length = data
+        out = np.empty(length // width // channels)
+        f.seek(offset)
+        for lo in range(0, len(out), WAV_BLOCK):
+            hi = min(lo + WAV_BLOCK, len(out))
+            x = _decode_samples(np.fromfile(f, np.uint8, (hi - lo) * channels * width), width)
+            if width == 4 and not np.isfinite(x).all():
+                raise WavError(f"{path}: non-finite float samples")
+            if channels == 2:
+                np.mean(x.reshape(-1, 2), axis=1, out=out[lo:hi])
+            else:
+                out[lo:hi] = x
+    return out
+
+
+def _decode_samples(raw: np.ndarray, width: int) -> np.ndarray:
+    """Little-endian samples of `width` bytes each, as float64 in [-1, 1]."""
+    if width == 2:
+        x = raw.view("<i2").astype(np.float64)
         x /= 32768.0
-    elif audio_format == 1 and bits == 24:
-        usable = len(data) - len(data) % 3
-        b = np.frombuffer(data[:usable], dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        return x
+    if width == 3:
+        b = raw.reshape(-1, 3).astype(np.int32)
         v = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
         v = (v ^ 0x800000) - 0x800000  # sign-extend 24-bit
-        x = v.astype(np.float64) / 8388608.0
-    elif audio_format == 3 and bits == 32:
-        x = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4").astype(np.float64)
-        if not np.isfinite(x).all():
-            raise WavError(f"{path}: non-finite float samples")
-    else:
-        raise WavError(f"{path}: unsupported encoding (format={audio_format}, bits={bits})")
-
-    if channels == 2:
-        x = x[: len(x) - len(x) % 2].reshape(-1, 2).mean(axis=1)
-    return x
+        return v.astype(np.float64) / 8388608.0
+    return raw.view("<f4").astype(np.float64)
 
 
 def stft_mag(signal, cfg: StftConfig, source_id: str = "") -> Spectrogram:

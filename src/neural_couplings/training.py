@@ -41,7 +41,7 @@ class TrainingError(RuntimeError):
 
 class Adam(object):
     """Adam over one parameter array, updated in place; the moment buffers
-    live here and take the array's shape on the first step.
+    live here and take the array's shape and dtype on the first step.
 
     Its state is the two moments, P elements each for a P-element parameter,
     plus two scratch buffers of at most CHUNK elements each: a step runs over
@@ -70,7 +70,7 @@ class Adam(object):
             size = p.size
             chunks = max(1, -(-size // CHUNK))
             width = max(1, -(-size // chunks))
-            state = np.zeros(2 * size + 2 * width)
+            state = np.zeros(2 * size + 2 * width, dtype=p.dtype)
             m, v = state[:size], state[size : 2 * size]
             self.m, self.v = m.reshape(p.shape), v.reshape(p.shape)
             self._scratch = state[2 * size :].reshape(2, width)

@@ -513,6 +513,20 @@ class TestCouplingsCommand:
         assert "overflow" in err["message"]
         assert str(huge) in err["message"] and "0:0:20" in err["message"]
 
+    @pytest.mark.parametrize("strategy", ["student", "compositional"])
+    def test_model_outside_float32_range_is_refused(self, pipeline, tmp_path, capsys,
+                                                    strategy):
+        # weights scaled by 1e40 are finite in float64, but the extraction
+        # runs in float32, whose largest value is about 3.4e38
+        huge = huge_checkpoint(pipeline, tmp_path / "ck", 1e40, 0.0)
+        err = run_fail(["couplings", "--checkpoint", str(huge),
+                        "--dataset", str(pipeline / "ds.ncd"), "--strategy", strategy,
+                        "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"],
+                       capsys, "NcaError")
+        assert "float32 range" in err["message"] and "3.40282e+38" in err["message"]
+        assert str(huge) in err["message"] and "0:0:20" in err["message"]
+        assert not list((tmp_path / "cp").glob("*.ncc"))
+
     def test_dimension_mismatch(self, pipeline, tmp_path, capsys):
         other = tmp_path / "wide.ncd"
         run_ok(["synth", "--out", str(other), "--n", "20", "--frames", "40", "--pairs", "1"])

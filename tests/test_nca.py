@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from neural_couplings import nca, serial
-from neural_couplings.linalg import make_rng
+from neural_couplings.linalg import glorot_like_init, make_rng
 from neural_couplings.models import Arch, ModelParams, forward, init_params, model_output
 from neural_couplings.nca import (
     STRATEGIES,
     NcaConfig,
+    NcaError,
     compositional_objective,
     load_couplings,
     run_nca,
     save_couplings,
     student_objective,
 )
+from neural_couplings.training import Adam
 
 
 def batch(x, y):
@@ -25,6 +27,16 @@ def target(params, x):
     """X and Y as run_nca probes them: the first and last activations."""
     acts = forward(params, x)
     return acts[0], acts[-1]
+
+
+def single(*arrays):
+    """The arrays rounded to float32, as run_nca rounds its inputs."""
+    return tuple(a.astype(np.float32) for a in arrays)
+
+
+def single_params(params):
+    """The model with its weights rounded to float32."""
+    return ModelParams(params.arch, [single(w, b) for w, b in params.layers], params.n)
 
 
 def gate(p, w, b):
@@ -131,16 +143,17 @@ class TestTarget:
         p = positive_params(Arch.dae(), 4, 1)
         x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
         got_x, y = self.fitted(p, x, monkeypatch)
-        assert np.array_equal(got_x, x)
-        assert np.array_equal(y, model_output(p, forward(p, x)))
+        assert got_x.dtype == y.dtype == np.float32
+        assert np.array_equal(got_x, x.astype(np.float32))
+        assert np.array_equal(y, model_output(p, forward(p, x)).astype(np.float32))
 
     def test_sf_target_is_the_mask_not_the_product(self, monkeypatch):
         p = positive_params(Arch.sf(), 4, 1)
         x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
         _, y = self.fitted(p, x, monkeypatch)
         acts = forward(p, x)
-        assert np.array_equal(y, acts[-1])
-        assert not np.array_equal(y, model_output(p, acts))
+        assert np.array_equal(y, acts[-1].astype(np.float32))
+        assert not np.array_equal(y, model_output(p, acts).astype(np.float32))
 
 
 class TestGates:
@@ -326,7 +339,7 @@ def add_bias(w, b):
 
 def compose_from(params, p_list):
     # independent of the objective: (G_l . W_l) applied in layer order
-    c = np.eye(params.n)
+    c = np.eye(params.n, dtype=p_list[0].dtype)
     for q, (w, b) in zip(p_list, params.layers):
         c = (gate(q, w, b) * w) @ c
     return c
@@ -359,39 +372,41 @@ class TestRunNca:
         cfg = NcaConfig("student", iterations=25, lr=1e-3)
         state = run_nca(p, x, cfg)
         assert len(state.losses) == 26
-        # entry 0 is the loss of the untouched init
-        from neural_couplings.linalg import glorot_like_init
-
-        c0 = glorot_like_init(make_rng(cfg.seed), 4, 4, 4)
-        assert state.losses[0] == student_loss(c0, target(p, x))
+        # entry 0 is the loss of the untouched init, drawn in float64 and
+        # rounded to float32 like X and Y
+        c0 = glorot_like_init(make_rng(cfg.seed), 4, 4, 4).astype(np.float32)
+        assert state.losses[0] == student_loss(c0, single(*target(p, x)))
 
     def test_compositional_c_matches_state_p(self):
         p = positive_params(Arch.mss_dae(1), 4, 2)
         x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
         state = run_nca(p, x, NcaConfig("compositional", iterations=15, lr=1e-3))
         assert state.p is not None and len(state.p) == 3
-        assert np.array_equal(state.c, compose_from(p, state.p))
-        x, y = target(p, x)
-        assert state.losses[-1] == float(np.abs(y - state.c @ x).sum())
+        # C and P are the float32 iterates, returned as float64
+        p_run = state.p.astype(np.float32)
+        assert np.array_equal(state.c, compose_from(single_params(p), p_run))
+        x, y = single(*target(p, x))
+        assert state.losses[-1] == float(np.abs(y - state.c.astype(np.float32) @ x).sum())
 
     def test_compositional_drivers_are_drawn_layer_by_layer(self):
         # one (L n, n) draw reshaped to (L, n, n) is the same stream as one
-        # n x n draw per layer, so the first loss is that of these drivers
-        from neural_couplings.linalg import glorot_like_init
-
+        # n x n draw per layer, so the first loss is that of these drivers,
+        # rounded to float32 like the weights, X and Y
         p = positive_params(Arch.mss_dae(2), 5, 4)
         x = np.abs(make_rng(5).normal(size=(5, 9))) + 0.1
         cfg = NcaConfig("compositional", iterations=3, lr=1e-3, seed=11)
         state = run_nca(p, x, cfg)
         rng = make_rng(cfg.seed)
-        p0 = [glorot_like_init(rng, 5, 5, 5) for _ in p.layers]
+        p0 = [glorot_like_init(rng, 5, 5, 5).astype(np.float32) for _ in p.layers]
         assert state.p.shape == (4, 5, 5)
-        assert state.losses[0] == compositional_objective(p0, p, *target(p, x))[1]
+        loss0 = compositional_objective(p0, single_params(p), *single(*target(p, x)))[1]
+        assert state.losses[0] == loss0
 
     @staticmethod
     def peak_matrices(strategy):
         """tracemalloc peak of a 2-iteration mss-dae(2) run at n=257, T=32,
-        in n x n float64 matrices."""
+        in n x n float64 matrices; the iterations hold float32 arrays, half
+        a unit each."""
         n = 257
         params = init_params(Arch.mss_dae(2), n, make_rng(1))
         x = np.abs(make_rng(2).normal(size=(n, 32))) + 0.1
@@ -412,14 +427,16 @@ class TestRunNca:
         # and 27.4 while C, D and the other prefix products had arrays of
         # their own rather than slots of the gradient stack, and 24.4 while
         # each gate's pre-activation was held beside it and Adam's scratch
-        # rows held 65,536 elements each; it is 23.3
-        assert self.peak_matrices("compositional") <= 24
+        # rows held 65,536 elements each, and 23.3 while the iterations ran
+        # in float64; in float32 it is 13.98
+        assert self.peak_matrices("compositional") <= 14.5
 
     def test_student_peak_memory_is_bounded(self):
         # theta, the Adam moments and scratch, one gradient and (n, T)
-        # temporaries: 4.9; 5.4 while Adam's scratch rows held 65,536
-        # elements each, 6.4 while the last gradient outlived its step
-        assert self.peak_matrices("student") <= 5
+        # temporaries: 2.51 in float32, 4.9 in float64; 5.4 while Adam's
+        # scratch rows held 65,536 elements each, 6.4 while the last gradient
+        # outlived its step
+        assert self.peak_matrices("student") <= 3
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_only_the_iterations_form_a_gradient(self, strategy, monkeypatch):
@@ -436,7 +453,70 @@ class TestRunNca:
         x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
         state = run_nca(p, x, NcaConfig(strategy, iterations=3, lr=1e-3))
         assert formed == [True, True, True, False]
-        assert state.losses[-1] == student_loss(state.c, target(p, x))
+        c = state.c.astype(np.float32)
+        assert state.losses[-1] == student_loss(c, single(*target(p, x)))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_returns_float64(self, strategy):
+        p = positive_params(Arch.mss_dae(1), 4, 2)
+        x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
+        state = run_nca(p, x, NcaConfig(strategy, iterations=2))
+        assert state.c.dtype == np.float64
+        assert state.p is None if strategy == "student" else state.p.dtype == np.float64
+
+    @staticmethod
+    def float64_losses(params, x, cfg):
+        """The loss curve of run_nca's loop written over the public
+        objectives and Adam, with every array left in float64."""
+        acts = forward(params, x)
+        x, y = acts[0], acts[-1]
+        n, rng, adam = params.n, make_rng(cfg.seed), Adam(cfg.lr)
+        if cfg.strategy == "student":
+            theta = glorot_like_init(rng, n, n, n)
+            objective = lambda t, **kw: student_objective(t, x, y, **kw)
+        else:
+            theta = glorot_like_init(rng, len(params.layers) * n, n, n).reshape(-1, n, n)
+            objective = lambda t, **kw: compositional_objective(t, params, x, y, **kw)[1:]
+        losses = []
+        for _ in range(cfg.iterations):
+            loss, grad = objective(theta)
+            losses.append(loss)
+            adam.step(theta, grad)
+        return losses + [objective(theta, loss_only=True)[0]]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()],
+                             ids=lambda a: a.tag)
+    def test_float32_run_tracks_a_float64_run(self, arch, strategy):
+        # each loss within 9.2e-7 relative, measured; the two runs drift
+        # apart slowly as Adam steps from different roundings
+        params = init_params(arch, 16, make_rng([60, arch.n_layers, arch.uses_mask]))
+        x = np.abs(make_rng(61).normal(size=(16, 40))) + 0.1
+        cfg = NcaConfig(strategy, iterations=100, lr=1e-3, seed=3)
+        got = np.array(run_nca(params, x, cfg).losses)
+        want = np.array(self.float64_losses(params, x, cfg))
+        assert (np.abs(got - want) <= 1e-5 * np.abs(want)).all()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_output_outside_float32_range_is_refused(self, strategy):
+        # weights near 1e39 make an output near 1e78: finite in float64,
+        # infinite once rounded
+        p = positive_params(Arch.dae(), 4, 1, lo=1e39, hi=2e39)
+        x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
+        with pytest.raises(NcaError, match=r"model output .*float32 range"):
+            run_nca(p, x, NcaConfig(strategy, iterations=1))
+
+    def test_weights_outside_float32_range_are_refused(self):
+        # the second layer undoes the first one's scale, so X and Y fit
+        # float32 and only the compositional run rounds the weights
+        rng = make_rng(3)
+        layers = [(rng.uniform(0.1, 0.3, (4, 4)) * s, np.zeros((4, 1))) for s in (1e40, 1e-40)]
+        p = ModelParams(Arch.dae(), layers, 4)
+        x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
+        assert np.isfinite(forward(p, x)[-1].astype(np.float32)).all()
+        run_nca(p, x, NcaConfig("student", iterations=1))
+        with pytest.raises(NcaError, match=r"layer 0 W .*float32 range"):
+            run_nca(p, x, NcaConfig("compositional", iterations=1))
 
     def test_deterministic(self):
         p = positive_params(Arch.sf(), 4, 5)

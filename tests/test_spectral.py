@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from neural_couplings import serial
 from neural_couplings.spectral import (
     STFT_BLOCK,
+    WAV_BLOCK,
     BinScaler,
     Dataset,
     Spectrogram,
@@ -135,6 +137,79 @@ class TestWav:
         p.write_bytes(broken)
         with pytest.raises(WavError, match="missing fmt or data"):
             load_wav_mono(p)
+
+
+def whole_array_decode(wav: bytes) -> np.ndarray:
+    """The mono signal of a wav_builder file decoded in one piece: its data
+    chunk, cut at the end of the file, as one float64 array of samples, with
+    a stereo pair's channels averaged."""
+    audio_format, channels, _, _, _, bits = struct.unpack("<HHIIHH", wav[20:36])
+    (size,) = struct.unpack("<I", wav[40:44])
+    data = wav[44 : 44 + size]
+    if bits == 16:
+        x = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2").astype(np.float64)
+        x /= 32768.0
+    elif bits == 24:
+        b = np.frombuffer(data[: len(data) - len(data) % 3], dtype=np.uint8)
+        b = b.reshape(-1, 3).astype(np.int32)
+        v = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        x = ((v ^ 0x800000) - 0x800000).astype(np.float64) / 8388608.0
+    else:
+        x = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4").astype(np.float64)
+    if channels == 2:
+        x = x[: len(x) - len(x) % 2].reshape(-1, 2).mean(axis=1)
+    return x
+
+
+class TestWavBlocks:
+    @pytest.mark.parametrize("cut", [0, 5])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("bits, audio_format", [(16, 1), (24, 1), (32, 3)])
+    def test_matches_whole_array_decode(self, tmp_path, wav_builder, bits, audio_format,
+                                        channels, cut):
+        # two full blocks and a partial one; cut drops the file's last bytes,
+        # so the data chunk runs past the end and ends in a partial frame
+        rng = np.random.default_rng(bits + channels)
+        shape = (2 * WAV_BLOCK + 123, channels)
+        if audio_format == 3:
+            samples = rng.uniform(-1.0, 1.0, shape)
+        else:
+            top = 1 << (bits - 1)
+            samples = rng.integers(-top, top, shape)
+        wav = wav_builder(8000, samples, bits, audio_format)
+        wav = wav[: len(wav) - cut]
+        p = tmp_path / "b.wav"
+        p.write_bytes(wav)
+        got = load_wav_mono(p)
+        want = whole_array_decode(wav)
+        assert len(want) == shape[0] if cut == 0 else len(want) < shape[0]
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+    def test_non_finite_sample_in_a_later_block(self, tmp_path, wav_builder):
+        samples = np.zeros((WAV_BLOCK + 10, 2))
+        samples[WAV_BLOCK + 3, 1] = np.inf
+        p = tmp_path / "inf.wav"
+        p.write_bytes(wav_builder(8000, samples, 32, 3))
+        with pytest.raises(WavError, match="non-finite float samples"):
+            load_wav_mono(p)
+
+    def test_peak_memory_is_the_mono_output(self, tmp_path, wav_builder):
+        # 20 s of 16-bit stereo at 44.1 kHz: the mono output is 6.7 MiB. The
+        # peak was 26.9 MiB while the file was held as bytes three times and
+        # every interleaved sample as float64
+        samples = np.random.default_rng(0).integers(-32768, 32768, (20 * 44100, 2))
+        p = tmp_path / "long.wav"
+        p.write_bytes(wav_builder(44100, samples, 16, 1))
+        del samples
+        tracemalloc.start()
+        try:
+            x = load_wav_mono(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (20 * 44100,)
+        assert peak <= 1.2 * x.nbytes
 
 
 class TestStft:

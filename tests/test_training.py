@@ -116,6 +116,21 @@ class TestAdam:
         assert adam._scratch.shape == (2, width)
         assert adam.m.base is adam.v.base is adam._scratch.base
 
+    def test_float32_parameter_gets_float32_state(self):
+        # the state takes the parameter's dtype, and the step rounds as the
+        # recipe written in float32
+        rng = np.random.default_rng(5)
+        p = rng.normal(size=(3, 4)).astype(np.float32)
+        g = rng.normal(size=(3, 4)).astype(np.float32)
+        m, v = (1.0 - 0.9) * g, (1.0 - 0.999) * (g * g)
+        want = p - 1e-3 * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
+        adam = Adam(lr=1e-3)
+        adam.step(p, g)
+        assert want.dtype == p.dtype == np.float32
+        assert adam.m.dtype == adam.v.dtype == adam._scratch.dtype == np.float32
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+        assert np.array_equal(p, want)
+
     def test_rejects_non_contiguous_param(self):
         # a strided p would be copied by the flattening and lose its update
         base = np.ones((4, 4))
