@@ -10,9 +10,16 @@
 # more at n=257, a width whose matrices overflow L2, with its output
 # discarded. For both widths it compares the two runs'
 # scripts/artifact_digests.sh listings, and every *.manifest.json with
-# wall_clock_s dropped. Differing lines are printed and the exit status is
-# 1; no output and status 0 mean every artifact is byte-identical and the
-# manifests agree. The temporary directory is removed on exit.
+# wall_clock_s dropped. If any differ, the exit status is 1 and it prints
+# one line per artifact kind, counted over both widths,
+#
+#   changed <kind> <k>/<total>
+#
+# for the kinds .ncd, .ncm, history.csv, .ncc, loss.csv, report, heatmap and
+# manifest (and other, for a file of none of these kinds), where k counts
+# the files whose digest differs or that one run lacks; then the differing
+# lines. No output and status 0 mean every artifact is byte-identical and
+# the manifests agree. The temporary directory is removed on exit.
 set -euo pipefail
 
 parent_rev="${1:?usage: desk_identity.sh <parent-rev>}"
@@ -52,10 +59,63 @@ for path in sorted(root.rglob("*.manifest.json")):
 EOF
 }
 
+for run in run wide; do
+  for side in parent change; do
+    "$root/scripts/artifact_digests.sh" "$work/$run-$side" > "$work/$run-$side.digests"
+    manifests "$work/$run-$side" > "$work/$run-$side.manifests"
+  done
+done
+
+# the per-kind summary, printed only if a listing differs
+python3 - "$work" run wide <<'EOF'
+import sys
+
+work, runs = sys.argv[1], sys.argv[2:]
+# (kind, path suffixes); a path takes the first kind that matches
+KINDS = (
+    (".ncd", (".ncd",)),
+    (".ncm", (".ncm",)),
+    ("history.csv", ("-history.csv",)),
+    (".ncc", (".ncc",)),
+    ("loss.csv", ("-loss.csv",)),
+    ("report", ("report.json", "report.csv")),
+    ("heatmap", (".png", ".pgm")),
+)
+
+
+def kind(path):
+    return next((k for k, ends in KINDS if path.endswith(ends)), "other")
+
+
+def listing(side):
+    """{(run, kind, path): digest} over every run; a digest line is
+    "sha256  path", a manifest line "path json"."""
+    entries = {}
+    for run in runs:
+        with open(f"{work}/{run}-{side}.digests") as f:
+            for line in f:
+                digest, path = line.rstrip("\n").split("  ", 1)
+                entries[run, kind(path), path] = digest
+        with open(f"{work}/{run}-{side}.manifests") as f:
+            for line in f:
+                path, text = line.rstrip("\n").split(" ", 1)
+                entries[run, "manifest", path] = text
+    return entries
+
+
+parent, change = listing("parent"), listing("change")
+keys = set(parent) | set(change)
+if any(parent.get(key) != change.get(key) for key in keys):
+    for k in [k for k, _ in KINDS] + ["manifest", "other"]:
+        mine = [key for key in keys if key[1] == k]
+        if mine:
+            moved = sum(parent.get(key) != change.get(key) for key in mine)
+            print(f"changed {k} {moved}/{len(mine)}")
+EOF
+
 status=0
 for run in run wide; do
-  diff <("$root/scripts/artifact_digests.sh" "$work/$run-parent") \
-       <("$root/scripts/artifact_digests.sh" "$work/$run-change") || status=1
-  diff <(manifests "$work/$run-parent") <(manifests "$work/$run-change") || status=1
+  diff "$work/$run-parent.digests" "$work/$run-change.digests" || status=1
+  diff "$work/$run-parent.manifests" "$work/$run-change.manifests" || status=1
 done
 exit "$status"

@@ -1,7 +1,8 @@
-"""The matrix type, the shape error, seeding and the weight-init rule shared
-by every other module.
+"""The matrix type, the shape error, seeding, the weight-init rule and the
+float32 rounding shared by every other module.
 
-All arithmetic elsewhere is plain numpy on float64 2-D arrays; shapes are
+All arithmetic elsewhere is plain numpy on 2-D arrays: float64, except that
+training and couplings extraction run in float32 (``single``). Shapes are
 validated where data enters (loaders, ``forward``, the metrics), not inside
 every product.
 """
@@ -29,3 +30,17 @@ def glorot_like_init(rng: np.random.Generator, rows: int, cols: int, n: int) -> 
     if n <= 0:
         raise ValueError(f"glorot_like_init: n must be positive, got {n}")
     return rng.standard_normal((rows, cols)) * math.sqrt(1.0 / n)
+
+
+def single(a: Mat, what: str, error: type[Exception], stage: str) -> Mat:
+    """a rounded to float32, or a itself if it is float32 already; raises
+    error, naming what and the stage that runs in float32, if a value rounds
+    outside the float32 range."""
+    # an overflowing cast is the condition checked here, not a numpy error
+    with np.errstate(over="ignore"):
+        s = a.astype(np.float32, copy=False)
+    if not np.isfinite(s).all():
+        top = float(np.finfo(np.float32).max)
+        raise error(f"{what} holds values outside the float32 range |v| <= {top:.6g}, "
+                    f"in which {stage} runs")
+    return s

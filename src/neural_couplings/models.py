@@ -103,12 +103,13 @@ def init_params(arch: Arch, n: int, rng: np.random.Generator) -> ModelParams:
 def forward(params: ModelParams, x_batch) -> list[Mat]:
     """Run the model on a batch of column frames (n x T).
 
-    Returns the activations [X, A_1, ..., A_L]: the checked float64 input
+    Returns the activations [X, A_1, ..., A_L]: the checked input, in the
+    weights' dtype (float64 for a loaded checkpoint, float32 in training),
     and each layer's ReLU output, the one array kept per layer. Each ReLU is
     taken in place on its pre-activation, which backward never needs, since
     relu'(Z) is A > 0.
     """
-    x = np.asarray(x_batch, dtype=np.float64)
+    x = np.asarray(x_batch, dtype=params.layers[0][0].dtype)
     if x.ndim != 2 or x.shape[0] != params.n:
         raise ShapeError(f"input batch has shape {x.shape}, expected ({params.n}, T)")
     if not np.isfinite(x).all():
@@ -147,7 +148,7 @@ def backward(
     """
     if len(acts) != len(params.layers) + 1:
         raise ValueError(f"{len(acts)} activations for {len(params.layers)} layers")
-    tgt = np.asarray(x_target, dtype=np.float64)
+    tgt = np.asarray(x_target, dtype=acts[-1].dtype)
     if tgt.shape != acts[-1].shape:
         raise ShapeError(f"target shape {tgt.shape} differs from output {acts[-1].shape}")
     n, t = tgt.shape

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serial
-from .linalg import Mat, glorot_like_init, make_rng
+from .linalg import Mat, glorot_like_init, make_rng, single
 from .models import ModelParams, forward
 from .training import Adam
 
@@ -173,17 +173,7 @@ def compositional_objective(
 
 
 def _single(a: Mat, what: str) -> Mat:
-    """a rounded to float32; NcaError if a value rounds outside its range."""
-    # an overflowing cast is the condition checked here, not a numpy error
-    with np.errstate(over="ignore"):
-        s = a.astype(np.float32)
-    if not np.isfinite(s).all():
-        top = float(np.finfo(np.float32).max)
-        raise NcaError(
-            f"{what} holds values outside the float32 range |v| <= {top:.6g}, "
-            "in which couplings extraction runs"
-        )
-    return s
+    return single(a, what, NcaError, "couplings extraction")
 
 
 def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:

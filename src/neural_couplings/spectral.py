@@ -266,18 +266,21 @@ def fit_scaler(spectrograms: list[Spectrogram]) -> BinScaler:
 
 def normalized_pair_rows(ds: Dataset) -> tuple[Mat, Mat]:
     """All frames of all pairs, scaler-applied, one frame per row:
-    (mixture rows, target rows), each a (total frames, bins) C-order array.
-    Each pair is divided straight into its rows, so no other copy is made."""
+    (mixture rows, target rows), each a (total frames, bins) C-order float32
+    array, the rows training runs on. Each pair is divided straight into its
+    rows, which rounds the float64 quotient, so no other copy is made. A
+    quotient beyond the float32 range becomes inf, which training refuses."""
     if not ds.pairs:
         raise ValueError("dataset has no pairs")
     scale = ds.scaler.per_bin_std[:, None]
     total = sum(mix.frames for mix, _ in ds.pairs)
-    mix_rows, tgt_rows = np.empty((2, total, ds.config.bins_kept))
+    mix_rows, tgt_rows = np.empty((2, total, ds.config.bins_kept), dtype=np.float32)
     k = 0
-    for mix, tgt in ds.pairs:
-        np.divide(mix.mags, scale, out=mix_rows[k : k + mix.frames].T)
-        np.divide(tgt.mags, scale, out=tgt_rows[k : k + mix.frames].T)
-        k += mix.frames
+    with np.errstate(over="ignore"):
+        for mix, tgt in ds.pairs:
+            np.divide(mix.mags, scale, out=mix_rows[k : k + mix.frames].T)
+            np.divide(tgt.mags, scale, out=tgt_rows[k : k + mix.frames].T)
+            k += mix.frames
     return mix_rows, tgt_rows
 
 

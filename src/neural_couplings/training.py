@@ -5,6 +5,13 @@ flat vector and its gradient in another, shuffles all frames globally each
 epoch, drops the learning rate by half after a run of non-improving epochs,
 stops after a longer run, and returns the parameters snapshotted at the best
 epoch loss together with the rule that ended the run.
+
+Precision: Adam follows its parameter's dtype, and training runs in float32.
+The rows and the initial weights (drawn in float64) are rounded to float32
+once per run; the weights, gradient, best-epoch snapshot and Adam's state
+are float32, and the returned weights are float64 again, float32-exact.
+Float32 halves the bytes every product moves and doubles its SIMD width; the
+README's Precision section gives how far it moves the losses.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serial
-from .linalg import Mat, make_rng
+from .linalg import Mat, make_rng, single
 from .models import Arch, ModelParams, backward, forward, init_params
 
 # An epoch improves only if its loss beats the best by more than this,
@@ -161,6 +168,11 @@ def train(arch: Arch, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
     normalized frames one per row as `spectral.normalized_pair_rows` builds
     them; deterministic given (arch, rows, cfg).
 
+    Training runs in float32 (see the module docstring): float64 rows are
+    rounded once per call and float32 rows are used as they are; a row or
+    initial weight outside the float32 range is refused with TrainingError
+    before the first epoch. The returned weights are float64.
+
     All weights live in one flat vector that Adam updates in place, and the
     gradient in a second one that `backward` overwrites every batch; the
     model's W and b and the per-layer gradients are views of them, so no
@@ -170,11 +182,17 @@ def train(arch: Arch, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
     only read, so one copy serves every seed of a run. The best epoch's
     weights are copied into one snapshot buffer held for the run.
     """
-    mix_rows, tgt_rows = rows
+    mix_rows, tgt_rows = (
+        single(r, f"a {what} row", TrainingError, "training")
+        for r, what in zip(rows, ("mixture", "target"))
+    )
     if mix_rows.shape != tgt_rows.shape:
         raise ValueError(f"mixture rows {mix_rows.shape} and target rows {tgt_rows.shape} differ")
     total_frames, n = mix_rows.shape
-    theta = _flat(init_params(arch, n, make_rng(cfg.seed)).layers)
+    theta = single(
+        _flat(init_params(arch, n, make_rng(cfg.seed)).layers),
+        "the initial weight vector", TrainingError, "training",
+    )
     params = _params_view(arch, theta, n)
     grad = np.empty_like(theta)
     grads = _params_view(arch, grad, n).layers
@@ -215,7 +233,11 @@ def train(arch: Arch, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
             if bad_epochs % HALVE_PATIENCE == 0:
                 adam.lr *= 0.5
 
-    return TrainResult(_params_view(arch, best_theta, n), history, best_loss, stopped_by)
+    # free the run's state before the float64 copy of the weights is made
+    del params, grads, theta, grad, adam
+    return TrainResult(
+        _params_view(arch, best_theta.astype(np.float64), n), history, best_loss, stopped_by
+    )
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:

@@ -27,7 +27,13 @@ from neural_couplings.models import (
     save_checkpoint,
 )
 from neural_couplings.nca import load_couplings, run_nca, save_couplings
-from neural_couplings.spectral import load_dataset, normalized_window, save_dataset
+from neural_couplings.spectral import (
+    BinScaler,
+    Dataset,
+    load_dataset,
+    normalized_window,
+    save_dataset,
+)
 from neural_couplings.synth import make_synthetic_dataset
 from neural_couplings.training import train
 
@@ -184,6 +190,21 @@ class TestTrainCommand:
         err = run_fail(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
                         "--out", str(tmp_path / "ck"), "--lr", lr], capsys, "ValueError")
         assert "initial_lr" in err["message"]
+        assert not (tmp_path / "ck").exists()
+
+    def test_rows_outside_float32_range_are_refused(self, tmp_path, capsys):
+        # a bin whose stored std is 1e-40 scales its magnitudes past about
+        # 3.4e38, the float32 range training runs in; the rows are finite in
+        # float64, and the guard refuses them before the first epoch
+        ds = make_synthetic_dataset(16, 40, 1, 0)
+        std = ds.scaler.per_bin_std.copy()
+        std[3] = 1e-40
+        ds_path = tmp_path / "ds.ncd"
+        save_dataset(Dataset(ds.config, ds.pairs, BinScaler(std)), ds_path)
+        err = run_fail(["train", "--dataset", str(ds_path), "--model", "dae",
+                        "--out", str(tmp_path / "ck"), "--seeds", "5"], capsys, "TrainingError")
+        assert err["message"].startswith("seed 5: a mixture row holds values")
+        assert "float32 range |v| <= 3.40282e+38, in which training runs" in err["message"]
         assert not (tmp_path / "ck").exists()
 
     def test_missing_output_directories_are_created(self, pipeline, tmp_path):

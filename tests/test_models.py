@@ -264,6 +264,33 @@ class TestBackward:
             assert np.array_equal(dw, fw)
             assert np.array_equal(db, fb)
 
+    @pytest.mark.parametrize("n", [64, 257])
+    @pytest.mark.parametrize(
+        "arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag
+    )
+    def test_float32_bits_do_not_depend_on_the_batch_layout(self, arch, n):
+        # training gathers a batch as rows and passes their (n, B) F-order
+        # transpose; a column gather of the same frames is C-order
+        rng = make_rng([45, n, arch.n_layers])
+        layers = [(w.astype(np.float32), np.float32(0.05) + b.astype(np.float32))
+                  for w, b in init_params(arch, n, rng).layers]
+        p = ModelParams(arch, layers, n)
+        mix, tgt = (np.abs(rng.normal(size=(128, n))).astype(np.float32) + 0.2 for _ in range(2))
+        runs = []
+        for x, y in ((mix.T, tgt.T), (np.ascontiguousarray(mix.T), np.ascontiguousarray(tgt.T))):
+            acts = forward(p, x)
+            grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
+            runs.append((acts, backward(p, acts, y, grads), grads))
+        (acts_f, loss_f, grads_f), (acts_c, loss_c, grads_c) = runs
+        assert acts_f[0].flags.f_contiguous and acts_c[0].flags.c_contiguous
+        assert loss_f == loss_c
+        for a, b in zip(acts_f, acts_c):
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b)
+        for (dw_f, db_f), (dw_c, db_c) in zip(grads_f, grads_c):
+            assert dw_f.dtype == np.float32
+            assert np.array_equal(dw_f, dw_c) and np.array_equal(db_f, db_c)
+
     def test_activation_count_checked(self, backward_grads):
         p = init_params(Arch.dae(), 2, make_rng(0))
         acts = forward(p, np.ones((2, 3)))

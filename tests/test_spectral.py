@@ -346,7 +346,9 @@ class TestScaler:
     def test_fit_then_apply_gives_unit_variance_rows(self):
         s = spec(np.random.default_rng(4).uniform(0.1, 5.0, size=(2, 50)))
         x_mix, _ = normalized_pair_rows(Dataset(TINY, [(s, s)], fit_scaler([s])))
-        assert np.allclose(x_mix.std(axis=0), 1.0, atol=1e-12)
+        # the rows are float32, each within 6e-8 relative of the float64
+        # quotient (measured std error 1.1e-8)
+        assert np.allclose(x_mix.std(axis=0, dtype=np.float64), 1.0, rtol=0.0, atol=1e-6)
 
 
 def tiny_dataset():
@@ -383,8 +385,9 @@ class TestDataset:
         assert x.flags.c_contiguous and y.flags.c_contiguous
 
     def test_normalized_pair_rows_match_the_column_recipe(self):
-        # each pair divided straight into its transposed rows gives the bits
-        # of dividing every pair, concatenating the columns and transposing
+        # each pair divided straight into its transposed float32 rows gives
+        # the bits of dividing every pair in float64, concatenating the
+        # columns, transposing and rounding to float32
         rng = np.random.default_rng(9)
         cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512, bins_kept=257)
         pairs = [
@@ -397,7 +400,8 @@ class TestDataset:
         for got, k in ((mix_rows, 0), (tgt_rows, 1)):
             want = np.concatenate([pair[k].mags / scale for pair in pairs], axis=1).T
             assert got.shape == want.shape == (60, 257)
-            assert np.array_equal(got, want)
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want.astype(np.float32))
 
     def test_normalized_window_slices(self):
         x, y = normalized_window(tiny_dataset(), 0, 1, 2)
