@@ -7,8 +7,8 @@
 # checkout (say a `git archive` copy of an earlier revision) to measure it.
 # Prints the line counts of src/ and tests/ (every *.py under each) and the
 # options count: the flags of every subcommand of `cli.build_parser()` plus
-# the fields of `TrainConfig` and `NcaConfig`, imported from the tree's own
-# src/.
+# the fields of every config object, `TrainConfig`, `NcaConfig`, `StftConfig`
+# and `HeatmapSpec`, imported from the tree's own src/.
 set -euo pipefail
 
 tree="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
@@ -22,7 +22,9 @@ import argparse
 import dataclasses
 
 from neural_couplings import cli
+from neural_couplings.analysis import HeatmapSpec
 from neural_couplings.nca import NcaConfig
+from neural_couplings.spectral import StftConfig
 from neural_couplings.training import TrainConfig
 
 (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -31,6 +33,8 @@ flags = sum(
     for parser in sub.choices.values()
     for action in parser._actions
 )
-train, nca = (len(dataclasses.fields(c)) for c in (TrainConfig, NcaConfig))
-print(f"options {flags + train + nca} (CLI flags {flags} + TrainConfig {train} + NcaConfig {nca})")
+configs = {c.__name__: len(dataclasses.fields(c))
+           for c in (TrainConfig, NcaConfig, StftConfig, HeatmapSpec)}
+parts = " + ".join(f"{name} {count}" for name, count in configs.items())
+print(f"options {flags + sum(configs.values())} (CLI flags {flags} + {parts})")
 EOF

@@ -18,6 +18,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -42,15 +43,10 @@ class MetricsRecord:
 
 @dataclass(frozen=True)
 class HeatmapSpec:
-    """Rendering choices: square zoom window, per-row max normalization, format."""
+    """Rendering choices: square zoom window, per-row max normalization."""
 
     zoom: tuple[int, int] | None = None
     row_normalize: bool = False
-    fmt: str = "pgm"
-
-    def __post_init__(self):
-        if self.fmt not in ("pgm", "png"):
-            raise ValueError(f"unknown heatmap format {self.fmt!r}")
 
 
 def linear_composition(params: ModelParams) -> Mat:
@@ -195,10 +191,19 @@ def _png_bytes(pixels: np.ndarray) -> bytes:
     )
 
 
+def heatmap_encoder(path):
+    """The image encoder a heatmap path's suffix names: .png or .pgm."""
+    suffix = Path(path).suffix
+    if suffix not in (".png", ".pgm"):
+        raise ValueError(f"heatmap path {str(path)!r} must end in .png or .pgm")
+    return _png_bytes if suffix == ".png" else _pgm_bytes
+
+
 def export_heatmap(c: Mat, spec: HeatmapSpec, path) -> None:
     """Render |C| (optionally a square zoom window) as an 8-bit grayscale
-    image, row 0 at the top. Without row normalization the image is scaled
-    by its global maximum."""
+    image, row 0 at the top, in the format of the path's suffix. Without row
+    normalization the image is scaled by its global maximum."""
+    encode = heatmap_encoder(path)
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2:
         raise ShapeError(f"heatmap: expected a matrix, got shape {c.shape}")
@@ -216,6 +221,4 @@ def export_heatmap(c: Mat, spec: HeatmapSpec, path) -> None:
         global_max = img.max()
         if global_max > 0:
             img = img / global_max
-    pixels = _quantize(img)
-    data = _png_bytes(pixels) if spec.fmt == "png" else _pgm_bytes(pixels)
-    serial.write_file_atomic(path, data)
+    serial.write_file_atomic(path, encode(_quantize(img)))

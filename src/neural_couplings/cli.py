@@ -27,13 +27,14 @@ from .analysis import (
     aggregate,
     evaluate_segment,
     export_heatmap,
+    heatmap_encoder,
     linear_composition,
     write_report_csv,
     write_report_json,
 )
 from .linalg import ShapeError
 from .models import ARCH_TAGS, Arch, checkpoint_width, load_checkpoint, save_checkpoint
-from .nca import NcaConfig, NcaError, load_couplings, run_nca, save_couplings
+from .nca import STRATEGIES, NcaConfig, NcaError, load_couplings, run_nca, save_couplings
 from .spectral import (
     Dataset,
     StftConfig,
@@ -52,6 +53,14 @@ from .training import TrainConfig, TrainingError, train, write_history_csv
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CliError, so they end as the one-line JSON error
+    every other failure prints; --help still prints usage and exits 0."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _hash_paths(paths, hashed=None) -> dict[str, str]:
@@ -146,13 +155,7 @@ def cmd_ingest(args) -> int:
     if not mixes:
         raise CliError(f"no *.mix.wav/*.vox.wav pairs found in {in_dir}")
 
-    cfg = StftConfig(
-        sample_rate=args.sr,
-        window_len=args.window,
-        hop=args.hop,
-        fft_size=args.fft,
-        bins_kept=args.fft // 2 + 1,
-    )
+    cfg = StftConfig(sample_rate=args.sr, window_len=args.window, hop=args.hop, fft_size=args.fft)
     pairs = []
     for track in sorted(mixes):
         mix_sig = load_wav_mono(mixes[track], expect_rate=args.sr)
@@ -196,13 +199,9 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     # the manifest records the parsed list
     seeds = args.seeds = _parse_seeds(args.seeds)
-    cfg = TrainConfig(
-        batch_size=args.batch_size,
-        initial_lr=args.lr,
-        max_epochs=args.max_epochs,
-    )
+    cfg = TrainConfig(max_epochs=args.max_epochs)
     rows = normalized_pair_rows(load_dataset(args.dataset))
-    arch = Arch.mss_dae(args.hidden_layers) if args.model == "mss-dae" else Arch(args.model)
+    arch = Arch.mss_dae() if args.model == "mss-dae" else Arch(args.model)
     out_dir = Path(args.out)
     outputs, runs = [], []
     for seed in seeds:
@@ -374,8 +373,7 @@ def cmd_analyze(args) -> int:
 def cmd_heatmap(args) -> int:
     started = time.perf_counter()
     out = Path(args.out)
-    if out.suffix not in (".png", ".pgm"):
-        raise CliError(f"--out {args.out!r} must end in .png or .pgm")
+    heatmap_encoder(out)  # a bad suffix fails before the couplings file is read
     c, _meta = load_couplings(args.couplings)
     zoom = None
     if args.zoom:
@@ -384,14 +382,13 @@ def cmd_heatmap(args) -> int:
         except ValueError:
             raise CliError(f"bad --zoom value {args.zoom!r}, expected lo:hi") from None
         zoom = (lo, hi)
-    spec = HeatmapSpec(zoom=zoom, row_normalize=args.row_normalize, fmt=out.suffix[1:])
-    export_heatmap(c, spec, out)
+    export_heatmap(c, HeatmapSpec(zoom=zoom, row_normalize=args.row_normalize), out)
     write_manifest(Path(str(out) + ".manifest.json"), args, [args.couplings], [out], started)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nca",
         description="Train shallow spectrogram separation models and extract "
         "linear couplings matrices from them.",
@@ -420,16 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=ARCH_TAGS)
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
-    p.add_argument("--hidden-layers", type=int, default=2, help="mss-dae only")
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--max-epochs", type=int, default=200)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("couplings", help="extract couplings matrices from checkpoints")
     p.add_argument("--checkpoint", required=True, help="glob of .ncm files")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--strategy", required=True, choices=("student", "compositional"))
+    p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.add_argument("--out", required=True, help="output .ncc file or directory")
     p.add_argument("--segment", default="all", help="window index, or 'all'")
     p.add_argument("--iters", type=int, default=600)
@@ -468,8 +462,10 @@ _KNOWN_ERRORS = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # the subcommand is set before its flags parse, so their usage errors name it
+    args = argparse.Namespace(command=None)
     try:
+        build_parser().parse_args(argv, args)
         # an overflow or NaN inside a command is an error: as a warning it
         # added lines to stderr and let a command finish on saturated values
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -212,9 +212,9 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
             (_single(w, f"layer {l} W"), _single(b, f"layer {l} b"))
             for l, (w, b) in enumerate(params.layers)
         ]
-        single = ModelParams(params.arch, layers, n)
+        params32 = ModelParams(params.arch, layers, n)
         theta = glorot_like_init(rng, len(layers) * n, n, n).astype(np.float32).reshape(-1, n, n)
-        objective = lambda t, g, **kw: compositional_objective(t, single, x, y, g, **kw)
+        objective = lambda t, g, **kw: compositional_objective(t, params32, x, y, g, **kw)
     grad = np.empty_like(theta)
     for i in range(cfg.iterations):
         record(objective(theta, grad)[1], i)

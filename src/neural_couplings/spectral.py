@@ -22,8 +22,6 @@ from .linalg import Mat
 DATASET_MAGIC = b"NCD1"
 DATASET_VERSION = 1
 
-_WINDOW_KINDS = ("hamming",)
-
 # Frames per STFT block: stft_mag frames, windows and transforms this many at a
 # time, so its temporaries stay a few MiB at 2049 bins whatever the length.
 STFT_BLOCK = 64
@@ -42,14 +40,12 @@ class WavError(Exception):
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis parameters; bins_kept is pinned to the one-sided FFT size."""
+    """Analysis parameters of a hamming-windowed STFT keeping fft_size // 2 + 1 bins."""
 
     sample_rate: int
     window_len: int
     hop: int
     fft_size: int
-    bins_kept: int
-    window_kind: str = "hamming"
 
     def __post_init__(self):
         if self.sample_rate <= 0 or self.window_len <= 0 or self.hop <= 0:
@@ -58,18 +54,16 @@ class StftConfig:
             raise ValueError(
                 f"fft_size {self.fft_size} must be >= window_len {self.window_len}"
             )
-        if self.bins_kept != self.fft_size // 2 + 1:
-            raise ValueError(
-                f"bins_kept {self.bins_kept} must equal fft_size/2+1 = {self.fft_size // 2 + 1}"
-            )
-        if self.window_kind not in _WINDOW_KINDS:
-            raise ValueError(f"unknown window kind {self.window_kind!r}")
+
+    @property
+    def bins_kept(self) -> int:
+        return self.fft_size // 2 + 1
 
     @classmethod
     def default(cls) -> "StftConfig":
         """44.1 kHz analysis: 2048-sample hamming window, 384-sample hop,
         zero-padded to a 4096-point FFT (2049 bins)."""
-        return cls(sample_rate=44100, window_len=2048, hop=384, fft_size=4096, bins_kept=2049)
+        return cls(sample_rate=44100, window_len=2048, hop=384, fft_size=4096)
 
 
 @dataclass
@@ -300,8 +294,9 @@ def _write_config(f, cfg: StftConfig) -> None:
     serial.write_u32(f, cfg.window_len)
     serial.write_u32(f, cfg.hop)
     serial.write_u32(f, cfg.fft_size)
+    # stored though fixed: the bin count, and window kind 0 (hamming)
     serial.write_u32(f, cfg.bins_kept)
-    serial.write_u8(f, _WINDOW_KINDS.index(cfg.window_kind))
+    serial.write_u8(f, 0)
 
 
 def _read_config(f) -> StftConfig:
@@ -311,12 +306,15 @@ def _read_config(f) -> StftConfig:
     fft_size = serial.read_u32(f)
     bins_kept = serial.read_u32(f)
     kind_byte = serial.read_u8(f)
-    if kind_byte >= len(_WINDOW_KINDS):
+    if kind_byte != 0:
         raise serial.FormatError(f"unknown window kind byte {kind_byte}")
     try:
-        return StftConfig(sample_rate, window_len, hop, fft_size, bins_kept, _WINDOW_KINDS[kind_byte])
+        cfg = StftConfig(sample_rate, window_len, hop, fft_size)
     except ValueError as e:
         raise serial.FormatError(f"invalid stored config: {e}") from None
+    if bins_kept != cfg.bins_kept:
+        raise serial.FormatError(f"stored bins_kept {bins_kept} is not fft_size/2+1")
+    return cfg
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:

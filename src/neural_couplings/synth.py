@@ -90,7 +90,6 @@ def make_synthetic_dataset(
         window_len=fft_size,
         hop=max(1, fft_size // 4),
         fft_size=fft_size,
-        bins_kept=n_bins,
     )
     pair_list: list[tuple[Spectrogram, Spectrogram]] = []
     for pair_idx in range(pairs):

@@ -32,13 +32,16 @@ IMPROVEMENT_REL = 1e-9
 # halves; after STOP_PATIENCE the run stops.
 HALVE_PATIENCE = 2
 STOP_PATIENCE = 4
+# Frames per mini-batch, and the learning rate the schedule starts from
+BATCH_SIZE = 128
+INITIAL_LR = 1e-3
 
 # Adam's moment decay rates and denominator floor
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-# Elements per Adam chunk: the scratch buffers hold at most this many, 130 KiB
-# each. It is the size of the largest n=64 parameter, the 4-layer mss-dae's
-# 4 (64^2 + 64) weights, so every n=64 step is a single chunk.
+# Elements per Adam chunk: the scratch buffers hold at most this many, 65 KiB
+# each in float32. It is the size of the largest n=64 parameter, the 4-layer
+# mss-dae's 4 (64^2 + 64) weights, so every n=64 step is a single chunk.
 CHUNK = 16640
 
 
@@ -118,16 +121,12 @@ class Adam(object):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 128
-    initial_lr: float = 1e-3
     max_epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be positive")
-        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
-            raise ValueError(f"initial_lr must be finite and positive, got {self.initial_lr}")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be positive")
 
 
 @dataclass
@@ -196,7 +195,7 @@ def train(arch: Arch, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
     params = _params_view(arch, theta, n)
     grad = np.empty_like(theta)
     grads = _params_view(arch, grad, n).layers
-    adam = Adam(cfg.initial_lr)
+    adam = Adam(INITIAL_LR)
 
     best_loss = math.inf
     best_theta = theta.copy()
@@ -207,8 +206,8 @@ def train(arch: Arch, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
     for epoch in range(cfg.max_epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(total_frames)
         total_se = 0.0
-        for batch_idx, k in enumerate(range(0, total_frames, cfg.batch_size)):
-            cols = order[k : k + cfg.batch_size]
+        for batch_idx, k in enumerate(range(0, total_frames, BATCH_SIZE)):
+            cols = order[k : k + BATCH_SIZE]
             yb = tgt_rows[cols].T
             batch_loss = backward(params, forward(params, mix_rows[cols].T), yb, grads)
             if not math.isfinite(batch_loss):

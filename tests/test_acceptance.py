@@ -419,7 +419,6 @@ def _random_config(rng) -> StftConfig:
         window_len=window,
         hop=int(rng.integers(1, 17)),
         fft_size=fft,
-        bins_kept=fft // 2 + 1,
     )
 
 

@@ -249,9 +249,10 @@ class TestHeatmap:
         assert pixels.tolist() == [[255, 128], [0, 64]]
 
     def test_png_pixels_match_pgm(self, tmp_path, parse_pgm, parse_png):
+        # one spec, two formats: each is the path's suffix
         a, b = tmp_path / "c.pgm", tmp_path / "c.png"
         export_heatmap(self.C2, HeatmapSpec(), a)
-        export_heatmap(self.C2, HeatmapSpec(fmt="png"), b)
+        export_heatmap(self.C2, HeatmapSpec(), b)
         assert parse_png(b.read_bytes()).tolist() == parse_pgm(a.read_bytes()).tolist()
 
     def test_row_normalize(self, tmp_path, parse_pgm):
@@ -276,9 +277,12 @@ class TestHeatmap:
         with pytest.raises(ValueError, match="zoom"):
             export_heatmap(np.eye(3), HeatmapSpec(zoom=(1, 5)), tmp_path / "x.pgm")
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            HeatmapSpec(fmt="jpg")
+    def test_unknown_format_rejected(self, tmp_path):
+        # the format is the path's suffix, and only .png and .pgm name one
+        for name in ("c.jpg", "c.PNG", "c"):
+            with pytest.raises(ValueError, match=r"\.png or \.pgm"):
+                export_heatmap(np.eye(4), HeatmapSpec(), tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
 
     def test_all_zero_matrix_renders_black(self, tmp_path, parse_pgm):
         path = tmp_path / "0.pgm"

@@ -100,6 +100,33 @@ class TestHelpers:
         assert list_segments(ds, 20) == [(0, 0, 20), (0, 20, 40), (1, 0, 20), (1, 20, 40)]
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, command", [
+        (["train", "--dataset", "ds.ncd", "--model", "dae", "--out", "ck",
+          "--batch-size", "64"], "train"),
+        (["couplings", "--checkpoint", "a.ncm", "--dataset", "ds.ncd", "--strategy", "student",
+          "--out", "cp", "--iters", "abc"], "couplings"),
+        ([], None),
+        (["--bogus", "1"], None),
+    ], ids=["removed-flag", "bad-int", "no-command", "unknown-flag"])
+    def test_one_json_line_and_nothing_written(self, tmp_path, capsys, monkeypatch, argv,
+                                               command):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert (err["command"], err["error"]) == (command, "CliError")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_prints_usage_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nca train")
+
+
 class TestSynthCommand:
     def test_writes_dataset_and_manifest(self, pipeline):
         ds = load_dataset(pipeline / "ds.ncd")
@@ -167,10 +194,11 @@ class TestTrainCommand:
             {"seed": 1, "epochs": 2, "stopped_by": "max_epochs"},
         ]
 
-    def test_unknown_model_is_an_argparse_error(self, pipeline):
-        with pytest.raises(SystemExit):
-            main(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "vae",
-                  "--out", str(pipeline / "nope")])
+    def test_unknown_model_is_an_argparse_error(self, pipeline, capsys):
+        err = run_fail(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "vae",
+                        "--out", str(pipeline / "nope")], capsys, "CliError")
+        assert "--model" in err["message"]
+        assert not (pipeline / "nope").exists()
 
     def test_bad_seed_list(self, pipeline, capsys):
         run_fail(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
@@ -187,9 +215,10 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("lr", ["0", "-1", "nan", "inf"])
     def test_non_positive_lr(self, pipeline, tmp_path, capsys, lr):
+        # the learning rate is training.INITIAL_LR, so --lr is a usage error
         err = run_fail(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
-                        "--out", str(tmp_path / "ck"), "--lr", lr], capsys, "ValueError")
-        assert "initial_lr" in err["message"]
+                        "--out", str(tmp_path / "ck"), "--lr", lr], capsys, "CliError")
+        assert "unrecognized arguments: --lr" in err["message"]
         assert not (tmp_path / "ck").exists()
 
     def test_rows_outside_float32_range_are_refused(self, tmp_path, capsys):
@@ -870,7 +899,7 @@ class TestHeatmapCommand:
     def test_unknown_suffix_rejected(self, pipeline, tmp_path, capsys, name):
         err = run_fail(["heatmap", "--couplings",
                         str(pipeline / "cp" / "dae-seed0-student-0-0.ncc"),
-                        "--out", str(tmp_path / name)], capsys, "CliError")
+                        "--out", str(tmp_path / name)], capsys, "ValueError")
         assert ".png or .pgm" in err["message"]
         assert list(tmp_path.iterdir()) == []
 

@@ -22,7 +22,7 @@ from neural_couplings.spectral import (
     stft_mag,
 )
 
-TINY = StftConfig(sample_rate=4, window_len=2, hop=1, fft_size=2, bins_kept=2)
+TINY = StftConfig(sample_rate=4, window_len=2, hop=1, fft_size=2)
 
 
 def spec(mags, cfg=TINY, source_id=""):
@@ -34,23 +34,19 @@ class TestStftConfig:
         cfg = StftConfig.default()
         assert (cfg.sample_rate, cfg.window_len, cfg.hop) == (44100, 2048, 384)
         assert (cfg.fft_size, cfg.bins_kept) == (4096, 2049)
-        assert cfg.window_kind == "hamming"
 
     def test_bins_must_match_fft(self):
-        with pytest.raises(ValueError, match="bins_kept"):
-            StftConfig(8000, 16, 4, 32, 16)
+        # bins_kept is derived, so it always keeps the one-sided spectrum
+        for fft_size in (2, 31, 32, 4096):
+            assert StftConfig(8000, 2, 1, fft_size).bins_kept == fft_size // 2 + 1
 
     def test_fft_shorter_than_window(self):
         with pytest.raises(ValueError, match="fft_size"):
-            StftConfig(8000, 64, 4, 32, 17)
+            StftConfig(8000, 64, 4, 32)
 
     def test_positive_fields(self):
         with pytest.raises(ValueError):
-            StftConfig(8000, 16, 0, 32, 17)
-
-    def test_unknown_window_kind(self):
-        with pytest.raises(ValueError, match="window kind"):
-            StftConfig(8000, 16, 4, 32, 17, window_kind="hann")
+            StftConfig(8000, 16, 0, 32)
 
 
 class TestSpectrogram:
@@ -213,7 +209,7 @@ class TestWavBlocks:
 
 
 class TestStft:
-    CFG = StftConfig(sample_rate=8000, window_len=8, hop=4, fft_size=16, bins_kept=9)
+    CFG = StftConfig(sample_rate=8000, window_len=8, hop=4, fft_size=16)
 
     def test_frame_count_and_shape(self):
         # 20 samples, window 8, hop 4 -> 1 + (20-8)//4 = 4 frames
@@ -310,7 +306,7 @@ class TestScaler:
             fit_scaler([spec([[1.0], [1.0]])])
 
     def test_bin_counts_must_agree(self):
-        three = StftConfig(sample_rate=4, window_len=4, hop=1, fft_size=4, bins_kept=3)
+        three = StftConfig(sample_rate=4, window_len=4, hop=1, fft_size=4)
         with pytest.raises(ValueError, match="bin count"):
             fit_scaler([spec(np.ones((2, 2))), spec(np.ones((3, 2)), three)])
 
@@ -318,7 +314,7 @@ class TestScaler:
         # 7.84 MiB of mixtures: one row at a time peaks at 0.07 MiB, while a
         # concatenated copy and its deviations from the mean peaked at 15.75
         rng = np.random.default_rng(5)
-        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512, bins_kept=257)
+        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512)
         mixes = [spec(rng.uniform(0.0, 3.0, size=(257, 2000)) ** 3, cfg) for _ in range(2)]
         tracemalloc.start()
         try:
@@ -389,7 +385,7 @@ class TestDataset:
         # the bits of dividing every pair in float64, concatenating the
         # columns, transposing and rounding to float32
         rng = np.random.default_rng(9)
-        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512, bins_kept=257)
+        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512)
         pairs = [
             tuple(spec(rng.uniform(0.1, 5.0, size=(257, frames)), cfg) for _ in range(2))
             for frames in (3, 40, 17)
@@ -434,7 +430,7 @@ class TestDatasetCodec:
         # 4 MiB of spectrograms at 1 MiB each; each matrix is written from
         # its own buffer, not collected into one in-memory file first
         rng = np.random.default_rng(3)
-        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512, bins_kept=257)
+        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512)
         pairs = [
             tuple(spec(rng.uniform(0.0, 2.0, size=(257, 500)), cfg, f"t{i}") for _ in range(2))
             for i in range(2)
@@ -458,7 +454,7 @@ class TestDatasetCodec:
         # the load peaks at 4.13 matrices (the dataset and a bool finiteness
         # temporary), and at 5.0 while each was read as bytes and then copied
         rng = np.random.default_rng(4)
-        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512, bins_kept=257)
+        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512)
         pairs = [
             tuple(spec(rng.uniform(0.0, 2.0, size=(257, 500)), cfg, f"t{i}") for _ in range(2))
             for i in range(2)
@@ -503,9 +499,24 @@ class TestDatasetCodec:
         p = tmp_path / "w.ncd"
         save_dataset(tiny_dataset(), p)
         raw = bytearray(p.read_bytes())
-        raw[28] = 7  # window-kind byte follows magic, version, and five u32 fields
+        assert raw[28] == 0  # hamming, the one window kind
+        for kind in (1, 7):
+            raw[28] = kind  # window-kind byte follows magic, version, and five u32 fields
+            p.write_bytes(bytes(raw))
+            with pytest.raises(serial.FormatError, match="window kind"):
+                load_dataset(p)
+
+    @pytest.mark.parametrize("bins", [1, 3, 2**32 - 1])
+    def test_stored_bin_count_must_match_fft(self, tmp_path, bins):
+        # the fifth u32 of the config, after sample rate, window, hop and fft
+        # size; tiny_dataset's fft size 2 keeps 2 bins
+        p = tmp_path / "b.ncd"
+        save_dataset(tiny_dataset(), p)
+        raw = bytearray(p.read_bytes())
+        assert raw[24:28] == (2).to_bytes(4, "little")
+        raw[24:28] = bins.to_bytes(4, "little")
         p.write_bytes(bytes(raw))
-        with pytest.raises(serial.FormatError, match="window kind"):
+        with pytest.raises(serial.FormatError, match="bins_kept"):
             load_dataset(p)
 
     # tiny_dataset layout: config ends at 29, pair count 29:33, id length
