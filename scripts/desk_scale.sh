@@ -36,7 +36,6 @@ main() {
       --checkpoint "$OUT/checkpoints/*.ncm" \
       --dataset "$OUT/dataset.ncd" \
       --strategy "$strategy" \
-      --segment all \
       --iters 600 \
       --lr 1e-3 \
       --frames 350 \

@@ -6,9 +6,11 @@
 # tree defaults to the repository this script is in; pass the root of another
 # checkout (say a `git archive` copy of an earlier revision) to measure it.
 # Prints the line counts of src/ and tests/ (every *.py under each) and the
-# options count: the flags of every subcommand of `cli.build_parser()` plus
-# the fields of every config object, `TrainConfig`, `NcaConfig`, `StftConfig`
-# and `HeatmapSpec`, imported from the tree's own src/.
+# options count: the flags of every subcommand of `cli.build_parser()`, the
+# fields of every config object, `TrainConfig`, `NcaConfig` and `StftConfig`,
+# and the keyword-only parameters of `export_heatmap`, imported from the
+# tree's own src/. The set of counted objects is this revision's, so measure
+# an earlier revision with that revision's own copy of this script.
 set -euo pipefail
 
 tree="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
@@ -20,9 +22,10 @@ echo "tests_lines $(lines tests)"
 PYTHONPATH="$tree/src" python3 - <<'EOF'
 import argparse
 import dataclasses
+import inspect
 
 from neural_couplings import cli
-from neural_couplings.analysis import HeatmapSpec
+from neural_couplings.analysis import export_heatmap
 from neural_couplings.nca import NcaConfig
 from neural_couplings.spectral import StftConfig
 from neural_couplings.training import TrainConfig
@@ -33,8 +36,10 @@ flags = sum(
     for parser in sub.choices.values()
     for action in parser._actions
 )
-configs = {c.__name__: len(dataclasses.fields(c))
-           for c in (TrainConfig, NcaConfig, StftConfig, HeatmapSpec)}
+configs = {c.__name__: len(dataclasses.fields(c)) for c in (TrainConfig, NcaConfig, StftConfig)}
+configs["export_heatmap keyword"] = sum(
+    p.kind is p.KEYWORD_ONLY for p in inspect.signature(export_heatmap).parameters.values()
+)
 parts = " + ".join(f"{name} {count}" for name, count in configs.items())
 print(f"options {flags + sum(configs.values())} (CLI flags {flags} + {parts})")
 EOF

@@ -14,7 +14,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .analysis import (
-    HeatmapSpec,
     MetricsRecord,
     aggregate,
     evaluate_segment,

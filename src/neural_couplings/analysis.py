@@ -41,14 +41,6 @@ class MetricsRecord:
     snr_truth_db: float
 
 
-@dataclass(frozen=True)
-class HeatmapSpec:
-    """Rendering choices: square zoom window, per-row max normalization."""
-
-    zoom: tuple[int, int] | None = None
-    row_normalize: bool = False
-
-
 def linear_composition(params: ModelParams) -> Mat:
     """Plain product of the weight matrices, encoder applied first; biases ignored."""
     c = np.eye(params.n)
@@ -199,22 +191,16 @@ def heatmap_encoder(path):
     return _png_bytes if suffix == ".png" else _pgm_bytes
 
 
-def export_heatmap(c: Mat, spec: HeatmapSpec, path) -> None:
-    """Render |C| (optionally a square zoom window) as an 8-bit grayscale
-    image, row 0 at the top, in the format of the path's suffix. Without row
-    normalization the image is scaled by its global maximum."""
+def export_heatmap(c: Mat, path, *, row_normalize: bool = False) -> None:
+    """Render |C| as an 8-bit grayscale image, row 0 at the top, in the
+    format of the path's suffix: each row scaled by its own maximum with
+    row_normalize, else the image by its global maximum."""
     encode = heatmap_encoder(path)
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2:
         raise ShapeError(f"heatmap: expected a matrix, got shape {c.shape}")
-    if spec.zoom is not None:
-        lo, hi = spec.zoom
-        if not (0 <= lo < hi <= min(c.shape)):
-            raise ValueError(f"zoom [{lo}, {hi}) out of range for shape {c.shape}")
-        img = np.abs(c[lo:hi, lo:hi])
-    else:
-        img = np.abs(c)
-    if spec.row_normalize:
+    img = np.abs(c)
+    if row_normalize:
         row_max = img.max(axis=1, keepdims=True)
         img = np.divide(img, row_max, out=np.zeros_like(img), where=row_max > 0)
     else:

@@ -22,7 +22,7 @@ any printed derivation.
 Precision: the objectives and Adam follow their inputs' dtype, and run_nca
 runs every iteration in float32. The forward pass stays float64; X, Y, the
 drawn theta and, for compositional runs, the layer weights are rounded to
-float32 once per run, and the returned C and P are float64 again. Float32
+float32 once per run, and the returned C is float64 again. Float32
 halves the memory traffic of the n x n products and doubles their SIMD
 width; the README's Precision section gives how far it moves the losses.
 """
@@ -68,16 +68,10 @@ class NcaConfig:
 
 @dataclass
 class NcaState:
-    """The fitted C and the per-iteration loss curve.
-
-    For the student strategy c is the unknown itself and p is None; for the
-    compositional strategy p is the (L, n, n) stack of gate drivers, indexed
-    by layer, and c is their composition.
-    """
+    """The fitted C and the per-iteration loss curve."""
 
     c: Mat
     losses: list[float]
-    p: Mat | None = None
 
 
 def student_objective(
@@ -203,8 +197,7 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
             raise NcaError(f"non-finite couplings loss at iteration {i}")
         losses.append(e)
 
-    student = cfg.strategy == "student"
-    if student:
+    if cfg.strategy == "student":
         theta = glorot_like_init(rng, n, n, n).astype(np.float32)
         objective = lambda t, g, **kw: (t, *student_objective(t, x, y, g, **kw))
     else:
@@ -222,7 +215,7 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     del grad, adam
     c, e, _ = objective(theta, None, loss_only=True)
     record(e, "final")
-    return NcaState(c.astype(np.float64), losses, None if student else theta.astype(np.float64))
+    return NcaState(c.astype(np.float64), losses)
 
 
 def save_couplings(path, c: Mat, metadata: dict) -> None:

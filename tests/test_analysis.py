@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from neural_couplings.analysis import (
-    HeatmapSpec,
     MetricsRecord,
     aggregate,
     couplings_estimate,
@@ -243,58 +242,32 @@ class TestHeatmap:
 
     def test_pgm_pixels(self, tmp_path, parse_pgm):
         path = tmp_path / "c.pgm"
-        export_heatmap(self.C2, HeatmapSpec(), path)
+        export_heatmap(self.C2, path)
         pixels = parse_pgm(path.read_bytes())
         # |C| / max -> [[1, .5], [0, .25]] -> rint * 255
         assert pixels.tolist() == [[255, 128], [0, 64]]
 
     def test_png_pixels_match_pgm(self, tmp_path, parse_pgm, parse_png):
-        # one spec, two formats: each is the path's suffix
+        # one matrix, two formats: each is the path's suffix
         a, b = tmp_path / "c.pgm", tmp_path / "c.png"
-        export_heatmap(self.C2, HeatmapSpec(), a)
-        export_heatmap(self.C2, HeatmapSpec(), b)
+        export_heatmap(self.C2, a)
+        export_heatmap(self.C2, b)
         assert parse_png(b.read_bytes()).tolist() == parse_pgm(a.read_bytes()).tolist()
 
     def test_row_normalize(self, tmp_path, parse_pgm):
         path = tmp_path / "r.pgm"
-        export_heatmap(
-            np.array([[2.0, 1.0], [0.0, 0.0]]),
-            HeatmapSpec(row_normalize=True),
-            path,
-        )
+        export_heatmap(np.array([[2.0, 1.0], [0.0, 0.0]]), path, row_normalize=True)
         # zero rows stay zero instead of dividing by zero
         assert parse_pgm(path.read_bytes()).tolist() == [[255, 128], [0, 0]]
-
-    def test_zoom_window(self, tmp_path, parse_pgm):
-        c = np.zeros((4, 4))
-        c[1, 1] = 1.0
-        c[2, 1] = 0.5
-        path = tmp_path / "z.pgm"
-        export_heatmap(c, HeatmapSpec(zoom=(1, 3)), path)
-        assert parse_pgm(path.read_bytes()).tolist() == [[255, 0], [128, 0]]
-
-    def test_zoom_bounds_checked(self, tmp_path):
-        with pytest.raises(ValueError, match="zoom"):
-            export_heatmap(np.eye(3), HeatmapSpec(zoom=(1, 5)), tmp_path / "x.pgm")
 
     def test_unknown_format_rejected(self, tmp_path):
         # the format is the path's suffix, and only .png and .pgm name one
         for name in ("c.jpg", "c.PNG", "c"):
             with pytest.raises(ValueError, match=r"\.png or \.pgm"):
-                export_heatmap(np.eye(4), HeatmapSpec(), tmp_path / name)
+                export_heatmap(np.eye(4), tmp_path / name)
         assert list(tmp_path.iterdir()) == []
 
     def test_all_zero_matrix_renders_black(self, tmp_path, parse_pgm):
         path = tmp_path / "0.pgm"
-        export_heatmap(np.zeros((2, 2)), HeatmapSpec(), path)
+        export_heatmap(np.zeros((2, 2)), path)
         assert parse_pgm(path.read_bytes()).tolist() == [[0, 0], [0, 0]]
-
-    def test_zoom_carves_a_corner_from_a_large_matrix(self, tmp_path, parse_pgm):
-        c = np.zeros((2049, 2049))
-        c[10, 12] = 1.0
-        path = tmp_path / "big.pgm"
-        export_heatmap(c, HeatmapSpec(zoom=(0, 744)), path)
-        pixels = parse_pgm(path.read_bytes())
-        assert pixels.shape == (744, 744)
-        assert pixels[10, 12] == 255
-        assert pixels.sum() == 255

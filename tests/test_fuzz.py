@@ -141,8 +141,8 @@ def test_cli_reports_mutated_input_as_one_json_line(files, tmp_path, capsys, com
         path.write_bytes((files / path.relative_to(tmp_path)).read_bytes())
     argv = {
         "couplings": ["couplings", "--checkpoint", str(ck), "--dataset", str(ds),
-                      "--strategy", "compositional", "--segment", "0", "--iters", "2",
-                      "--frames", str(WINDOW), "--out", str(tmp_path / "out.ncc")],
+                      "--strategy", "compositional", "--iters", "2",
+                      "--frames", str(WINDOW), "--out", str(tmp_path / "out")],
         "analyze": ["analyze", "--couplings", str(cc), "--checkpoints", str(ck.parent),
                     "--dataset", str(ds), "--out", str(tmp_path / "r.json")],
         "heatmap": ["heatmap", "--couplings", str(cc), "--out", str(tmp_path / "h.png")],
