@@ -3,14 +3,17 @@
 #
 #   scripts/bench_pairs.sh <parent-rev> <workload> [pairs] [seed]
 #
-# Extracts <parent-rev> with `git archive` into a temporary directory under
-# .perfbench_work/ and runs `python3 perfbench/run.py --workload W --seed S
-# --seconds 30 --trace 0` in that tree and in the working tree, once each per
-# pair, swapping which tree runs first from one pair to the next. For every
-# end-to-end metric in BENCHMARK.json it then prints each side's median and
-# quartiles and how many pairs the change won. Each run's result line is kept
-# in .perfbench_work/pairs-<workload>-seed<seed>/. The parent's directory is
-# removed on exit. pairs defaults to 10 and seed to 3.
+# Copies <parent-rev> (with `git archive`) and the working tree's tracked
+# files, as they are on disk, into .perfbench_work/parent-<pid>/ and
+# .perfbench_work/change-<pid>/, two paths of equal length: peak_rss_mb
+# moved with the length of the path a tree ran from. It runs
+# `python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0`
+# in each copy, once each per pair, swapping which tree runs first from one
+# pair to the next. For every end-to-end metric in BENCHMARK.json it then
+# prints each side's median and quartiles and how many pairs the change
+# won. Each run's result line is kept in
+# .perfbench_work/pairs-<workload>-seed<seed>/. Both copies are removed on
+# exit. pairs defaults to 10 and seed to 3.
 set -euo pipefail
 
 usage="usage: bench_pairs.sh <parent-rev> <workload> [pairs] [seed]"
@@ -22,14 +25,16 @@ seed="${4:-3}"
 
 root="$(git rev-parse --show-toplevel)"
 work="$root/.perfbench_work"
-tree="$work/parent-tree-$$"
+parent="$work/parent-$$"
+change="$work/change-$$"
 out="$work/pairs-$workload-seed$seed"
 
-trap 'rm -rf "$tree"' EXIT
+trap 'rm -rf "$parent" "$change"' EXIT
 
 rm -rf "$out"
-mkdir -p "$out" "$tree"
-git -C "$root" archive "$parent_rev" | tar -x -C "$tree"
+mkdir -p "$out" "$parent" "$change"
+git -C "$root" archive "$parent_rev" | tar -x -C "$parent"
+git -C "$root" ls-files -z | tar -C "$root" --null -T - -c | tar -x -C "$change"
 
 run() {  # <tree> <side> <pair>
   (cd "$1" && python3 perfbench/run.py --workload "$workload" --seed "$seed" \
@@ -38,11 +43,11 @@ run() {  # <tree> <side> <pair>
 
 for ((i = 0; i < pairs; i++)); do
   if ((i % 2 == 0)); then
-    run "$tree" parent "$i"
-    run "$root" change "$i"
+    run "$parent" parent "$i"
+    run "$change" change "$i"
   else
-    run "$root" change "$i"
-    run "$tree" parent "$i"
+    run "$change" change "$i"
+    run "$parent" parent "$i"
   fi
   echo "pair $((i + 1))/$pairs done" >&2
 done

@@ -114,9 +114,20 @@ def forward(params: ModelParams, x_batch) -> list[Mat]:
         raise ShapeError(f"input batch has shape {x.shape}, expected ({params.n}, T)")
     if not np.isfinite(x).all():
         raise ValueError("forward: non-finite values in input batch")
+    return forward_unchecked(params, x)
+
+
+def forward_unchecked(params: ModelParams, x: Mat) -> list[Mat]:
+    """forward without its input checks, for a caller that checked its data
+    once where it entered: x must be a finite (n, T) array of the weights'
+    dtype. Each product reads a C-order batch, which BLAS reads fastest (at
+    64 bins W X took 16 us on a transposed view, 9 us on a C-order copy); an
+    input of another layout is copied for the first product only, and stays
+    the returned X.
+    """
     acts = [x]
     for w, b in params.layers:
-        z = w @ acts[-1]
+        z = w @ np.ascontiguousarray(acts[-1])
         z += b
         acts.append(np.maximum(z, 0.0, out=z))
     return acts
@@ -133,38 +144,45 @@ def backward(
 ) -> float:
     """Write the analytic MSE gradient of every layer into grads; return the MSE.
 
-    acts is what forward returned. grads holds one preallocated (dW, db)
-    pair per layer, in layer order, of the shapes of params.layers; every
-    value in it is overwritten. The residual output - target is formed once
-    and gives both the loss, mean((output - target)^2) over the whole batch,
-    and the gradient. For sf the loss gradient reaches the decoder through
-    the masking product, so it is weighted by the input before entering the
-    ReLU chain. relu'(Z_l) is taken as A_l > 0, which equals Z_l > 0 for
-    every float, ±0 and NaN included.
+    acts is what forward or forward_unchecked returned. grads holds one
+    preallocated (dW, db) pair per layer, in layer order, of the shapes of
+    params.layers; every value in it is overwritten. The residual
+    output - target is formed once and gives both the loss,
+    mean((output - target)^2) over the whole batch, and the gradient. For sf
+    the loss gradient reaches the decoder through the masking product, so it is
+    weighted by the input before entering the ReLU chain. relu'(Z_l) is taken
+    as A_l > 0, which equals Z_l > 0 for every float, ±0 and NaN included.
 
-    Every product and reduction yields a C-order (n, B) array and sums in the
-    same order whatever the layout of the input and x_target, so a batch
-    gathered frames-major gives the same bits as one gathered by column.
+    The loss is one BLAS dot of the residual with itself, and each bias
+    gradient the product of d with a ones column (at 64 bins 1 against 9 us
+    for np.mean, and 1.4 against 5.4 us for np.sum). Each product reads
+    its batch operand in C order; dW = d A^T takes a C-order copy of A's
+    transpose, which costs less than BLAS loses on the transposed view
+    (9.1 + 3.3 against 17 us at 64 bins). The products write C-order arrays
+    and sum in the same order whatever the layout of the input and
+    x_target, so a batch gathered frames-major gives the same bits as one
+    gathered by column.
     """
     if len(acts) != len(params.layers) + 1:
         raise ValueError(f"{len(acts)} activations for {len(params.layers)} layers")
     tgt = np.asarray(x_target, dtype=acts[-1].dtype)
     if tgt.shape != acts[-1].shape:
         raise ShapeError(f"target shape {tgt.shape} differs from output {acts[-1].shape}")
-    n, t = tgt.shape
     # d is the loss gradient with respect to each layer's output, then, after
     # the relu mask, its pre-activation; it is C-order from here on
     d = np.subtract(model_output(params, acts), tgt, order="C")
-    loss = float(np.mean(d * d))
-    d *= 2.0 / (n * t)
+    r = d.reshape(-1)
+    loss = float(np.dot(r, r)) / r.size
+    d *= 2.0 / r.size
     if params.arch.uses_mask:
         d *= acts[0]
+    ones = np.ones((d.shape[1], 1), dtype=d.dtype)
 
     for layer in reversed(range(len(params.layers))):
         d *= acts[layer + 1] > 0.0
         dw, db = grads[layer]
-        np.matmul(d, acts[layer].T, out=dw)
-        np.sum(d, axis=1, keepdims=True, out=db)
+        np.matmul(d, np.ascontiguousarray(acts[layer].T), out=dw)
+        np.matmul(d, ones, out=db)
         if layer > 0:
             d = params.layers[layer][0].T @ d
     return loss

@@ -242,13 +242,23 @@ class TestBackward:
         "arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag
     )
     def test_returned_loss_is_the_batch_mse(self, arch, mse):
+        # in float32, as training runs it: the loss is the dot of the
+        # residual with itself over its size, and that sum of r.size float32
+        # squares rounds within r.size float32 epsilons of the float64 mean
         rng = make_rng([43, arch.n_layers, arch.uses_mask])
         p = init_params(arch, 5, rng)
+        p = ModelParams(arch, [(w.astype(np.float32), b.astype(np.float32))
+                               for w, b in p.layers], 5)
         x = np.abs(rng.normal(size=(5, 7)))
-        tgt = np.abs(rng.normal(size=(5, 7)))
+        tgt = np.abs(rng.normal(size=(5, 7))).astype(np.float32)
         acts = forward(p, x)
         grads = [(np.empty_like(w), np.empty_like(b)) for w, b in p.layers]
-        assert backward(p, acts, tgt, grads) == mse(tgt, model_output(p, acts))
+        loss = backward(p, acts, tgt, grads)
+        r = (model_output(p, acts) - tgt).ravel()
+        assert r.dtype == np.float32
+        assert loss == float(np.dot(r, r)) / r.size
+        want = mse(tgt, model_output(p, acts))
+        assert abs(loss - want) <= r.size * np.finfo(np.float32).eps * want
 
     @pytest.mark.parametrize(
         "arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()], ids=lambda a: a.tag
