@@ -17,9 +17,17 @@
 #
 # for the kinds .ncd, .ncm, history.csv, .ncc, loss.csv, report, heatmap and
 # manifest (and other, for a file of none of these kinds), where k counts
-# the files whose digest differs or that one run lacks; then the differing
-# lines. No output and status 0 mean every artifact is byte-identical and
-# the manifests agree. The temporary directory is removed on exit.
+# the files whose digest differs or that one run lacks. Under changed .ncc
+# it prints
+#
+#   matrix-identical <j>/<k>
+#
+# where j counts the k differing .ncc files whose matrices load (with this
+# tree's load_couplings) to bit-identical C on both sides, so that a change
+# of metadata alone, such as final_loss, shows apart from a change of C.
+# Then it prints the differing lines. No output and status 0 mean every
+# artifact is byte-identical and the manifests agree. The temporary
+# directory is removed on exit.
 set -euo pipefail
 
 parent_rev="${1:?usage: desk_identity.sh <parent-rev>}"
@@ -67,8 +75,12 @@ for run in run wide; do
 done
 
 # the per-kind summary, printed only if a listing differs
-python3 - "$work" run wide <<'EOF'
+PYTHONPATH="$root/src" python3 - "$work" run wide <<'EOF'
 import sys
+
+import numpy as np
+
+from neural_couplings.nca import load_couplings
 
 work, runs = sys.argv[1], sys.argv[2:]
 # (kind, path suffixes); a path takes the first kind that matches
@@ -85,6 +97,15 @@ KINDS = (
 
 def kind(path):
     return next((k for k, ends in KINDS if path.endswith(ends)), "other")
+
+
+def same_matrix(run, path):
+    """Whether both sides hold the file and its matrices are bit-identical."""
+    try:
+        a, b = (load_couplings(f"{work}/{run}-{side}/{path}")[0] for side in ("parent", "change"))
+    except FileNotFoundError:
+        return False
+    return np.array_equal(a, b)
 
 
 def listing(side):
@@ -109,8 +130,11 @@ if any(parent.get(key) != change.get(key) for key in keys):
     for k in [k for k, _ in KINDS] + ["manifest", "other"]:
         mine = [key for key in keys if key[1] == k]
         if mine:
-            moved = sum(parent.get(key) != change.get(key) for key in mine)
-            print(f"changed {k} {moved}/{len(mine)}")
+            moved = [key for key in mine if parent.get(key) != change.get(key)]
+            print(f"changed {k} {len(moved)}/{len(mine)}")
+            if k == ".ncc" and moved:
+                same = sum(same_matrix(run, path) for run, _, path in moved)
+                print(f"  matrix-identical {same}/{len(moved)}")
 EOF
 
 status=0

@@ -41,6 +41,7 @@ from .nca import (
     load_couplings,
     run_nca,
     save_couplings,
+    shifted_layers,
     student_objective,
 )
 from .spectral import (

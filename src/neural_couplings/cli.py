@@ -14,6 +14,7 @@ import contextlib
 import functools
 import glob as globlib
 import json
+import logging
 import sys
 import time
 from dataclasses import replace
@@ -49,6 +50,9 @@ from .spectral import (
 )
 from .synth import make_synthetic_dataset
 from .training import TrainConfig, TrainingError, train, write_history_csv
+
+
+log = logging.getLogger(__name__)
 
 
 class CliError(Exception):
@@ -298,7 +302,11 @@ def cmd_analyze(args) -> int:
     Every file's metadata is checked before the dataset loads, and its matrix
     is read only when its segment is scored. Each segment is cut once, then
     the dataset is freed; checkpoints go through the loop couplings uses.
-    Records go by checkpoint, then segment, in the sorted files' order."""
+    Records go by checkpoint, then segment, in the sorted files' order.
+
+    A window of T frames has rank at most T, so when T < n its loss leaves
+    part of C free; once the report is written, one warning gives how many
+    scored segments are that short."""
     started = time.perf_counter()
     couplings_paths = sorted(globlib.glob(args.couplings))
     if not couplings_paths:
@@ -345,6 +353,11 @@ def cmd_analyze(args) -> int:
     hashed = {str(p): h for h, p in by_hash.items()}
     write_manifest(Path(str(out) + ".manifest.json"), args, inputs, [out, csv_path], started,
                    hashed)
+    short = sum(stop - start < n for _, start, stop in bounds.values())
+    if short:
+        log.warning("analyze: %d of %d scored segments hold fewer frames than the %d bins, "
+                    "so their loss does not determine their couplings matrix",
+                    short, len(bounds), n)
     return 0
 
 

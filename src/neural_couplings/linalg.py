@@ -34,13 +34,13 @@ def glorot_like_init(rng: np.random.Generator, rows: int, cols: int, n: int) -> 
 
 def single(a: Mat, what: str, error: type[Exception], stage: str) -> Mat:
     """a rounded to float32, or a itself if it is float32 already; raises
-    error, naming what and the stage that runs in float32, if a value rounds
-    outside the float32 range."""
+    error, naming what and the stage that runs in float32, if a value is
+    non-finite or rounds outside the float32 range."""
     # an overflowing cast is the condition checked here, not a numpy error
     with np.errstate(over="ignore"):
         s = a.astype(np.float32, copy=False)
     if not np.isfinite(s).all():
         top = float(np.finfo(np.float32).max)
-        raise error(f"{what} holds values outside the float32 range |v| <= {top:.6g}, "
-                    f"in which {stage} runs")
+        raise error(f"{what} holds values that are non-finite or outside the float32 range "
+                    f"|v| <= {top:.6g}, in which {stage} runs")
     return s

@@ -7,24 +7,29 @@ l1(Y - C X) over C with Adam. Two strategies:
 student        C is a free matrix; the subgradient is sign(C X - Y) X^T.
 compositional  C is rebuilt every iteration as the product over layers of
                (G_l . W_l), encoder factor applied first, where each gate
-               G_l = relu(P_l (W_l + b_l)^T) is driven by a free matrix P_l
-               and (W_l + b_l) adds b_l[j] to every element of column j.
-               Only the P_l are optimized; W_l and b_l stay frozen.
+               G_l = relu(P_l S_l^T) is driven by a free matrix P_l and the
+               shifted weights S_l = W_l + b_l^T add b_l[j] to every element
+               of column j. Only the P_l are optimized; W_l and b_l stay
+               frozen.
 
-Each strategy has one objective function of the plain arrays X and Y
-returning the loss and the gradients from one pass, evaluated once per Adam
-iteration: the residual R = C X - Y is formed once and shared by the loss
-|R| and the gradient. run_nca takes X and Y from one forward pass of the
-model, its first and last activations, and keeps nothing else of it.
-Correctness is pinned by finite-difference tests rather than by trusting
-any printed derivation.
+Each strategy has one objective function of plain arrays returning the loss
+and the gradients from one pass, evaluated once per Adam iteration: the
+residual R = C X - Y and its sign are formed once and shared by the loss
+sign(R) . R = |R| and the gradient. An iteration forms only what changes
+from one iteration to the next: run_nca takes X and Y from one forward pass
+of the model, its first and last activations, and keeps nothing else of it;
+it forms X^T in C order and, for compositional runs, each S_l once per run,
+and compositional_objective carries the gradient back through the factors
+without forming their downstream products. Correctness is pinned by
+finite-difference tests rather than by trusting any printed derivation.
 
 Precision: the objectives and Adam follow their inputs' dtype, and run_nca
 runs every iteration in float32. The forward pass stays float64; X, Y, the
-drawn theta and, for compositional runs, the layer weights are rounded to
-float32 once per run, and the returned C is float64 again. Float32
-halves the memory traffic of the n x n products and doubles their SIMD
-width; the README's Precision section gives how far it moves the losses.
+drawn theta and, for compositional runs, the layer weights and biases are
+rounded to float32 once per run (S_l is their float32 sum), and the
+returned C is float64 again. Float32 halves the memory traffic of the
+n x n products and doubles their SIMD width; the README's Precision
+section gives how far it moves the losses.
 """
 
 from __future__ import annotations
@@ -75,27 +80,38 @@ class NcaState:
 
 
 def student_objective(
-    c: Mat, x: Mat, y: Mat, grad: Mat | None = None, *, loss_only: bool = False
+    c: Mat, x: Mat, xt: Mat, y: Mat, grad: Mat | None = None, *, loss_only: bool = False
 ) -> tuple[float, Mat | None]:
     """L1 loss of Y - C X and its subgradient in C, sign(C X - Y) X^T with
-    sign(0) = 0, both from one residual. The subgradient is written into
-    grad when one is given, and skipped (None) when loss_only.
+    sign(0) = 0, both from one residual R = C X - Y. xt is X^T in C order,
+    formed once by the caller: a product reading X through a transposed view
+    ran slower (with the same bits in float32). The subgradient is written
+    into grad when one is given, and skipped (None) when loss_only.
 
     The residual is formed in place in the product's buffer, which rounds
-    as the out-of-place form, and |R| is taken in place once its sign is.
-    The sign is a fresh array: numpy's in-place sign runs about 5x slower
-    than the out-of-place one.
+    as the out-of-place form. The sign is a fresh array, since numpy's
+    in-place sign runs about 5x slower, and the loss is its BLAS dot with R,
+    the sum of |R| in another order.
     """
     r = c @ x
     r -= y
-    d = None if loss_only else np.matmul(np.sign(r), x.T, out=grad)
-    return float(np.abs(r, out=r).sum()), d
+    s = np.sign(r)
+    d = None if loss_only else np.matmul(s, xt, out=grad)
+    return float(np.dot(s.ravel(), r.ravel())), d
+
+
+def shifted_layers(layers) -> list[tuple[Mat, Mat]]:
+    """Each layer (W_l, b_l) as the pair (W_l, S_l) compositional_objective
+    takes, where the shifted weights S_l = W_l + b_l^T add b_l[j] to every
+    element of column j; S_l is C-order and has W_l's dtype."""
+    return [(w, w + b.T) for w, b in layers]
 
 
 def compositional_objective(
     p: Mat,
-    params: ModelParams,
+    layers: list[tuple[Mat, Mat]],
     x: Mat,
+    xt: Mat,
     y: Mat,
     grads: Mat | None = None,
     *,
@@ -103,65 +119,71 @@ def compositional_objective(
 ) -> tuple[Mat | None, float, Mat | None]:
     """The L1 loss of Y - C X for the composition C and either C (loss_only)
     or the (L, n, n) gradient in the gate drivers P_l = p[l], written into
-    grads when one is given; the other of the two is None. A gradient call
-    forms C in grads[L-1], which its backward pass overwrites, so only a
-    loss_only call returns C.
+    grads when one is given; the other of the two is None. layers holds
+    each layer's (W_l, S_l) from shifted_layers and xt is X^T in C order,
+    both formed once per run. A gradient call forms C in grads[L-1], which
+    its backward pass overwrites, so only a loss_only call returns C.
 
-    With M_l = G_l . W_l, C = M_L ... M_1 is the last of the prefix products
-    M_1, M_2 M_1, .... The gradient through the product is
-    dE/dM_l = A_l^T D B_l^T where D = sign(C X - Y) X^T is the student
-    gradient at C (student_objective gives it with the loss), A_l is the
-    product of factors downstream of layer l and B_l the product of factors
-    upstream of it; an empty product is skipped rather than multiplied as I.
-    Then
-    dE/dP_l = (dE/dM_l . W_l . relu'(G_hat_l)) (W_l + b_l).
+    With M_l = G_l . W_l and G_l = relu(G_hat_l), G_hat_l = P_l S_l^T,
+    C = M_L ... M_1 is the last of the prefix products B_{l+1} = M_l ... M_1.
+    The backward pass carries U_l = A_l^T D back one factor at a time, where
+    D = sign(C X - Y) X^T is the student gradient at C (student_objective
+    gives it with the loss) and A_l = M_L ... M_{l+1} the product of the
+    factors downstream of layer l:
+    U_L = D, U_{l-1} = M_l^T U_l, dE/dM_l = U_l B_l^T (dE/dM_1 = U_1) and
+    dE/dP_l = (dE/dM_l . W_l . relu'(G_hat_l)) S_l.
+    No downstream product A_l is formed: an iteration takes L gate, L - 1
+    prefix, 2 (L - 1) backward and L dE/dP_l products of size n^3, 5L - 3
+    in all (forming the A_l took 6L - 5), besides the two n x n x T
+    products of the residual and D.
 
-    Memory: a gradient call forms each prefix product M_l ... M_1 (l > 0),
-    C included, in grads[l], and D in grads[0]; the backward pass writes
-    grads[l] only after its last read of what that slot holds. Besides
-    grads, the live set peaks at the L factors, the running downstream
-    product and a few n x n temporaries, plus an (n, T) residual and L bool
-    gate masks (an eighth of a matrix each). Each gate is formed in its
-    pre-activation's buffer once the mask is taken, and each factor in its
-    gate's buffer; the backward pass drops each factor after its last use,
-    and each masked factor gradient is formed in place, written to grads[l]
-    by one matmul and freed before the next; every step rounds as its
-    out-of-place form. run_nca passes one grads stack for the whole run, so
-    an iteration allocates none.
+    Memory, in the slots of grads (layer l's gradient goes to slot l - 1):
+    a gradient call forms each prefix product B_{l+1} for l > 1, C
+    included, in slot l - 1, and D in slot 0. Going back from layer l, U_{l-1}
+    is written into slot l - 2, where the B_l that dE/dM_l has just read was
+    held (U_1, whose slot may still hold D, gets an array of its own), and
+    then dE/dP_l into slot l - 1, which held U_l. Besides grads, the live
+    set peaks at the L factors and one dE/dM_l, plus an (n, T) residual and
+    sign and L bool gate masks (an eighth of a matrix each). Each gate is
+    formed in its pre-activation's buffer once the mask is taken, and each
+    factor in its gate's buffer; the backward pass drops each factor and
+    prefix product after its last use, and forms each masked factor
+    gradient in place; every step rounds as its out-of-place form. run_nca
+    passes one grads stack for the whole run, so an iteration allocates
+    none of it.
     """
-    if len(p) != len(params.layers):
-        raise ValueError(f"{len(p)} gate drivers for {len(params.layers)} layers")
+    if len(p) != len(layers):
+        raise ValueError(f"{len(p)} gate matrices P_l for {len(layers)} layers")
     if grads is None and not loss_only:
-        grads = np.empty((len(p), params.n, params.n), dtype=p[0].dtype)
+        grads = np.empty((len(p), *p[0].shape), dtype=p[0].dtype)
     # where prefix product l and D are formed; a loss_only call forms its own
     slots = [None] * len(p) if loss_only else grads
     masks, factors, prefix = [], [], []
-    for l, (p_l, (w, b)) in enumerate(zip(p, params.layers)):
+    for l, (p_l, (w, s)) in enumerate(zip(p, layers)):
         # the gate G_l = relu(G_hat_l) in its pre-activation's buffer
-        g = p_l @ (w + b.T).T
+        g = p_l @ s.T
         masks.append(g > 0.0)
         np.maximum(g, 0.0, out=g)
         g *= w
         factors.append(g)
         prefix.append(np.matmul(g, prefix[-1], out=slots[l]) if l else g)
     c = prefix.pop()
-    loss, delta = student_objective(c, x, y, slots[0], loss_only=loss_only)
+    loss, u = student_objective(c, x, xt, y, slots[0], loss_only=loss_only)
     if loss_only:
         return c, loss, None
 
-    down = None  # M_L ... M_{l+1}, None while empty
     for l in range(len(p) - 1, -1, -1):
-        d_factor = delta if down is None else down.T @ delta
+        w, s = layers[l]
         if l > 0:
-            # each prefix product and factor is dropped after its last use
-            d_factor = d_factor @ prefix[l - 1].T
+            d_factor = u @ prefix[l - 1].T
             prefix[l - 1] = None
-            down = factors[l] if down is None else down @ factors[l]
+            u = np.matmul(factors[l].T, u, out=grads[l - 1] if l > 1 else None)
             factors[l] = None
-        w, b = params.layers[l]
+        else:
+            d_factor = u
         d_factor *= w
         d_factor *= masks[l]
-        np.matmul(d_factor, w + b.T, out=grads[l])
+        np.matmul(d_factor, s, out=grads[l])
         del d_factor
     return None, loss, grads
 
@@ -174,11 +196,13 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     """Fit a couplings matrix to the model's response on x_mix.
 
     The unknown theta is C itself (student) or the (L, n, n) gate drivers
-    (compositional), drawn in one piece and stepped in place by Adam. Each
-    iteration evaluates the objective once into one gradient buffer held for
-    the run, records its loss and takes an Adam step; nothing else of an
-    evaluation outlives it. A final loss-only evaluation forms the returned C
-    and records its loss, so the loss curve has cfg.iterations + 1 values.
+    (compositional), drawn in one piece and stepped in place by Adam. X^T
+    and, for compositional runs, the layers' (W_l, S_l) are formed once and
+    held for the run. Each iteration evaluates the objective once into one
+    gradient buffer held for the run, records its loss and takes an Adam
+    step; nothing else of an evaluation outlives it. A final loss-only
+    evaluation forms the returned C and records its loss, so the loss curve
+    has cfg.iterations + 1 values.
 
     The iterations run in float32 (see the module docstring); a value
     outside the float32 range is refused with NcaError.
@@ -188,6 +212,7 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     acts = forward(params, x_mix)
     x, y = _single(acts[0], "the window"), _single(acts[-1], "the model output")
     del acts
+    xt = x.T.copy()
     adam = Adam(cfg.lr)
     n = params.n
     losses: list[float] = []
@@ -199,15 +224,14 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
 
     if cfg.strategy == "student":
         theta = glorot_like_init(rng, n, n, n).astype(np.float32)
-        objective = lambda t, g, **kw: (t, *student_objective(t, x, y, g, **kw))
+        objective = lambda t, g, **kw: (t, *student_objective(t, x, xt, y, g, **kw))
     else:
-        layers = [
+        layers = shifted_layers(
             (_single(w, f"layer {l} W"), _single(b, f"layer {l} b"))
             for l, (w, b) in enumerate(params.layers)
-        ]
-        params32 = ModelParams(params.arch, layers, n)
+        )
         theta = glorot_like_init(rng, len(layers) * n, n, n).astype(np.float32).reshape(-1, n, n)
-        objective = lambda t, g, **kw: compositional_objective(t, params32, x, y, g, **kw)
+        objective = lambda t, g, **kw: compositional_objective(t, layers, x, xt, y, g, **kw)
     grad = np.empty_like(theta)
     for i in range(cfg.iterations):
         record(objective(theta, grad)[1], i)

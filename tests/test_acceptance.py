@@ -38,6 +38,7 @@ from neural_couplings.nca import (
     load_couplings,
     run_nca,
     save_couplings,
+    shifted_layers,
 )
 from neural_couplings.spectral import (
     BinScaler,
@@ -216,7 +217,8 @@ def test_criterion_2_compositional_gradient_fidelity():
         x = np.abs(rng.normal(size=(n, t))) + 0.1
         y = forward(params, x)[-1]
         p_list = [rng.normal(size=(n, n)) * np.sqrt(1.0 / n) for _ in range(2)]
-        _, _, got = compositional_objective(p_list, params, x, y)
+        # X^T as the transcription reads it, a transposed view
+        _, _, got = compositional_objective(p_list, shifted_layers(params.layers), x, x.T, y)
         want = _transcribed_two_layer_grads(params, p_list, x, y)
         if np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]):
             exact += 1
@@ -233,7 +235,8 @@ def test_criterion_2_compositional_gradient_fidelity():
         x = np.abs(rng.normal(size=(n, t))) + 0.1
         y = forward(params, x)[-1]
         p_list = [rng.normal(size=(n, n)) * np.sqrt(1.0 / n) for _ in range(4)]
-        _, _, grads = compositional_objective(p_list, params, x, y)
+        window = (shifted_layers(params.layers), x, x.T.copy(), y)
+        _, _, grads = compositional_objective(p_list, *window)
         g_hats = [q @ (w + b.T).T for q, (w, b) in zip(p_list, params.layers)]
         for layer in range(4):
             for idx in np.ndindex(n, n):
@@ -245,8 +248,8 @@ def test_criterion_2_compositional_gradient_fidelity():
                 pp[layer][idx] += h
                 pm[layer][idx] -= h
                 fd = (
-                    compositional_objective(pp, params, x, y)[1]
-                    - compositional_objective(pm, params, x, y)[1]
+                    compositional_objective(pp, *window)[1]
+                    - compositional_objective(pm, *window)[1]
                 ) / (2 * h)
                 g = grads[layer][idx]
                 if max(abs(fd), abs(g)) < 1e-8:

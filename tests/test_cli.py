@@ -734,6 +734,22 @@ class TestAnalyzeCommand:
                 "--checkpoints", str(pipeline / "ck"), "--dataset", str(pipeline / "ds.ncd"),
                 "--out", str(tmp_path / "report.json")]
 
+    @pytest.mark.parametrize("frames, warned", [(10, True), (20, False)])
+    def test_short_windows_warn_once(self, pipeline, tmp_path, caplog, frames, warned):
+        # n = 16: 10-frame windows leave C undetermined by the loss, 20 do not
+        run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed*.ncm"),
+                "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
+                "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", str(frames)])
+        argv = ["analyze", "--couplings", str(tmp_path / "cp" / "*.ncc"),
+                "--checkpoints", str(pipeline / "ck"), "--dataset", str(pipeline / "ds.ncd"),
+                "--out", str(tmp_path / "report.json")]
+        with caplog.at_level("WARNING"):
+            run_ok(argv)
+        warnings_seen = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        want = ["analyze: 4 of 4 scored segments hold fewer frames than the 16 bins, so "
+                "their loss does not determine their couplings matrix"]
+        assert warnings_seen == (want if warned else [])
+
     def test_one_load_per_checkpoint_one_forward_per_segment(
         self, pipeline, tmp_path, monkeypatch
     ):

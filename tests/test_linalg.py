@@ -5,7 +5,7 @@ import pytest
 
 from neural_couplings.linalg import glorot_like_init, make_rng
 from neural_couplings.models import Arch, ModelParams, forward
-from neural_couplings.nca import compositional_objective, student_objective
+from neural_couplings.nca import compositional_objective, shifted_layers, student_objective
 
 
 def test_glorot_like_init_scale_and_determinism():
@@ -42,7 +42,8 @@ def test_relu_clips_negatives_only():
     one = np.ones((1, 1))
     p = ModelParams(Arch.dae(), [(one, np.array([[-2.0]])), (one, np.zeros((1, 1)))], 1)
     gates = [
-        compositional_objective(np.array([[[p1]], one]), p, one, one, loss_only=True)[0]
+        compositional_objective(np.array([[[p1]], one]), shifted_layers(p.layers), one, one, one,
+                                loss_only=True)[0]
         for p1 in (1.0, 0.0, -2.5)
     ]
     assert [g.tolist() for g in gates] == [[[0.0]], [[0.0]], [[2.5]]]
@@ -61,7 +62,7 @@ def test_relu_deriv_is_zero_at_zero(backward_grads):
 
 def test_signum_maps_zero_to_zero():
     y = np.array([[3.0, 0.0, -4.0]] * 3)
-    _, g = student_objective(np.zeros((3, 3)), np.eye(3), y)
+    _, g = student_objective(np.zeros((3, 3)), np.eye(3), np.eye(3), y)
     assert g.tolist() == [[-1.0, 0.0, 1.0]] * 3
 
 
@@ -71,6 +72,7 @@ def test_kernels_do_not_mutate_inputs(backward_grads):
     before = (a.copy(), b.copy())
     p = ModelParams(Arch.dae(), [(a, b), (a, b)], 2)
     backward_grads(p, forward(p, a), a)
-    compositional_objective([a, a], p, a, a)
-    student_objective(a, a, a)
+    # a.T, a view, would show a write to X^T as a change of a
+    compositional_objective([a, a], shifted_layers(p.layers), a, a.T, a)
+    student_objective(a, a, a.T, a)
     assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])

@@ -14,13 +14,25 @@ from neural_couplings.nca import (
     load_couplings,
     run_nca,
     save_couplings,
+    shifted_layers,
     student_objective,
 )
 from neural_couplings.training import Adam
 
 
+def window(x, y):
+    """X, X^T in C order and Y, the arrays the objectives take; run_nca
+    forms X^T once per run."""
+    return x, x.T.copy(), y
+
+
 def batch(x, y):
-    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return window(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+
+
+def l1(r):
+    """The L1 loss of a residual as the objectives take it: sign(R) . R."""
+    return float(np.dot(np.sign(r).ravel(), r.ravel()))
 
 
 def target(params, x):
@@ -42,6 +54,14 @@ def single_params(params):
 def gate(p, w, b):
     """Reference gate, G = relu(P (W + b)^T), out of place."""
     return np.maximum(p @ (w + b.T).T, 0.0)
+
+
+def with_biases(params, seed):
+    """params with every bias drawn non-zero: with b = 0 the shifted weights
+    W + b^T equal W, and a gradient that used W in their place would pass."""
+    rng = make_rng([70, seed])
+    layers = [(w, rng.normal(0.0, 0.5, b.shape)) for w, b in params.layers]
+    return ModelParams(params.arch, layers, params.n)
 
 
 def positive_params(arch, n, seed, lo=0.05, hi=0.3):
@@ -130,14 +150,18 @@ class TestTarget:
     def fitted(p, x, monkeypatch):
         seen = []
 
-        def spy(c, x, y, *args, **kwargs):
-            seen.append((x, y))
-            return student_objective(c, x, y, *args, **kwargs)
+        def spy(c, x, xt, y, *args, **kwargs):
+            seen.append((x, xt, y))
+            return student_objective(c, x, xt, y, *args, **kwargs)
 
         monkeypatch.setattr(nca, "student_objective", spy)
         run_nca(p, x, NcaConfig("student", iterations=1))
         assert len(seen) == 2
-        return seen[0]
+        x, xt, y = seen[0]
+        # X^T is one C-order copy, formed once per run
+        assert xt.flags.c_contiguous and np.array_equal(xt, x.T)
+        assert all(seen_xt is xt for _, seen_xt, _ in seen)
+        return x, y
 
     def test_dae_target_is_model_output(self, monkeypatch):
         p = positive_params(Arch.dae(), 4, 1)
@@ -164,7 +188,8 @@ class TestGates:
         n = len(w1)
         params = ModelParams(Arch.dae(), [(w1, b1), (np.eye(n), np.zeros((n, 1)))], n)
         x = np.eye(n)
-        c, _, _ = compositional_objective([p1, np.ones((n, n))], params, x, x, loss_only=True)
+        c, _, _ = compositional_objective([p1, np.ones((n, n))], shifted_layers(params.layers),
+                                          *window(x, x), loss_only=True)
         return c
 
     def test_gate_hand_value(self):
@@ -187,7 +212,8 @@ class TestGates:
     def test_objective_checks_gate_driver_count(self):
         p = positive_params(Arch.dae(), 2, 0)
         with pytest.raises(ValueError):
-            compositional_objective([np.eye(2)], p, *batch(np.eye(2), np.eye(2)))
+            compositional_objective([np.eye(2)], shifted_layers(p.layers),
+                                    *batch(np.eye(2), np.eye(2)))
 
     def test_compose_hand_value(self):
         # encoder applied first: C = (G2 . W2) (G1 . W1); with b = 0 the
@@ -201,7 +227,8 @@ class TestGates:
         p1 = np.array([[1.0, 0.0], [1.0, 0.0]])
         p2 = np.array([[2.0, 0.0], [0.0, 3.0]])
         c, loss, _ = compositional_objective(
-            [p1, p2], p, *batch(np.eye(2), np.zeros((2, 2))), loss_only=True
+            [p1, p2], shifted_layers(p.layers), *batch(np.eye(2), np.zeros((2, 2))),
+            loss_only=True
         )
         assert c.tolist() == [[2.0, 0.0], [3.0, 3.0]]
         assert loss == 8.0
@@ -212,22 +239,25 @@ class TestGates:
         # P_l = ones (W_l + b_l)^-T opens every gate up to rounding
         p = positive_params(Arch.mss_dae(1), 5, 3)
         x = np.abs(make_rng(4).normal(size=(5, 6))) + 0.1
-        drivers = [np.ones((5, 5)) @ np.linalg.inv(w + b.T).T for w, b in p.layers]
-        gates = [gate(q, w, b) for q, (w, b) in zip(drivers, p.layers)]
+        p_open = [np.ones((5, 5)) @ np.linalg.inv(w + b.T).T for w, b in p.layers]
+        gates = [gate(q, w, b) for q, (w, b) in zip(p_open, p.layers)]
         assert all(np.allclose(g, 1.0, atol=1e-12) for g in gates)
-        c, _, _ = compositional_objective(drivers, p, *batch(x, x), loss_only=True)
+        c, _, _ = compositional_objective(p_open, shifted_layers(p.layers), *batch(x, x),
+                                          loss_only=True)
         assert np.allclose(c @ x, model_output(p, forward(p, x)), atol=1e-12)
 
 
 class TestCompositionalGrads:
-    def grads_for(self, arch, seed):
+    def grads_for(self, arch, seed, biased=False):
         n, t = 6, 5
         params = init_params(arch, n, make_rng([50, seed]))
+        if biased:
+            params = with_biases(params, seed)
         rng = make_rng([51, seed])
         x = np.abs(rng.normal(size=(n, t))) + 0.1
-        tb = target(params, x)
+        layers, tb = shifted_layers(params.layers), window(*target(params, x))
         p_list = [glorot(rng, n) for _ in range(arch.n_layers)]
-        return params, tb, p_list, compositional_objective(p_list, params, *tb)[2]
+        return layers, tb, p_list, compositional_objective(p_list, layers, *tb)[2]
 
     def test_two_layer_grads_match_direct_transcription(self):
         # independent rewrite of the two-layer case from first principles:
@@ -239,8 +269,10 @@ class TestCompositionalGrads:
             x = np.abs(rng.normal(size=(n, t))) + 0.1
             x, y = target(params, x)
             p_list = [glorot(rng, n), glorot(rng, n)]
-            got_none, got_loss, got = compositional_objective(p_list, params, x, y)
-            got_c, c_loss, _ = compositional_objective(p_list, params, x, y, loss_only=True)
+            layers = shifted_layers(params.layers)
+            got_none, got_loss, got = compositional_objective(p_list, layers, *window(x, y))
+            got_c, c_loss, _ = compositional_objective(p_list, layers, *window(x, y),
+                                                       loss_only=True)
 
             (w1, b1), (w2, b2) = params.layers
             g1, g2 = gate(p_list[0], w1, b1), gate(p_list[1], w2, b2)
@@ -256,12 +288,10 @@ class TestCompositionalGrads:
             assert np.array_equal(got[1], want2)
             assert got_none is None
             assert np.array_equal(got_c, c)
-            assert got_loss == c_loss == float(np.abs(y - c @ x).sum())
+            assert got_loss == c_loss == l1(c @ x - y)
 
-    @pytest.mark.parametrize("hidden", [1, 2])
-    def test_deep_grads_match_finite_differences(self, hidden):
-        arch = Arch.mss_dae(hidden)
-        params, tb, p_list, grads = self.grads_for(arch, seed=hidden)
+    def assert_grads_match_finite_differences(self, arch, seed, biased=False):
+        layers, tb, p_list, grads = self.grads_for(arch, seed, biased)
         h = 1e-6
         for l in range(arch.n_layers):
             for idx in [(0, 0), (2, 3), (5, 1)]:
@@ -269,22 +299,33 @@ class TestCompositionalGrads:
                 pm = [q.copy() for q in p_list]
                 pp[l][idx] += h
                 pm[l][idx] -= h
-                ep = compositional_objective(pp, params, *tb)[1]
-                em = compositional_objective(pm, params, *tb)[1]
+                ep = compositional_objective(pp, layers, *tb)[1]
+                em = compositional_objective(pm, layers, *tb)[1]
                 fd = (ep - em) / (2 * h)
                 g = grads[l][idx]
                 assert abs(fd - g) / max(abs(fd), abs(g), 1e-8) < 1e-3
+
+    @pytest.mark.parametrize("hidden", [1, 2])
+    def test_deep_grads_match_finite_differences(self, hidden):
+        self.assert_grads_match_finite_differences(Arch.mss_dae(hidden), seed=hidden)
+
+    @pytest.mark.parametrize("arch", [Arch.dae(), Arch.mss_dae(1), Arch.mss_dae(2)],
+                             ids=lambda a: f"L{a.n_layers}")
+    def test_grads_with_nonzero_biases_match_finite_differences(self, arch):
+        # a backward product that used W_l in place of W_l + b_l^T, or added
+        # b_l by row, passes at b = 0 but not here
+        self.assert_grads_match_finite_differences(arch, seed=3 + arch.n_layers, biased=True)
 
     @pytest.mark.parametrize("hidden", [0, 2])
     @pytest.mark.parametrize("n", [33, 257])
     def test_objective_matches_out_of_place_transcription(self, hidden, n):
         # the objective written with every intermediate a fresh array and
         # the float gate pre-activations kept; the in-place forms must give
-        # the same bits
+        # the same bits. The biases are non-zero, so W + b^T differs from W
         arch = Arch.mss_dae(hidden) if hidden else Arch.dae()
-        params = init_params(arch, n, make_rng([52, n]))
+        params = with_biases(init_params(arch, n, make_rng([52, n])), n)
         rng = make_rng([53, n])
-        x, y = target(params, np.abs(rng.normal(size=(n, 40))) + 0.1)
+        x, xt, y = window(*target(params, np.abs(rng.normal(size=(n, 40))) + 0.1))
         p = np.stack([glorot(rng, n) for _ in range(arch.n_layers)])
 
         g_hats, factors, prefix = [], [], []
@@ -293,22 +334,22 @@ class TestCompositionalGrads:
             factors.append(np.maximum(g_hats[-1], 0.0) * w)
             prefix.append(factors[-1] if not prefix else factors[-1] @ prefix[-1])
         r = prefix[-1] @ x - y
-        delta = np.sign(r) @ x.T
-        want, down = [None] * len(p), None
+        # U_L = D, then U_{l-1} = M_l^T U_l and dE/dM_l = U_l (M_{l-1} ... M_1)^T
+        u = np.sign(r) @ xt
+        want = [None] * len(p)
         for l in reversed(range(len(p))):
-            d = delta if down is None else down.T @ delta
-            if l > 0:
-                d = d @ prefix[l - 1].T
-                down = factors[l] if down is None else down @ factors[l]
+            d = u @ prefix[l - 1].T if l > 0 else u
+            u = factors[l].T @ u
             w, b = params.layers[l]
             want[l] = ((d * w) * (g_hats[l] > 0.0)) @ (w + b.T)
 
-        c, loss, _ = compositional_objective(p, params, x, y, loss_only=True)
+        layers = shifted_layers(params.layers)
+        c, loss, _ = compositional_objective(p, layers, x, xt, y, loss_only=True)
         assert np.array_equal(c, prefix[-1])
-        assert loss == float(np.abs(r).sum())
+        assert loss == l1(r)
         # a gradient call forms C in grads[L - 1], which its backward pass
         # overwrites, so it returns no C
-        none, loss_g, grads = compositional_objective(p, params, x, y)
+        none, loss_g, grads = compositional_objective(p, layers, x, xt, y)
         assert none is None
         assert loss_g == loss
         assert grads.shape == (len(p), n, n)
@@ -322,7 +363,8 @@ class TestCompositionalGrads:
         x = np.abs(rng.normal(size=(4, 6))) + 0.1
         c = compose_from(params, p_list)
         # target manufactured to match the composition exactly
-        _, loss, grads = compositional_objective(p_list, params, *batch(x, c @ x))
+        _, loss, grads = compositional_objective(p_list, shifted_layers(params.layers),
+                                                 *batch(x, c @ x))
         assert loss == 0.0
         for dp in grads:
             assert np.array_equal(dp, np.zeros((4, 4)))
@@ -375,7 +417,7 @@ class TestRunNca:
         # entry 0 is the loss of the untouched init, drawn in float64 and
         # rounded to float32 like X and Y
         c0 = glorot_like_init(make_rng(cfg.seed), 4, 4, 4).astype(np.float32)
-        assert state.losses[0] == student_loss(c0, single(*target(p, x)))
+        assert state.losses[0] == student_loss(c0, window(*single(*target(p, x))))
 
     def test_compositional_c_is_the_composition_of_the_final_drivers(self, monkeypatch):
         finals = []
@@ -386,7 +428,7 @@ class TestRunNca:
             return compositional_objective(p, *args, loss_only=loss_only, **kwargs)
 
         monkeypatch.setattr(nca, "compositional_objective", spy)
-        p = positive_params(Arch.mss_dae(1), 4, 2)
+        p = with_biases(positive_params(Arch.mss_dae(1), 4, 2), 2)
         x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
         state = run_nca(p, x, NcaConfig("compositional", iterations=15, lr=1e-3))
         (p_final,) = finals
@@ -394,7 +436,7 @@ class TestRunNca:
         # C is the float32 composition of the final drivers, returned as float64
         assert np.array_equal(state.c, compose_from(single_params(p), p_final))
         x, y = single(*target(p, x))
-        assert state.losses[-1] == float(np.abs(y - state.c.astype(np.float32) @ x).sum())
+        assert state.losses[-1] == l1(state.c.astype(np.float32) @ x - y)
 
     def test_compositional_drivers_are_drawn_layer_by_layer(self):
         # one (L n, n) draw reshaped to (L, n, n) is the same stream as one
@@ -406,7 +448,8 @@ class TestRunNca:
         state = run_nca(p, x, cfg)
         rng = make_rng(cfg.seed)
         p0 = [glorot_like_init(rng, 5, 5, 5).astype(np.float32) for _ in p.layers]
-        loss0 = compositional_objective(p0, single_params(p), *single(*target(p, x)))[1]
+        loss0 = compositional_objective(p0, shifted_layers(single_params(p).layers),
+                                        *window(*single(*target(p, x))))[1]
         assert state.losses[0] == loss0
 
     @staticmethod
@@ -435,14 +478,16 @@ class TestRunNca:
         # their own rather than slots of the gradient stack, and 24.4 while
         # each gate's pre-activation was held beside it and Adam's scratch
         # rows held 65,536 elements each, and 23.3 while the iterations ran
-        # in float64; in float32 it is 13.98
-        assert self.peak_matrices("compositional") <= 14.5
+        # in float64, and 13.98 in float32 before the shifted weights
+        # W_l + b_l^T were held for the run (half a matrix per layer) and X^T
+        # copied once; it is 15.53
+        assert self.peak_matrices("compositional") <= 16
 
     def test_student_peak_memory_is_bounded(self):
-        # theta, the Adam moments and scratch, one gradient and (n, T)
-        # temporaries: 2.51 in float32, 4.9 in float64; 5.4 while Adam's
-        # scratch rows held 65,536 elements each, 6.4 while the last gradient
-        # outlived its step
+        # theta, the Adam moments and scratch, one gradient, a C-order X^T
+        # and (n, T) temporaries: 2.58 in float32 (2.51 before X^T was
+        # copied), 4.9 in float64; 5.4 while Adam's scratch rows held 65,536
+        # elements each, 6.4 while the last gradient outlived its step
         assert self.peak_matrices("student") <= 3
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -461,7 +506,7 @@ class TestRunNca:
         state = run_nca(p, x, NcaConfig(strategy, iterations=3, lr=1e-3))
         assert formed == [True, True, True, False]
         c = state.c.astype(np.float32)
-        assert state.losses[-1] == student_loss(c, single(*target(p, x)))
+        assert state.losses[-1] == student_loss(c, window(*single(*target(p, x))))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_returns_float64(self, strategy):
@@ -474,15 +519,15 @@ class TestRunNca:
     def float64_losses(params, x, cfg):
         """The loss curve of run_nca's loop written over the public
         objectives and Adam, with every array left in float64."""
-        acts = forward(params, x)
-        x, y = acts[0], acts[-1]
+        x, xt, y = window(*target(params, x))
         n, rng, adam = params.n, make_rng(cfg.seed), Adam(cfg.lr)
         if cfg.strategy == "student":
             theta = glorot_like_init(rng, n, n, n)
-            objective = lambda t, **kw: student_objective(t, x, y, **kw)
+            objective = lambda t, **kw: student_objective(t, x, xt, y, **kw)
         else:
             theta = glorot_like_init(rng, len(params.layers) * n, n, n).reshape(-1, n, n)
-            objective = lambda t, **kw: compositional_objective(t, params, x, y, **kw)[1:]
+            layers = shifted_layers(params.layers)
+            objective = lambda t, **kw: compositional_objective(t, layers, x, xt, y, **kw)[1:]
         losses = []
         for _ in range(cfg.iterations):
             loss, grad = objective(theta)

@@ -344,6 +344,14 @@ class TestTrain:
                            match=rf"a {name} row holds .*float32 range \|v\| <= 3\.40282e\+38"):
             train(Arch.dae(), tuple(rows), TrainConfig(seed=0, max_epochs=1))
 
+    def test_nan_row_is_named_non_finite(self):
+        # a NaN is not outside the float32 range, so the message says both
+        rows = [r.astype(np.float64) for r in learnable_rows()]
+        rows[0][3, 2] = np.nan
+        with pytest.raises(TrainingError,
+                           match=r"a mixture row holds values that are non-finite or outside"):
+            train(Arch.dae(), tuple(rows), TrainConfig(seed=0, max_epochs=1))
+
     @pytest.mark.parametrize("arch, n, pairs, epochs", [(Arch.mss_dae(2), 64, 2, 200),
                                                          (Arch.sf(), 257, 1, 20)],
                              ids=["mss-dae-64", "sf-257"])
