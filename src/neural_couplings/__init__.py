@@ -37,8 +37,11 @@ from .nca import (
     NcaConfig,
     NcaError,
     NcaState,
+    compositional_layers,
     compositional_objective,
+    fit_couplings,
     load_couplings,
+    model_response,
     run_nca,
     save_couplings,
     shifted_layers,

@@ -84,26 +84,33 @@ def couplings_estimate(params: ModelParams, c: Mat, x_mix: Mat) -> Mat:
 
 
 def evaluate_segment(
-    params: ModelParams, x_mix: Mat, x_true: Mat, scored: list[tuple[str, Mat]], segment: str = ""
+    params: ModelParams, x_mix: Mat, x_true: Mat, scored: list[tuple[str, Mat | None]],
+    segment: str = "",
 ) -> list[MetricsRecord]:
     """Score (method, C) pairs on one segment from one run of the model.
 
     The model runs once on x_mix, and its spectral output is the model
     reference of every record. The identity baseline scores the raw mixture
     itself; every other method scores the clipped couplings estimate of its
-    C. TOD-R always comes from C.
+    C. TOD-R comes from C, and is None for a method given no matrix (C is
+    None), which scores the raw mixture like the identity baseline: analyze
+    scores that baseline so, without an n x n identity matrix.
     """
     acts = forward(params, x_mix)
     x, reference = acts[0], model_output(params, acts)
     del acts
     records = []
     for method, c in scored:
-        c = np.asarray(c, dtype=np.float64)
-        if c.shape != (params.n, params.n):
-            raise ShapeError(
-                f"couplings matrix has shape {c.shape}, model is {params.n}-dimensional")
-        est = x if method == "identity" else couplings_estimate(params, c, x)
-        records.append(MetricsRecord(params.arch.tag, method, segment, tod_r(c),
+        if c is None:
+            tod, est = None, x
+        else:
+            c = np.asarray(c, dtype=np.float64)
+            if c.shape != (params.n, params.n):
+                raise ShapeError(
+                    f"couplings matrix has shape {c.shape}, model is {params.n}-dimensional")
+            tod = tod_r(c)
+            est = x if method == "identity" else couplings_estimate(params, c, x)
+        records.append(MetricsRecord(params.arch.tag, method, segment, tod,
                                      snr_db(reference, est), snr_db(x_true, est)))
     return records
 

@@ -35,7 +35,16 @@ from .analysis import (
 )
 from .linalg import ShapeError
 from .models import ARCH_TAGS, Arch, checkpoint_width, load_checkpoint, save_checkpoint
-from .nca import STRATEGIES, NcaConfig, NcaError, load_couplings, run_nca, save_couplings
+from .nca import (
+    STRATEGIES,
+    NcaConfig,
+    NcaError,
+    compositional_layers,
+    fit_couplings,
+    load_couplings,
+    model_response,
+    save_couplings,
+)
 from .spectral import (
     Dataset,
     StftConfig,
@@ -123,18 +132,25 @@ def _naming(where: str):
         raise type(e)(f"{where}: {e}") from None
 
 
+def _load_model(ck_path):
+    with _naming(f"checkpoint {ck_path}"):
+        return load_checkpoint(ck_path).params
+
+
 def _models(ck_paths, n: int):
     """Check every checkpoint's width against n from its header, then load and
-    yield (ck_path, params) one at a time: a corrupt body fails on its turn."""
+    yield (ck_path, params) one at a time: a corrupt body fails on its turn.
+
+    The generator keeps no reference to the model it yielded, so a caller
+    that drops its own frees the model at once, before the next is loaded.
+    A wrapper that keeps its last result, such as enumerate or zip, would
+    hold the model until it is resumed."""
     for ck_path in ck_paths:
         with _naming(f"checkpoint {ck_path}"):
             if (width := checkpoint_width(ck_path)) != n:
                 raise CliError(f"checkpoint {ck_path} is {width} bins wide, the dataset {n}")
     for ck_path in ck_paths:
-        with _naming(f"checkpoint {ck_path}"):
-            params = load_checkpoint(ck_path).params
-        yield ck_path, params
-        del params  # the caller drops its reference too, so one model is held
+        yield ck_path, _load_model(ck_path)
 
 
 def cmd_synth(args) -> int:
@@ -237,11 +253,17 @@ def cmd_couplings(args) -> int:
     --checkpoint is a glob, so one process serves every checkpoint of a run:
     the dataset is loaded once and freed as soon as the segment windows are
     cut, and every matched checkpoint's width is read from its header before
-    the first extraction. The flags are checked before any file is read. One
-    model, loaded once, and one problem's result are held at a time. Each
-    checkpoint writes the same files and manifest a single-checkpoint call
-    would; its manifest's wall time runs from the previous one (the command
-    start, for the first).
+    the first extraction. The flags are checked before any file is read.
+
+    Each checkpoint is loaded once and handled in this order: the model's
+    float32 response (X, Y) on every window, then, for compositional runs,
+    its float32 layer arrays; then the float64 model is dropped, and the
+    iterations run on those arrays alone. At the last checkpoint each
+    float64 window is dropped as soon as its response exists. Each response
+    is freed as its problem finishes, and one problem's result is held at a
+    time. Each checkpoint writes the same files and manifest a
+    single-checkpoint call would; its manifest's wall time runs from the
+    previous one (the command start, for the first).
     """
     started = time.perf_counter()
     cfg = NcaConfig(strategy=args.strategy, iterations=args.iters, lr=args.lr, seed=args.seed)
@@ -258,23 +280,35 @@ def cmd_couplings(args) -> int:
     n = ds.config.bins_kept
     windows = [normalized_window(ds, *seg)[0] for seg in segments]
     del ds
+    seg_ids = [segment_id(*seg) for seg in segments]
     # hashed at the first manifest: hashed before the first extraction, it
     # raised the peak RSS of an n=257 couplings run by about 0.3 MiB
     ds_hash = None
 
     for ck_path, params in _models(ck_paths, n):
+        last = ck_path == ck_paths[-1]
+        responses = []
+        for i, seg in enumerate(seg_ids):
+            with _naming(f"checkpoint {ck_path}, segment {seg}"):
+                responses.append(model_response(params, windows[i]))
+            if last:
+                windows[i] = None
+        with _naming(f"checkpoint {ck_path}"):
+            layers = compositional_layers(params) if args.strategy == "compositional" else None
+        arch = params.arch.tag
+        del params
         ck_hash = serial.sha256_file(ck_path)
         ck_stem = Path(ck_path).stem
         outputs = []
-        for (pair_idx, start, stop), x_mix in zip(segments, windows):
-            seg = segment_id(pair_idx, start, stop)
-            with _naming(f"checkpoint {ck_path}, segment {seg}"):
-                state = run_nca(params, x_mix, cfg)
+        for i, (pair_idx, start, _) in enumerate(segments):
+            with _naming(f"checkpoint {ck_path}, segment {seg_ids[i]}"):
+                state = fit_couplings(*responses[i], cfg, layers)
+            responses[i] = None
             meta = {
                 "strategy": args.strategy,
-                "arch": params.arch.tag,
+                "arch": arch,
                 "checkpoint": ck_hash,
-                "segment": seg,
+                "segment": seg_ids[i],
                 "final_loss": state.losses[-1],
                 "iterations": args.iters,
                 "lr": args.lr,
@@ -286,7 +320,7 @@ def cmd_couplings(args) -> int:
             _couplings_loss_csv(loss_path, state.losses)
             del state
             outputs += [c_path, loss_path]
-        del params
+        del layers
         manifest_path = out / f"couplings-{ck_stem}-{args.strategy}.manifest.json"
         ds_hash = ds_hash or serial.sha256_file(args.dataset)
         hashed = {ck_path: ck_hash, args.dataset: ds_hash}
@@ -333,7 +367,8 @@ def cmd_analyze(args) -> int:
     records: list[MetricsRecord] = []
     for ck_path, params in _models(list(groups), n):
         with _naming(f"checkpoint {ck_path}"):
-            baselines = [("linear", linear_composition(params)), ("identity", np.eye(params.n))]
+            # the identity baseline scores the window itself, so it needs no matrix
+            baselines = [("linear", linear_composition(params)), ("identity", None)]
         for seg, paths in groups[ck_path].items():
             x_mix, x_true = windows[seg]
             scored = []
@@ -438,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _KNOWN_ERRORS = (
     CliError,
+    MemoryError,
     FloatingPointError,
     NcaError,
     TrainingError,
@@ -459,9 +495,9 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except _KNOWN_ERRORS as e:
-        line = json.dumps(
-            {"command": args.command, "error": type(e).__name__, "message": str(e)}
-        )
+        # numpy raises a private subclass of MemoryError; report the public name
+        error = "MemoryError" if isinstance(e, MemoryError) else type(e).__name__
+        line = json.dumps({"command": args.command, "error": error, "message": str(e)})
         print(line, file=sys.stderr)
         return 1
 

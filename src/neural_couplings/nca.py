@@ -15,21 +15,29 @@ compositional  C is rebuilt every iteration as the product over layers of
 Each strategy has one objective function of plain arrays returning the loss
 and the gradients from one pass, evaluated once per Adam iteration: the
 residual R = C X - Y and its sign are formed once and shared by the loss
-sign(R) . R = |R| and the gradient. An iteration forms only what changes
-from one iteration to the next: run_nca takes X and Y from one forward pass
-of the model, its first and last activations, and keeps nothing else of it;
-it forms X^T in C order and, for compositional runs, each S_l once per run,
-and compositional_objective carries the gradient back through the factors
-without forming their downstream products. Correctness is pinned by
-finite-difference tests rather than by trusting any printed derivation.
+sign(R) . R = |R| and the gradient. An extraction is three steps, each a
+function of plain arrays, and an iteration forms only what changes from one
+iteration to the next:
 
-Precision: the objectives and Adam follow their inputs' dtype, and run_nca
-runs every iteration in float32. The forward pass stays float64; X, Y, the
-drawn theta and, for compositional runs, the layer weights and biases are
-rounded to float32 once per run (S_l is their float32 sum), and the
-returned C is float64 again. Float32 halves the memory traffic of the
-n x n products and doubles their SIMD width; the README's Precision
-section gives how far it moves the losses.
+model_response        X and Y from one forward pass of the model, its first
+                      and last activations; nothing else of it is kept.
+compositional_layers  each layer's W_l and S_l, once per checkpoint.
+fit_couplings         the iterations on those arrays alone; X^T is formed
+                      in C order once per run, and compositional_objective
+                      carries the gradient back through the factors without
+                      forming their downstream products.
+
+run_nca chains the three for one model and one window. Correctness is
+pinned by finite-difference tests rather than by trusting any printed
+derivation.
+
+Precision: the objectives and Adam follow their inputs' dtype, and every
+iteration runs in float32. The forward pass stays float64; X, Y, the drawn
+theta and, for compositional runs, the layer weights and biases are rounded
+to float32 once (S_l is their float32 sum), and the returned C is float64
+again. Float32 halves the memory traffic of the n x n products and doubles
+their SIMD width; the README's Precision section gives how far it moves the
+losses.
 """
 
 from __future__ import annotations
@@ -192,29 +200,52 @@ def _single(a: Mat, what: str) -> Mat:
     return single(a, what, NcaError, "couplings extraction")
 
 
-def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
-    """Fit a couplings matrix to the model's response on x_mix.
+def model_response(params: ModelParams, x_mix) -> tuple[Mat, Mat]:
+    """The model's response on one window: X and Y, its first and last
+    activations (Y is the last-layer ReLU output, the mask for sf), from one
+    float64 forward pass and rounded to float32 once. Nothing else of the
+    pass outlives the call, so a caller that holds the responses of every
+    window can drop the model and the float64 windows before the first
+    iteration. A value outside the float32 range is refused with NcaError.
+    """
+    acts = forward(params, x_mix)
+    return _single(acts[0], "the window"), _single(acts[-1], "the model output")
+
+
+def compositional_layers(params: ModelParams) -> list[tuple[Mat, Mat]]:
+    """A checkpoint's float32 layer arrays for compositional extraction:
+    each layer's (W_l, S_l) from shifted_layers, with W_l and b_l rounded to
+    float32 once, so S_l is their float32 sum. They serve every window of
+    the checkpoint. A weight or bias outside the float32 range is refused
+    with NcaError."""
+    return shifted_layers(
+        (_single(w, f"layer {l} W"), _single(b, f"layer {l} b"))
+        for l, (w, b) in enumerate(params.layers)
+    )
+
+
+def fit_couplings(
+    x: Mat, y: Mat, cfg: NcaConfig, layers: list[tuple[Mat, Mat]] | None = None
+) -> NcaState:
+    """The extraction's iterations on plain float32 arrays: x and y as
+    model_response gives them and, for compositional runs, the layers as
+    compositional_layers gives them (a student run takes none).
 
     The unknown theta is C itself (student) or the (L, n, n) gate drivers
-    (compositional), drawn in one piece and stepped in place by Adam. X^T
-    and, for compositional runs, the layers' (W_l, S_l) are formed once and
-    held for the run. Each iteration evaluates the objective once into one
-    gradient buffer held for the run, records its loss and takes an Adam
-    step; nothing else of an evaluation outlives it. A final loss-only
-    evaluation forms the returned C and records its loss, so the loss curve
-    has cfg.iterations + 1 values.
-
-    The iterations run in float32 (see the module docstring); a value
-    outside the float32 range is refused with NcaError.
+    (compositional), drawn in one piece and stepped in place by Adam. X^T is
+    formed once, in C order, and held for the run. Each iteration evaluates
+    the objective once into one gradient buffer held for the run, records
+    its loss and takes an Adam step; nothing else of an evaluation outlives
+    it. A final loss-only evaluation forms the returned C and records its
+    loss, so the loss curve has cfg.iterations + 1 values. A non-finite loss
+    is refused with NcaError.
     """
+    if cfg.strategy == "compositional" and layers is None:
+        raise ValueError("a compositional extraction needs the layer arrays")
     rng = make_rng(cfg.seed)
-    # the target Y is the last-layer ReLU output, the mask for sf
-    acts = forward(params, x_mix)
-    x, y = _single(acts[0], "the window"), _single(acts[-1], "the model output")
-    del acts
     xt = x.T.copy()
     adam = Adam(cfg.lr)
-    n = params.n
+    n = x.shape[0]
     losses: list[float] = []
 
     def record(e: float, i: int | str) -> None:
@@ -226,10 +257,6 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
         theta = glorot_like_init(rng, n, n, n).astype(np.float32)
         objective = lambda t, g, **kw: (t, *student_objective(t, x, xt, y, g, **kw))
     else:
-        layers = shifted_layers(
-            (_single(w, f"layer {l} W"), _single(b, f"layer {l} b"))
-            for l, (w, b) in enumerate(params.layers)
-        )
         theta = glorot_like_init(rng, len(layers) * n, n, n).astype(np.float32).reshape(-1, n, n)
         objective = lambda t, g, **kw: compositional_objective(t, layers, x, xt, y, g, **kw)
     grad = np.empty_like(theta)
@@ -240,6 +267,18 @@ def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
     c, e, _ = objective(theta, None, loss_only=True)
     record(e, "final")
     return NcaState(c.astype(np.float64), losses)
+
+
+def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
+    """Fit a couplings matrix to the model's response on x_mix: the
+    composition of model_response, compositional_layers (compositional runs
+    only) and fit_couplings, for a caller with one model and one window.
+    The iterations run in float32 (see the module docstring); a value
+    outside the float32 range is refused with NcaError.
+    """
+    x, y = model_response(params, x_mix)
+    layers = compositional_layers(params) if cfg.strategy == "compositional" else None
+    return fit_couplings(x, y, cfg, layers)
 
 
 def save_couplings(path, c: Mat, metadata: dict) -> None:

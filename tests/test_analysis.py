@@ -145,6 +145,13 @@ class TestEvaluateSegment:
             rel_tol=1e-12,
         )
 
+    def test_identity_without_a_matrix_scores_as_with_one(self):
+        # analyze passes None rather than an n x n identity matrix
+        got = evaluate_segment(self.params, self.x, self.truth, [("identity", None)], "0:2")
+        want = evaluate_segment(self.params, self.x, self.truth, [("identity", np.eye(2))],
+                                "0:2")
+        assert got == want and got[0].tod_r is None
+
     def test_tod_r_comes_from_c_even_for_identity(self):
         c = np.array([[1.0, 2.0], [3.0, -4.0]])
         [rec] = evaluate_segment(self.params, self.x, self.truth, [("identity", c)])

@@ -32,7 +32,7 @@ from neural_couplings.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from neural_couplings.nca import load_couplings, run_nca, save_couplings
+from neural_couplings.nca import fit_couplings, load_couplings, save_couplings
 from neural_couplings.spectral import (
     BinScaler,
     Dataset,
@@ -175,6 +175,18 @@ class TestParser:
                 args = cli.build_parser().parse_args(cmd.argv)
                 assert args.command == cmd.stage.split(".")[0]
 
+    def test_a_desk_pass_passes_the_benchmark_output_checks(self, tmp_path):
+        # a change to a loader, a file name or a CSV column fails here, not
+        # in the benchmark
+        w = BENCH_WORKLOADS.WORKLOADS["desk"]
+        out = str(tmp_path / "pass")
+        dirs = BENCH_WORKLOADS.Dirs(out, "", out)
+        cmds = BENCH_WORKLOADS.commands(w, "pass", 0, dirs)
+        assert {cmd.stage.split(".")[0] for cmd in cmds} == set(w.passes)
+        for cmd in cmds:
+            run_ok(list(cmd.argv))
+            BENCH_WORKLOADS.check_outputs(w, cmd, out)
+
 
 class TestSynthCommand:
     def test_writes_dataset_and_manifest(self, pipeline):
@@ -202,6 +214,19 @@ class TestSynthCommand:
     def test_bad_n_reports_json_error(self, tmp_path, capsys):
         run_fail(["synth", "--out", str(tmp_path / "x.ncd"), "--n", "4"],
                  capsys, "ValueError")
+
+    @pytest.mark.parametrize("flag, value", [("--frames", "100000000000000"),
+                                             ("--n", "100000000000")])
+    def test_an_allocation_too_large_is_one_json_line(self, tmp_path, capsys, flag, value):
+        argv = ["synth", "--out", str(tmp_path / "x.ncd"), "--n", "64", flag, value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert (err["command"], err["error"]) == ("synth", "MemoryError")
+        assert "allocate" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_output_directory_is_created(self, tmp_path):
         out = tmp_path / "new" / "ds.ncd"
@@ -463,21 +488,61 @@ class TestCouplingsCommand:
             models.append(weakref.ref(ck.params))
             return ck
 
-        def extracting(params, x_mix, cfg):
+        def extracting(x, y, cfg, layers):
             assert len(datasets) == 1 and datasets[0]() is None
             assert all(ref() is None for ref in results)
-            state = run_nca(params, x_mix, cfg)
+            state = fit_couplings(x, y, cfg, layers)
             results.extend(weakref.ref(a) for a in (state, state.c))
             return state
 
         monkeypatch.setattr(cli, "load_dataset", loading)
         monkeypatch.setattr(cli, "load_checkpoint", loading_model)
-        monkeypatch.setattr(cli, "run_nca", extracting)
+        monkeypatch.setattr(cli, "fit_couplings", extracting)
         run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed*.ncm"),
                 "--dataset", str(pipeline / "ds.ncd"), "--strategy", "compositional",
                 "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"])
         assert len(results) == 2 * 2 * 2  # 2 checkpoints x 2 segments
         assert len(models) == 2  # each checkpoint is loaded once
+
+    @pytest.mark.parametrize("strategy", ["student", "compositional"])
+    @pytest.mark.parametrize("checkpoints", ["dae-seed0.ncm", "dae-seed*.ncm"],
+                             ids=["one", "two"])
+    def test_iterations_hold_no_float64_model_or_window(self, pipeline, tmp_path, monkeypatch,
+                                                        strategy, checkpoints):
+        # the iterations read only the float32 responses and layer arrays:
+        # each model is gone before its own first iteration, every window
+        # once the last checkpoint's responses exist, and each response
+        # once its problem has finished
+        models, windows, responses, seen = [], [], [], []
+
+        def loading_model(path):
+            ck = load_checkpoint(path)
+            models.append(weakref.ref(ck.params))
+            return ck
+
+        def cutting(ds, *bounds):
+            window = normalized_window(ds, *bounds)
+            windows.append(weakref.ref(window[0]))
+            return window
+
+        def extracting(x, y, cfg, layers):
+            assert all(ref() is None for ref in models)
+            assert all(ref() is None for ref in responses)
+            seen.append(sum(ref() is not None for ref in windows))
+            state = fit_couplings(x, y, cfg, layers)
+            responses.extend(weakref.ref(a) for a in (x, y))
+            return state
+
+        monkeypatch.setattr(cli, "load_checkpoint", loading_model)
+        monkeypatch.setattr(cli, "normalized_window", cutting)
+        monkeypatch.setattr(cli, "fit_couplings", extracting)
+        run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / checkpoints),
+                "--dataset", str(pipeline / "ds.ncd"), "--strategy", strategy,
+                "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"])
+        # windows alive at each iteration start: both while a later
+        # checkpoint still needs them, none at the last checkpoint
+        assert seen == [2, 2] * (len(models) - 1) + [0, 0]
+        assert len(windows) == 2
 
     def test_each_input_is_hashed_once(self, pipeline, tmp_path, monkeypatch):
         hashed = []

@@ -11,6 +11,7 @@ from neural_couplings.nca import (
     NcaConfig,
     NcaError,
     compositional_objective,
+    fit_couplings,
     load_couplings,
     run_nca,
     save_couplings,
@@ -568,6 +569,11 @@ class TestRunNca:
         run_nca(p, x, NcaConfig("student", iterations=1))
         with pytest.raises(NcaError, match=r"layer 0 W .*float32 range"):
             run_nca(p, x, NcaConfig("compositional", iterations=1))
+
+    def test_compositional_iterations_need_the_layer_arrays(self):
+        x = np.ones((4, 5), dtype=np.float32)
+        with pytest.raises(ValueError, match="layer arrays"):
+            fit_couplings(x, x, NcaConfig("compositional", iterations=1))
 
     def test_deterministic(self):
         p = positive_params(Arch.sf(), 4, 5)
