@@ -91,7 +91,7 @@ KINDS = (
     (".ncc", (".ncc",)),
     ("loss.csv", ("-loss.csv",)),
     ("report", ("report.json", "report.csv")),
-    ("heatmap", (".png", ".pgm")),
+    ("heatmap", (".png",)),
 )
 
 

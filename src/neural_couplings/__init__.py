@@ -9,57 +9,13 @@ matrices by diagonal dominance (TOD-R) and by SNR against the model output
 and the ground-truth source.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
-from .analysis import (
-    MetricsRecord,
-    aggregate,
-    evaluate_segment,
-    export_heatmap,
-    linear_composition,
-    snr_db,
-    tod_r,
-)
-from .linalg import Mat, ShapeError, make_rng
-from .models import (
-    Arch,
-    Checkpoint,
-    ModelParams,
-    backward,
-    forward,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .nca import (
-    NcaConfig,
-    NcaError,
-    NcaState,
-    compositional_layers,
-    compositional_objective,
-    fit_couplings,
-    load_couplings,
-    model_response,
-    run_nca,
-    save_couplings,
-    shifted_layers,
-    student_objective,
-)
-from .spectral import (
-    BinScaler,
-    Dataset,
-    Spectrogram,
-    StftConfig,
-    WavError,
-    fit_scaler,
-    load_dataset,
-    load_wav_mono,
-    normalized_pair_rows,
-    normalized_window,
-    save_dataset,
-    stft_mag,
-)
+# the names README "Library use" imports; every other name is imported from
+# its defining module
+from .analysis import tod_r
+from .models import Arch
+from .nca import NcaConfig, run_nca
+from .spectral import normalized_pair_rows, normalized_window
 from .synth import make_synthetic_dataset
-from .training import Adam, TrainConfig, TrainingError, train
+from .training import TrainConfig, train

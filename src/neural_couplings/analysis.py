@@ -43,8 +43,8 @@ class MetricsRecord:
 
 def linear_composition(params: ModelParams) -> Mat:
     """Plain product of the weight matrices, encoder applied first; biases ignored."""
-    c = np.eye(params.n)
-    for w, _ in params.layers:
+    c = params.layers[0][0]
+    for w, _ in params.layers[1:]:
         c = w @ c
     return c
 
@@ -90,11 +90,10 @@ def evaluate_segment(
     """Score (method, C) pairs on one segment from one run of the model.
 
     The model runs once on x_mix, and its spectral output is the model
-    reference of every record. The identity baseline scores the raw mixture
-    itself; every other method scores the clipped couplings estimate of its
-    C. TOD-R comes from C, and is None for a method given no matrix (C is
-    None), which scores the raw mixture like the identity baseline: analyze
-    scores that baseline so, without an n x n identity matrix.
+    reference of every record. A given C scores the clipped couplings
+    estimate of C, with TOD-R from C, whatever the method's name. C = None
+    is the identity baseline: it scores the raw mixture itself, with no
+    TOD-R, and needs no n x n identity matrix.
     """
     acts = forward(params, x_mix)
     x, reference = acts[0], model_output(params, acts)
@@ -108,8 +107,7 @@ def evaluate_segment(
             if c.shape != (params.n, params.n):
                 raise ShapeError(
                     f"couplings matrix has shape {c.shape}, model is {params.n}-dimensional")
-            tod = tod_r(c)
-            est = x if method == "identity" else couplings_estimate(params, c, x)
+            tod, est = tod_r(c), couplings_estimate(params, c, x)
         records.append(MetricsRecord(params.arch.tag, method, segment, tod,
                                      snr_db(reference, est), snr_db(x_true, est)))
     return records
@@ -163,11 +161,6 @@ def _quantize(img: Mat) -> np.ndarray:
     return np.clip(np.rint(img * 255.0), 0.0, 255.0).astype(np.uint8)
 
 
-def _pgm_bytes(pixels: np.ndarray) -> bytes:
-    h, w = pixels.shape
-    return f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
-
-
 def _png_bytes(pixels: np.ndarray) -> bytes:
     """Minimal 8-bit grayscale PNG: IHDR + one zlib IDAT + IEND."""
     h, w = pixels.shape
@@ -190,19 +183,17 @@ def _png_bytes(pixels: np.ndarray) -> bytes:
     )
 
 
-def heatmap_encoder(path):
-    """The image encoder a heatmap path's suffix names: .png or .pgm."""
-    suffix = Path(path).suffix
-    if suffix not in (".png", ".pgm"):
-        raise ValueError(f"heatmap path {str(path)!r} must end in .png or .pgm")
-    return _png_bytes if suffix == ".png" else _pgm_bytes
+def check_heatmap_path(path) -> None:
+    """Heatmaps are PNG files: any path not ending in .png is a ValueError."""
+    if Path(path).suffix != ".png":
+        raise ValueError(f"heatmap path {str(path)!r} must end in .png")
 
 
 def export_heatmap(c: Mat, path, *, row_normalize: bool = False) -> None:
-    """Render |C| as an 8-bit grayscale image, row 0 at the top, in the
-    format of the path's suffix: each row scaled by its own maximum with
-    row_normalize, else the image by its global maximum."""
-    encode = heatmap_encoder(path)
+    """Render |C| as an 8-bit grayscale PNG, row 0 at the top: each row
+    scaled by its own maximum with row_normalize, else the image by its
+    global maximum."""
+    check_heatmap_path(path)
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2:
         raise ShapeError(f"heatmap: expected a matrix, got shape {c.shape}")
@@ -214,4 +205,4 @@ def export_heatmap(c: Mat, path, *, row_normalize: bool = False) -> None:
         global_max = img.max()
         if global_max > 0:
             img = img / global_max
-    serial.write_file_atomic(path, encode(_quantize(img)))
+    serial.write_file_atomic(path, _png_bytes(_quantize(img)))

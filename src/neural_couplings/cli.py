@@ -26,9 +26,9 @@ from . import __version__, serial
 from .analysis import (
     MetricsRecord,
     aggregate,
+    check_heatmap_path,
     evaluate_segment,
     export_heatmap,
-    heatmap_encoder,
     linear_composition,
     write_report_csv,
     write_report_json,
@@ -340,8 +340,15 @@ def cmd_analyze(args) -> int:
 
     A window of T frames has rank at most T, so when T < n its loss leaves
     part of C free; once the report is written, one warning gives how many
-    scored segments are that short."""
+    scored segments are that short.
+
+    The CSV goes beside the JSON report, with the suffix .csv, so an --out
+    ending in .csv fails before any file is read."""
     started = time.perf_counter()
+    out = Path(args.out)
+    csv_path = out.with_suffix(".csv")
+    if csv_path == out:
+        raise CliError(f"--out {out} ends in .csv, where the CSV report would overwrite it")
     couplings_paths = sorted(globlib.glob(args.couplings))
     if not couplings_paths:
         raise CliError(f"no couplings files match {args.couplings!r}")
@@ -379,10 +386,7 @@ def cmd_analyze(args) -> int:
                 records += evaluate_segment(params, x_mix, x_true, scored + baselines, seg)
         del params, baselines
 
-    out = Path(args.out)
-    report = aggregate(records)
-    write_report_json(report, out)
-    csv_path = out.with_suffix(".csv")
+    write_report_json(aggregate(records), out)
     write_report_csv(records, csv_path)
     inputs = list(couplings_paths) + list(by_hash.values()) + [args.dataset]
     hashed = {str(p): h for h, p in by_hash.items()}
@@ -399,7 +403,7 @@ def cmd_analyze(args) -> int:
 def cmd_heatmap(args) -> int:
     started = time.perf_counter()
     out = Path(args.out)
-    heatmap_encoder(out)  # a bad suffix fails before the couplings file is read
+    check_heatmap_path(out)  # a bad suffix fails before the couplings file is read
     c, _meta = load_couplings(args.couplings)
     export_heatmap(c, out, row_normalize=args.row_normalize)
     write_manifest(Path(str(out) + ".manifest.json"), args, [args.couplings], [out], started)
@@ -460,12 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--couplings", required=True, help="glob of .ncc files")
     p.add_argument("--checkpoints", required=True, help="directory of .ncm files")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True, help="report JSON path (CSV written alongside)")
+    p.add_argument("--out", required=True,
+                   help="report JSON path, not *.csv (CSV written alongside)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("heatmap", help="render |C| as a grayscale image")
     p.add_argument("--couplings", required=True)
-    p.add_argument("--out", required=True, help=".pgm or .png path")
+    p.add_argument("--out", required=True, help=".png path")
     p.add_argument("--row-normalize", action="store_true")
     p.set_defaults(func=cmd_heatmap)
     return parser

@@ -1,4 +1,4 @@
-"""Shared test fixtures: a WAV byte builder, grayscale image parsers, a
+"""Shared test fixtures: a WAV byte builder, a grayscale PNG parser, a
 `models.backward` caller that allocates the gradient arrays, the batch
 MSE oracle that pins the loss `backward` returns and the moving average that
 acceptance criterion 7 smooths loss curves with."""
@@ -46,19 +46,9 @@ def _wav_bytes(rate: int, samples: np.ndarray, bits: int, audio_format: int) -> 
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def wav_builder():
     return _wav_bytes
-
-
-def _parse_pgm(data: bytes) -> np.ndarray:
-    assert data.startswith(b"P5\n")
-    header, _, rest = data.partition(b"255\n")
-    dims = header[len(b"P5\n"):].split()
-    w, h = int(dims[0]), int(dims[1])
-    pixels = np.frombuffer(rest, dtype=np.uint8)
-    assert pixels.size == w * h
-    return pixels.reshape(h, w)
 
 
 def _parse_png(data: bytes) -> np.ndarray:
@@ -126,11 +116,6 @@ def _moving_average(values, window: int) -> np.ndarray:
 @pytest.fixture
 def moving_average():
     return _moving_average
-
-
-@pytest.fixture
-def parse_pgm():
-    return _parse_pgm
 
 
 @pytest.fixture

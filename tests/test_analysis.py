@@ -136,8 +136,8 @@ class TestEvaluateSegment:
         assert (rec.arch, rec.method, rec.segment) == ("dae", "student", "0:2")
 
     def test_identity_method_scores_raw_mixture(self):
-        c = 0.5 * np.eye(2)
-        [rec] = evaluate_segment(self.params, self.x, self.truth, [("identity", c)], "0:2")
+        [rec] = evaluate_segment(self.params, self.x, self.truth, [("identity", None)], "0:2")
+        assert rec.tod_r is None
         model_out = forward(self.params, self.x)[-1]
         assert math.isclose(
             rec.snr_model_db,
@@ -145,17 +145,14 @@ class TestEvaluateSegment:
             rel_tol=1e-12,
         )
 
-    def test_identity_without_a_matrix_scores_as_with_one(self):
-        # analyze passes None rather than an n x n identity matrix
-        got = evaluate_segment(self.params, self.x, self.truth, [("identity", None)], "0:2")
-        want = evaluate_segment(self.params, self.x, self.truth, [("identity", np.eye(2))],
-                                "0:2")
-        assert got == want and got[0].tod_r is None
-
-    def test_tod_r_comes_from_c_even_for_identity(self):
+    def test_a_matrix_is_scored_alike_whatever_its_label(self):
+        # only C = None scores the raw mixture; a given C is a couplings estimate
         c = np.array([[1.0, 2.0], [3.0, -4.0]])
-        [rec] = evaluate_segment(self.params, self.x, self.truth, [("identity", c)])
-        assert math.isclose(rec.tod_r, math.sqrt(2.0), rel_tol=1e-12)
+        a, b = evaluate_segment(self.params, self.x, self.truth,
+                                [("identity", c), ("student", c)], "0:2")
+        assert (a.tod_r, a.snr_model_db, a.snr_truth_db) == \
+            (b.tod_r, b.snr_model_db, b.snr_truth_db)
+        assert math.isclose(a.tod_r, math.sqrt(2.0), rel_tol=1e-12)
 
     def test_zero_couplings_score_zero_db_against_model(self):
         [rec] = evaluate_segment(
@@ -247,34 +244,27 @@ class TestReports:
 class TestHeatmap:
     C2 = np.array([[1.0, -0.5], [0.0, 0.25]])
 
-    def test_pgm_pixels(self, tmp_path, parse_pgm):
-        path = tmp_path / "c.pgm"
+    def test_png_pixels(self, tmp_path, parse_png):
+        path = tmp_path / "c.png"
         export_heatmap(self.C2, path)
-        pixels = parse_pgm(path.read_bytes())
+        pixels = parse_png(path.read_bytes())
         # |C| / max -> [[1, .5], [0, .25]] -> rint * 255
         assert pixels.tolist() == [[255, 128], [0, 64]]
 
-    def test_png_pixels_match_pgm(self, tmp_path, parse_pgm, parse_png):
-        # one matrix, two formats: each is the path's suffix
-        a, b = tmp_path / "c.pgm", tmp_path / "c.png"
-        export_heatmap(self.C2, a)
-        export_heatmap(self.C2, b)
-        assert parse_png(b.read_bytes()).tolist() == parse_pgm(a.read_bytes()).tolist()
-
-    def test_row_normalize(self, tmp_path, parse_pgm):
-        path = tmp_path / "r.pgm"
+    def test_row_normalize(self, tmp_path, parse_png):
+        path = tmp_path / "r.png"
         export_heatmap(np.array([[2.0, 1.0], [0.0, 0.0]]), path, row_normalize=True)
         # zero rows stay zero instead of dividing by zero
-        assert parse_pgm(path.read_bytes()).tolist() == [[255, 128], [0, 0]]
+        assert parse_png(path.read_bytes()).tolist() == [[255, 128], [0, 0]]
 
     def test_unknown_format_rejected(self, tmp_path):
-        # the format is the path's suffix, and only .png and .pgm name one
-        for name in ("c.jpg", "c.PNG", "c"):
-            with pytest.raises(ValueError, match=r"\.png or \.pgm"):
+        # heatmaps are PNG only, named by an exact .png suffix
+        for name in ("c.pgm", "c.jpg", "c.PNG", "c"):
+            with pytest.raises(ValueError, match=r"must end in \.png$"):
                 export_heatmap(np.eye(4), tmp_path / name)
         assert list(tmp_path.iterdir()) == []
 
-    def test_all_zero_matrix_renders_black(self, tmp_path, parse_pgm):
-        path = tmp_path / "0.pgm"
+    def test_all_zero_matrix_renders_black(self, tmp_path, parse_png):
+        path = tmp_path / "0.png"
         export_heatmap(np.zeros((2, 2)), path)
-        assert parse_pgm(path.read_bytes()).tolist() == [[0, 0], [0, 0]]
+        assert parse_png(path.read_bytes()).tolist() == [[0, 0], [0, 0]]

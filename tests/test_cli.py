@@ -857,7 +857,7 @@ class TestAnalyzeCommand:
             if (meta["checkpoint"], seg) not in baseline_done:
                 baseline_done.add((meta["checkpoint"], seg))
                 for baseline in (("linear", linear_composition(params)),
-                                 ("identity", np.eye(params.n))):
+                                 ("identity", None)):
                     records += evaluate_segment(params, x_mix, x_true, [baseline], seg)
         write_report_json(aggregate(records), tmp_path / "loop.json")
         write_report_csv(records, tmp_path / "loop.csv")
@@ -959,6 +959,18 @@ class TestAnalyzeCommand:
         assert loads == []
         assert not (tmp_path / "r.json").exists()
 
+    def test_out_ending_in_csv_fails_before_any_read(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        # the CSV report goes to --out with the suffix .csv, so it would
+        # overwrite a JSON report written there
+        monkeypatch.setattr(serial, "sha256_file", lambda path: pytest.fail(f"hashed {path}"))
+        err = run_fail(["analyze", "--couplings", str(pipeline / "cp" / "*.ncc"),
+                        "--checkpoints", str(pipeline / "ck"),
+                        "--dataset", str(pipeline / "ds.ncd"),
+                        "--out", str(tmp_path / "r.csv")], capsys, "CliError")
+        assert "r.csv" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_segment_outside_the_dataset_fails_before_any_load(self, pipeline, tmp_path,
                                                                capsys, monkeypatch):
         c, meta = load_couplings(pipeline / "cp" / "dae-seed0-student-0-0.ncc")
@@ -985,12 +997,6 @@ class TestAnalyzeCommand:
 
 
 class TestHeatmapCommand:
-    def test_pgm_output(self, pipeline, tmp_path, parse_pgm):
-        out = tmp_path / "c.pgm"
-        run_ok(["heatmap", "--couplings",
-                str(pipeline / "cp" / "dae-seed0-student-0-0.ncc"), "--out", str(out)])
-        assert parse_pgm(out.read_bytes()).shape == (16, 16)
-
     def test_png_row_normalize(self, pipeline, tmp_path, parse_png):
         out = tmp_path / "c.png"
         run_ok(["heatmap", "--couplings",
@@ -1018,18 +1024,18 @@ class TestHeatmapCommand:
         assert parse_png(out.read_bytes()).shape == (16, 16)
         assert (tmp_path / "new" / "c.png.manifest.json").exists()
 
-    @pytest.mark.parametrize("name", ["c.jpg", "c.PNG", "c"])
+    @pytest.mark.parametrize("name", ["c.pgm", "c.jpg", "c.PNG", "c"])
     def test_unknown_suffix_rejected(self, pipeline, tmp_path, capsys, name):
         err = run_fail(["heatmap", "--couplings",
                         str(pipeline / "cp" / "dae-seed0-student-0-0.ncc"),
                         "--out", str(tmp_path / name)], capsys, "ValueError")
-        assert ".png or .pgm" in err["message"]
+        assert err["message"].endswith("must end in .png")
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_zoom_string(self, pipeline, tmp_path, capsys):
         run_fail(["heatmap", "--couplings",
                   str(pipeline / "cp" / "dae-seed0-student-0-0.ncc"),
-                  "--out", str(tmp_path / "c.pgm"), "--zoom", "five"],
+                  "--out", str(tmp_path / "c.png"), "--zoom", "five"],
                  capsys, "CliError")
 
 

@@ -1,11 +1,13 @@
-"""Seeded byte-mutation fuzzing of the three file loaders and of the CLI
-commands that read their files.
+"""Seeded byte-mutation fuzzing of the file loaders and of the CLI commands
+that read their files.
 
-Every mutated file either loads or makes its loader raise FormatError, and
-no load allocates much more than the file holds. Every CLI run on mutated
-input exits 0, or exits 1 with the one-line JSON error on stderr; no other
-exception escapes `main`, and nothing warns. The mutations are drawn from fixed seeds, so a
-failure names a reproducible case.
+Every mutated file either loads or makes its loader raise FormatError (for
+a WAV file, which comes from outside the program, WavError or another error
+the CLI reports as its one-line JSON error), and no load allocates much more
+than the file holds. Every CLI run on mutated input exits 0, or exits 1 with
+the one-line JSON error on stderr; no other exception escapes `main`, and
+nothing warns. The mutations are drawn from fixed seeds, so a failure names
+a reproducible case.
 """
 
 from __future__ import annotations
@@ -18,11 +20,16 @@ import numpy as np
 import pytest
 
 from neural_couplings import serial
-from neural_couplings.cli import main
+from neural_couplings.cli import _KNOWN_ERRORS, main
 from neural_couplings.linalg import make_rng
 from neural_couplings.models import Arch, init_params, load_checkpoint, save_checkpoint
 from neural_couplings.nca import NcaConfig, load_couplings, run_nca, save_couplings
-from neural_couplings.spectral import load_dataset, normalized_window, save_dataset
+from neural_couplings.spectral import (
+    load_dataset,
+    load_wav_mono,
+    normalized_window,
+    save_dataset,
+)
 from neural_couplings.synth import make_synthetic_dataset
 
 N_BINS = 16
@@ -57,10 +64,13 @@ def mutate(raw: bytes, rng: np.random.Generator) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory):
+def files(tmp_path_factory, wav_builder):
     """One valid file of each format, tied together: the couplings file
-    names the checkpoint's hash and a segment of the dataset."""
+    names the checkpoint's hash and a segment of the dataset. The WAV file
+    is 16-bit stereo."""
     root = tmp_path_factory.mktemp("fuzz")
+    stereo = np.random.default_rng(0).integers(-30000, 30000, size=(64, 2))
+    (root / "s.wav").write_bytes(wav_builder(8000, stereo, 16, 1))
     ds = make_synthetic_dataset(N_BINS, FRAMES, 2, 0)
     save_dataset(ds, root / "ds.ncd")
     params = init_params(Arch.dae(), N_BINS, make_rng(0))
@@ -79,16 +89,18 @@ def files(tmp_path_factory):
     return root
 
 
+# format -> (loader, file, the errors a mutant may raise)
 LOADERS = {
-    "ncd": (load_dataset, "ds.ncd"),
-    "ncm": (load_checkpoint, "ck/dae-seed0.ncm"),
-    "ncc": (load_couplings, "c.ncc"),
+    "ncd": (load_dataset, "ds.ncd", serial.FormatError),
+    "ncm": (load_checkpoint, "ck/dae-seed0.ncm", serial.FormatError),
+    "ncc": (load_couplings, "c.ncc", serial.FormatError),
+    "wav": (load_wav_mono, "s.wav", _KNOWN_ERRORS),
 }
 
 
 @pytest.mark.parametrize("fmt", sorted(LOADERS))
 def test_loaders_raise_only_format_errors(files, tmp_path, fmt):
-    loader, name = LOADERS[fmt]
+    loader, name, allowed = LOADERS[fmt]
     raw = (files / name).read_bytes()
     loader(files / name)  # the unmutated file loads
     rng = np.random.default_rng([ord(ch) for ch in fmt])
@@ -99,7 +111,7 @@ def test_loaders_raise_only_format_errors(files, tmp_path, fmt):
             path.write_bytes(mutate(raw, rng))
             try:
                 loader(path)
-            except serial.FormatError:
+            except allowed:
                 pass
             except Exception as e:  # reported with the case that raised it
                 pytest.fail(f"{fmt} case {case}: {type(e).__name__}: {e}")

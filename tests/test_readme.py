@@ -1,16 +1,32 @@
-"""The README's "Library use" block runs as written against this package."""
+"""The README's "Library use" block runs as written against this package,
+and the package root exports exactly the names that block imports."""
 
 import math
 import pathlib
 import re
+import types
+
+import neural_couplings
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_library_use_block_runs(capsys):
+def library_use_block():
     section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
-    block = re.match(r"\s*```python\n(.*?)\n```", section, re.S).group(1)
-    exec(compile(block, f"{README.name} (Library use)", "exec"), {})
+    return re.match(r"\s*```python\n(.*?)\n```", section, re.S).group(1)
+
+
+def test_library_use_block_runs(capsys):
+    exec(compile(library_use_block(), f"{README.name} (Library use)", "exec"), {})
     tod_r, loss = capsys.readouterr().out.split()
     assert float(tod_r) > 0.0
     assert math.isfinite(float(loss)) and float(loss) > 0.0
+
+
+def test_package_root_exports_only_the_library_use_names():
+    imported = re.search(r"from neural_couplings import \((.*?)\)", library_use_block(), re.S)
+    names = {name.strip() for name in imported.group(1).split(",") if name.strip()}
+    exported = {name for name, value in vars(neural_couplings).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == names
+    assert isinstance(neural_couplings.__version__, str)
