@@ -175,18 +175,22 @@ def cmd_ingest(args) -> int:
     if not mixes:
         raise CliError(f"no *.mix.wav/*.vox.wav pairs found in {in_dir}")
 
-    cfg = StftConfig(sample_rate=args.sr, window_len=args.window, hop=args.hop, fft_size=args.fft)
-    pairs = []
+    # the flags are checked before any file is read; the first file read then
+    # sets the dataset's rate, and every other must match it
+    cfg = StftConfig(sample_rate=1, window_len=args.window, hop=args.hop, fft_size=args.fft)
+    pairs, first = [], None
     for track in sorted(mixes):
-        mix_sig = load_wav_mono(mixes[track], expect_rate=args.sr)
-        vox_sig = load_wav_mono(voxes[track], expect_rate=args.sr)
-        usable = min(len(mix_sig), len(vox_sig))
-        pairs.append(
-            (
-                stft_mag(mix_sig[:usable], cfg, track),
-                stft_mag(vox_sig[:usable], cfg, track),
-            )
-        )
+        signals = []
+        for path in (mixes[track], voxes[track]):
+            signal, rate = load_wav_mono(path)
+            if first is None:
+                first, cfg = path, replace(cfg, sample_rate=rate)
+            elif rate != cfg.sample_rate:
+                raise WavError(f"{path}: sample rate {rate} differs from {cfg.sample_rate}, "
+                               f"the rate of {first}")
+            signals.append(signal)
+        usable = min(map(len, signals))
+        pairs.append(tuple(stft_mag(signal[:usable], cfg, track) for signal in signals))
     scaler = fit_scaler([mix for mix, _ in pairs])
     out = Path(args.out)
     save_dataset(Dataset(cfg, pairs, scaler), out)
@@ -433,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="build a dataset from <track>.mix.wav/<track>.vox.wav pairs")
     p.add_argument("--input", required=True, help="directory of WAV pairs")
     p.add_argument("--out", required=True)
-    p.add_argument("--sr", type=int, default=44100)
     p.add_argument("--window", type=int, default=2048)
     p.add_argument("--hop", type=int, default=384)
     p.add_argument("--fft", type=int, default=4096)

@@ -193,26 +193,23 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int, epochs: in
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"refusing to save checkpoint: layer {i} has non-finite values")
     with serial.atomic_writer(path) as f:
-        f.write(CHECKPOINT_MAGIC)
-        serial.write_u32(f, CHECKPOINT_VERSION)
-        serial.write_u8(f, ARCH_TAGS.index(params.arch.tag))
-        serial.write_u32(f, params.n)
-        serial.write_u32(f, len(params.layers))
+        serial.write_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        serial.pack(f, "BII", ARCH_TAGS.index(params.arch.tag), params.n, len(params.layers))
         for w, b in params.layers:
             serial.write_mat(f, w)
             serial.write_mat(f, b)
-        serial.write_u64(f, seed)
-        serial.write_u32(f, epochs)
+        serial.pack(f, "QI", seed, epochs)
 
 
 def _read_header(f) -> tuple[str, int]:
-    """The architecture tag and width n, after the magic and version."""
-    serial.expect_magic(f, CHECKPOINT_MAGIC)
-    serial.read_version(f, CHECKPOINT_VERSION)
-    tag_byte = serial.read_u8(f)
+    """The architecture tag and width n, after the magic and version. The
+    layer count that follows is left unread, so checkpoint_width needs only
+    these 13 bytes."""
+    serial.read_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    tag_byte, n = serial.unpack(f, "BI")
     if tag_byte >= len(ARCH_TAGS):
         raise serial.FormatError(f"unknown architecture byte {tag_byte}")
-    return ARCH_TAGS[tag_byte], serial.read_u32(f)
+    return ARCH_TAGS[tag_byte], n
 
 
 def checkpoint_width(path: str | Path) -> int:
@@ -224,10 +221,9 @@ def checkpoint_width(path: str | Path) -> int:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     with open(path, "rb") as f:
         tag, n = _read_header(f)
-        n_layers = serial.read_u32(f)
+        (n_layers,) = serial.unpack(f, "I")
         layers = [(serial.read_mat(f), serial.read_mat(f)) for _ in range(n_layers)]
-        seed = serial.read_u64(f)
-        epochs = serial.read_u32(f)
+        seed, epochs = serial.unpack(f, "QI")
     try:
         arch = Arch(tag, hidden_layers=n_layers - 2)  # checks the layer count
         return Checkpoint(ModelParams(arch, layers, n), seed, epochs)

@@ -77,6 +77,8 @@ class NcaConfig:
             raise ValueError("iterations must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -290,11 +292,10 @@ def save_couplings(path, c: Mat, metadata: dict) -> None:
         raise ValueError("refusing to save non-finite couplings matrix")
     meta = serial.canonical_json(metadata).encode("utf-8")
     with serial.atomic_writer(path) as f:
-        f.write(COUPLINGS_MAGIC)
-        serial.write_u32(f, COUPLINGS_VERSION)
-        serial.write_u32(f, c.shape[0])
+        serial.write_header(f, COUPLINGS_MAGIC, COUPLINGS_VERSION)
+        serial.pack(f, "I", c.shape[0])
         serial.write_f64s(f, c)
-        serial.write_u32(f, len(meta))
+        serial.pack(f, "I", len(meta))
         f.write(meta)
 
 
@@ -302,15 +303,14 @@ def load_couplings(path, *, matrix: bool = True) -> tuple[Mat | None, dict]:
     """The matrix and the checked metadata. With matrix=False the matrix is
     skipped, once its size is checked against the file, and None returned."""
     with open(path, "rb") as f:
-        serial.expect_magic(f, COUPLINGS_MAGIC)
-        serial.read_version(f, COUPLINGS_VERSION)
-        n = serial.read_u32(f)
+        serial.read_header(f, COUPLINGS_MAGIC, COUPLINGS_VERSION)
+        (n,) = serial.unpack(f, "I")
         if matrix:
             c = serial.read_f64s(f, n * n).reshape(n, n)
         else:
             c = None
             serial.skip_sized(f, n * n * 8)
-        meta_len = serial.read_u32(f)
+        (meta_len,) = serial.unpack(f, "I")
         try:
             metadata = json.loads(serial.read_sized(f, meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:

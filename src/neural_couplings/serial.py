@@ -69,49 +69,34 @@ def read_f64s(f: BinaryIO, count: int) -> np.ndarray:
     return a
 
 
-def expect_magic(f: BinaryIO, magic: bytes) -> None:
+def pack(f: BinaryIO, fmt: str, *values) -> None:
+    """Write values as the little-endian struct format fmt, such as "IB"."""
+    f.write(struct.pack("<" + fmt, *values))
+
+
+def unpack(f: BinaryIO, fmt: str) -> tuple:
+    """The values of the little-endian struct format fmt, read through
+    read_exact, so a short file is a FormatError."""
+    fmt = "<" + fmt
+    return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt)))
+
+
+def write_header(f: BinaryIO, magic: bytes, version: int) -> None:
+    """The header every format shares: the 4-byte magic, then a u32 version."""
+    f.write(magic)
+    pack(f, "I", version)
+
+
+def read_header(f: BinaryIO, magic: bytes, current: int) -> int:
+    """The version of a header written by write_header; a version newer than
+    current is a VersionError."""
     got = f.read(len(magic))
     if got != magic:
         raise FormatError(f"bad magic bytes {got!r}, expected {magic!r}")
-
-
-def read_version(f: BinaryIO, current: int) -> int:
-    version = read_u32(f)
+    (version,) = unpack(f, "I")
     if version > current:
         raise VersionError(f"file format version {version} is newer than supported {current}")
     return version
-
-
-def write_u8(f: BinaryIO, v: int) -> None:
-    f.write(struct.pack("<B", v))
-
-
-def write_u32(f: BinaryIO, v: int) -> None:
-    f.write(struct.pack("<I", v))
-
-
-def write_u64(f: BinaryIO, v: int) -> None:
-    f.write(struct.pack("<Q", v))
-
-
-def write_f64(f: BinaryIO, v: float) -> None:
-    f.write(struct.pack("<d", v))
-
-
-def read_u8(f: BinaryIO) -> int:
-    return struct.unpack("<B", read_exact(f, 1))[0]
-
-
-def read_u32(f: BinaryIO) -> int:
-    return struct.unpack("<I", read_exact(f, 4))[0]
-
-
-def read_u64(f: BinaryIO) -> int:
-    return struct.unpack("<Q", read_exact(f, 8))[0]
-
-
-def read_f64(f: BinaryIO) -> float:
-    return float(read_f64s(f, 1)[0])
 
 
 def write_mat(f: BinaryIO, m: np.ndarray) -> None:
@@ -119,8 +104,7 @@ def write_mat(f: BinaryIO, m: np.ndarray) -> None:
     m = np.ascontiguousarray(m, dtype="<f8")
     if m.ndim != 2:
         raise ValueError(f"write_mat: expected a 2-D matrix, got shape {m.shape}")
-    write_u32(f, m.shape[0])
-    write_u32(f, m.shape[1])
+    pack(f, "II", *m.shape)
     write_f64s(f, m)
 
 
@@ -131,19 +115,18 @@ def write_f64s(f: BinaryIO, a: np.ndarray) -> None:
 
 
 def read_mat(f: BinaryIO) -> np.ndarray:
-    rows = read_u32(f)
-    cols = read_u32(f)
+    rows, cols = unpack(f, "II")
     return read_f64s(f, rows * cols).reshape(rows, cols)
 
 
 def write_str(f: BinaryIO, s: str) -> None:
     raw = s.encode("utf-8")
-    write_u32(f, len(raw))
+    pack(f, "I", len(raw))
     f.write(raw)
 
 
 def read_str(f: BinaryIO) -> str:
-    n = read_u32(f)
+    (n,) = unpack(f, "I")
     try:
         return read_sized(f, n).decode("utf-8")
     except UnicodeDecodeError as e:

@@ -133,12 +133,12 @@ class Dataset:
             raise ValueError("scaler length does not match bins_kept")
 
 
-def load_wav_mono(path: str | Path, expect_rate: int | None = None) -> np.ndarray:
-    """Decode a PCM WAV file to a mono float64 signal in [-1, 1].
+def load_wav_mono(path: str | Path) -> tuple[np.ndarray, int]:
+    """Decode a PCM WAV file to a mono float64 signal in [-1, 1]; return the
+    signal and the sample rate its header gives.
 
     Supports 16/24-bit integer and 32-bit float encodings, mono or stereo
-    (stereo is averaged). NaN or infinite float samples are an error, and
-    so, if expect_rate is given, is a differing file rate.
+    (stereo is averaged). NaN or infinite float samples are an error.
 
     Only the chunk headers and the fmt fields are read as bytes. The data
     chunk is read from its offset WAV_BLOCK frames at a time, and each block
@@ -174,8 +174,6 @@ def load_wav_mono(path: str | Path, expect_rate: int | None = None) -> np.ndarra
         audio_format, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt)
         if channels not in (1, 2):
             raise WavError(f"{path}: unsupported channel count {channels}")
-        if expect_rate is not None and rate != expect_rate:
-            raise WavError(f"{path}: sample rate {rate} does not match expected {expect_rate}")
         width = _WAV_ENCODINGS.get((audio_format, bits))
         if width is None:
             raise WavError(f"{path}: unsupported encoding (format={audio_format}, bits={bits})")
@@ -192,7 +190,7 @@ def load_wav_mono(path: str | Path, expect_rate: int | None = None) -> np.ndarra
                 np.mean(x.reshape(-1, 2), axis=1, out=out[lo:hi])
             else:
                 out[lo:hi] = x
-    return out
+    return out, rate
 
 
 def _decode_samples(raw: np.ndarray, width: int) -> np.ndarray:
@@ -289,23 +287,8 @@ def normalized_window(ds: Dataset, pair_idx: int, start: int, stop: int) -> tupl
     return mix.mags[:, start:stop] / scale, tgt.mags[:, start:stop] / scale
 
 
-def _write_config(f, cfg: StftConfig) -> None:
-    serial.write_u32(f, cfg.sample_rate)
-    serial.write_u32(f, cfg.window_len)
-    serial.write_u32(f, cfg.hop)
-    serial.write_u32(f, cfg.fft_size)
-    # stored though fixed: the bin count, and window kind 0 (hamming)
-    serial.write_u32(f, cfg.bins_kept)
-    serial.write_u8(f, 0)
-
-
 def _read_config(f) -> StftConfig:
-    sample_rate = serial.read_u32(f)
-    window_len = serial.read_u32(f)
-    hop = serial.read_u32(f)
-    fft_size = serial.read_u32(f)
-    bins_kept = serial.read_u32(f)
-    kind_byte = serial.read_u8(f)
+    sample_rate, window_len, hop, fft_size, bins_kept, kind_byte = serial.unpack(f, "5IB")
     if kind_byte != 0:
         raise serial.FormatError(f"unknown window kind byte {kind_byte}")
     try:
@@ -319,25 +302,26 @@ def _read_config(f) -> StftConfig:
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     with serial.atomic_writer(path) as f:
-        f.write(DATASET_MAGIC)
-        serial.write_u32(f, DATASET_VERSION)
-        _write_config(f, ds.config)
-        serial.write_u32(f, len(ds.pairs))
+        serial.write_header(f, DATASET_MAGIC, DATASET_VERSION)
+        cfg = ds.config
+        # stored though fixed: the bin count, and window kind 0 (hamming)
+        serial.pack(f, "5IB", cfg.sample_rate, cfg.window_len, cfg.hop, cfg.fft_size,
+                    cfg.bins_kept, 0)
+        serial.pack(f, "I", len(ds.pairs))
         for mix, tgt in ds.pairs:
             serial.write_str(f, mix.source_id)
             serial.write_mat(f, mix.mags)
             serial.write_mat(f, tgt.mags)
-        serial.write_u32(f, ds.scaler.per_bin_std.shape[0])
+        serial.pack(f, "I", ds.scaler.per_bin_std.shape[0])
         serial.write_f64s(f, ds.scaler.per_bin_std)
-        serial.write_f64(f, ds.scaler.epsilon)
+        serial.pack(f, "d", ds.scaler.epsilon)
 
 
 def load_dataset(path: str | Path) -> Dataset:
     with open(path, "rb") as f:
-        serial.expect_magic(f, DATASET_MAGIC)
-        serial.read_version(f, DATASET_VERSION)
+        serial.read_header(f, DATASET_MAGIC, DATASET_VERSION)
         cfg = _read_config(f)
-        n_pairs = serial.read_u32(f)
+        (n_pairs,) = serial.unpack(f, "I")
         pairs = []
         for _ in range(n_pairs):
             source_id = serial.read_str(f)
@@ -349,9 +333,9 @@ def load_dataset(path: str | Path) -> Dataset:
                 )
             except ValueError as e:
                 raise serial.FormatError(f"invalid stored spectrogram: {e}") from None
-        n_bins = serial.read_u32(f)
+        (n_bins,) = serial.unpack(f, "I")
         std = serial.read_f64s(f, n_bins)
-        epsilon = serial.read_f64(f)
+        epsilon = float(serial.read_f64s(f, 1)[0])
         try:
             return Dataset(cfg, pairs, BinScaler(std, epsilon))
         except ValueError as e:

@@ -84,6 +84,8 @@ def make_synthetic_dataset(
         raise ValueError(f"n_bins must be at least 16, got {n_bins}")
     if frames < 2 or pairs < 1:
         raise ValueError("need at least 2 frames and 1 pair")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     fft_size = 2 * (n_bins - 1)
     cfg = StftConfig(
         sample_rate=8000,

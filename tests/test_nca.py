@@ -95,6 +95,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="lr must be finite"):
             NcaConfig("student", lr=lr)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            NcaConfig("student", seed=-1)
+
 
 def student_loss(c, b):
     return student_objective(c, *b)[0]

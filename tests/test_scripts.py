@@ -1,8 +1,11 @@
 """Smoke tests of the measurement scripts: each runs as documented and prints
 every field it promises as a finite positive number. No value is pinned, so
 a code change moves none of these tests; a script that stops running, or a
-field that goes missing or stops parsing, fails them."""
+field that goes missing or stops parsing, fails them. artifact_digests.sh,
+which desk_identity.sh compares runs with, is checked line for line against
+hashlib on a small directory it is given."""
 
+import hashlib
 import math
 import os
 import re
@@ -51,3 +54,13 @@ def test_peak_rss_prints_every_command(tmp_path):
                                             "couplings compositional", "analyze"]
     for _, value in rows:
         positive(value)
+
+
+def test_artifact_digests_lists_every_file_but_the_manifests(tmp_path):
+    files = {"b.ncd": b"dataset", "ck/a.ncm": b"model", "ck/deep/c.csv": b"x,y\n"}
+    for rel, data in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_bytes(data)
+    (tmp_path / "ck" / "train-dae.manifest.json").write_text("{}")
+    want = [f"{hashlib.sha256(files[rel]).hexdigest()}  {rel}" for rel in sorted(files)]
+    assert run_script("artifact_digests.sh", str(tmp_path)) == want

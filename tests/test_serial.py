@@ -2,31 +2,33 @@ import hashlib
 import io
 import json
 import os
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from neural_couplings import serial
+from neural_couplings.models import Arch, ModelParams, save_checkpoint
+from neural_couplings.nca import save_couplings
+from neural_couplings.spectral import BinScaler, Dataset, Spectrogram, StftConfig, save_dataset
 
 
 def test_scalar_round_trips():
     buf = io.BytesIO()
-    serial.write_u8(buf, 7)
-    serial.write_u32(buf, 123456)
-    serial.write_u64(buf, 2**40 + 5)
-    serial.write_f64(buf, -0.125)
+    serial.pack(buf, "BIQd", 7, 123456, 2**40 + 5, -0.125)
+    serial.pack(buf, "I", 9)
     buf.seek(0)
-    assert serial.read_u8(buf) == 7
-    assert serial.read_u32(buf) == 123456
-    assert serial.read_u64(buf) == 2**40 + 5
-    assert serial.read_f64(buf) == -0.125
+    assert serial.unpack(buf, "BIQd") == (7, 123456, 2**40 + 5, -0.125)
+    assert serial.unpack(buf, "I") == (9,)
+    assert buf.read() == b""
 
 
 def test_scalars_are_little_endian():
+    # and packed with no alignment padding: a u8 then a u32 is 5 bytes
     buf = io.BytesIO()
-    serial.write_u32(buf, 1)
-    assert buf.getvalue() == b"\x01\x00\x00\x00"
+    serial.pack(buf, "BI", 2, 1)
+    assert buf.getvalue() == b"\x02\x01\x00\x00\x00"
 
 
 def test_read_exact_reports_truncation():
@@ -35,23 +37,36 @@ def test_read_exact_reports_truncation():
         serial.read_exact(buf, 3)
 
 
+def test_unpack_reports_truncation():
+    with pytest.raises(serial.FormatError, match="truncated"):
+        serial.unpack(io.BytesIO(b"\x01\x00\x00\x00\x02"), "II")
+
+
+def test_header_is_magic_then_u32_version():
+    buf = io.BytesIO()
+    serial.write_header(buf, b"NCD1", 1)
+    assert buf.getvalue() == b"NCD1\x01\x00\x00\x00"
+    with pytest.raises(serial.FormatError, match="truncated"):
+        serial.read_header(io.BytesIO(buf.getvalue()[:6]), b"NCD1", 1)
+
+
 def test_expect_magic_mismatch():
-    buf = io.BytesIO(b"XXXX")
+    buf = io.BytesIO(b"XXXX\x01\x00\x00\x00")
     with pytest.raises(serial.FormatError, match="magic"):
-        serial.expect_magic(buf, b"NCD1")
+        serial.read_header(buf, b"NCD1", 1)
 
 
 def test_read_version_accepts_older_rejects_newer():
     buf = io.BytesIO()
-    serial.write_u32(buf, 1)
+    serial.write_header(buf, b"NCD1", 1)
     buf.seek(0)
-    assert serial.read_version(buf, current=2) == 1
+    assert serial.read_header(buf, b"NCD1", current=2) == 1
 
     buf = io.BytesIO()
-    serial.write_u32(buf, 3)
+    serial.write_header(buf, b"NCD1", 3)
     buf.seek(0)
-    with pytest.raises(serial.VersionError):
-        serial.read_version(buf, current=2)
+    with pytest.raises(serial.VersionError, match="newer"):
+        serial.read_header(buf, b"NCD1", current=2)
 
 
 def test_version_error_is_a_format_error():
@@ -88,14 +103,13 @@ def test_hostile_sizes_are_rejected_before_reading():
     # a (2^32 - 1)^2 matrix and a 4 GiB string, declared in front of 8 bytes
     huge = 2**32 - 1
     mat = io.BytesIO()
-    serial.write_u32(mat, huge)
-    serial.write_u32(mat, huge)
+    serial.pack(mat, "II", huge, huge)
     mat.write(b"\x00" * 8)
     mat.seek(0)
     with pytest.raises(serial.FormatError, match="truncated"):
         serial.read_mat(mat)
     s = io.BytesIO()
-    serial.write_u32(s, huge)
+    serial.pack(s, "I", huge)
     s.write(b"abcdefgh")
     s.seek(0)
     with pytest.raises(serial.FormatError, match="truncated"):
@@ -226,3 +240,51 @@ def test_canonical_json_is_sorted_and_compact():
     text = serial.canonical_json({"b": 1, "a": [1, 2], "c": {"y": 0, "x": 1}})
     assert text == '{"a":[1,2],"b":1,"c":{"x":1,"y":0}}'
     assert json.loads(text) == {"a": [1, 2], "b": 1, "c": {"x": 1, "y": 0}}
+
+
+# The README "File formats" layouts, packed field by field with struct alone,
+# so that a codec and serial that drift together still fail here.
+
+
+def f64s(a) -> bytes:
+    a = np.asarray(a, dtype=np.float64).ravel()
+    return struct.pack(f"<{a.size}d", *a)
+
+
+def mat(a) -> bytes:
+    return struct.pack("<II", *a.shape) + f64s(a)
+
+
+def test_dataset_bytes_follow_the_readme_layout(tmp_path):
+    cfg = StftConfig(sample_rate=8000, window_len=4, hop=2, fft_size=4)  # 3 bins
+    mix = np.arange(6.0).reshape(3, 2) + 0.5
+    tgt = mix / 4.0
+    std = np.array([0.25, 1.5, 3.0])
+    save_dataset(Dataset(cfg, [(Spectrogram(cfg, mix, "ab"), Spectrogram(cfg, tgt, "ab"))],
+                         BinScaler(std, 1e-8)), tmp_path / "d.ncd")
+    want = (b"NCD1" + struct.pack("<I", 1)
+            + struct.pack("<IIIIIB", 8000, 4, 2, 4, 3, 0)  # config, bins kept, hamming
+            + struct.pack("<I", 1)  # pairs
+            + struct.pack("<I", 2) + b"ab" + mat(mix) + mat(tgt)
+            + struct.pack("<I", 3) + f64s(std) + struct.pack("<d", 1e-8))
+    assert (tmp_path / "d.ncd").read_bytes() == want
+
+
+def test_checkpoint_bytes_follow_the_readme_layout(tmp_path):
+    layers = [(np.array([[1.0, -2.0], [0.5, 4.0]]) * k, np.array([[0.25], [-1.0]]) * k)
+              for k in (1, 3)]
+    save_checkpoint(tmp_path / "m.ncm", ModelParams(Arch.sf(), layers, 2), 2**40 + 5, 17)
+    want = (b"NCM1" + struct.pack("<I", 1)
+            + struct.pack("<BII", 2, 2, 2)  # arch sf, n, layers
+            + b"".join(mat(w) + mat(b) for w, b in layers)
+            + struct.pack("<QI", 2**40 + 5, 17))
+    assert (tmp_path / "m.ncm").read_bytes() == want
+
+
+def test_couplings_bytes_follow_the_readme_layout(tmp_path):
+    c = np.array([[0.5, -1.0], [2.0, 0.125]])
+    save_couplings(tmp_path / "c.ncc", c, {"strategy": "student", "segment": "0:0:2"})
+    meta = b'{"segment":"0:0:2","strategy":"student"}'
+    want = (b"NCC1" + struct.pack("<I", 1) + struct.pack("<I", 2) + f64s(c)
+            + struct.pack("<I", len(meta)) + meta)
+    assert (tmp_path / "c.ncc").read_bytes() == want

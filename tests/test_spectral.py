@@ -81,34 +81,33 @@ class TestWav:
         raw = np.array([[0], [16384], [-32768], [32767]])
         p = tmp_path / "m.wav"
         p.write_bytes(wav_builder(8000, raw, 16, 1))
-        x = load_wav_mono(p)
+        x, _ = load_wav_mono(p)
         assert np.allclose(x, [0.0, 0.5, -1.0, 32767 / 32768], atol=1e-12)
 
     def test_24_bit_mono_values(self, tmp_path, wav_builder):
         raw = np.array([[0], [4194304], [-8388608]])  # 0, 2^22, -2^23
         p = tmp_path / "m24.wav"
         p.write_bytes(wav_builder(8000, raw, 24, 1))
-        x = load_wav_mono(p)
+        x, _ = load_wav_mono(p)
         assert np.allclose(x, [0.0, 0.5, -1.0], atol=1e-12)
 
     def test_float32_mono(self, tmp_path, wav_builder):
         raw = np.array([[0.25], [-0.75]])
         p = tmp_path / "f.wav"
         p.write_bytes(wav_builder(8000, raw, 32, 3))
-        assert np.allclose(load_wav_mono(p), [0.25, -0.75], atol=1e-7)
+        assert np.allclose(load_wav_mono(p)[0], [0.25, -0.75], atol=1e-7)
 
     def test_stereo_averages_channels(self, tmp_path, wav_builder):
         raw = np.array([[16384, -16384], [8192, 8192]])
         p = tmp_path / "s.wav"
         p.write_bytes(wav_builder(8000, raw, 16, 1))
-        assert np.allclose(load_wav_mono(p), [0.0, 0.25], atol=1e-12)
+        assert np.allclose(load_wav_mono(p)[0], [0.0, 0.25], atol=1e-12)
 
     def test_rate_check(self, tmp_path, wav_builder):
         p = tmp_path / "r.wav"
         p.write_bytes(wav_builder(22050, np.zeros((4, 1)), 16, 1))
-        assert load_wav_mono(p, expect_rate=22050).shape == (4,)
-        with pytest.raises(WavError, match="sample rate"):
-            load_wav_mono(p, expect_rate=44100)
+        x, rate = load_wav_mono(p)
+        assert x.shape == (4,) and rate == 22050
 
     def test_not_riff(self, tmp_path):
         p = tmp_path / "bad.wav"
@@ -176,7 +175,7 @@ class TestWavBlocks:
         wav = wav[: len(wav) - cut]
         p = tmp_path / "b.wav"
         p.write_bytes(wav)
-        got = load_wav_mono(p)
+        got, _ = load_wav_mono(p)
         want = whole_array_decode(wav)
         assert len(want) == shape[0] if cut == 0 else len(want) < shape[0]
         assert got.dtype == np.float64
@@ -200,7 +199,7 @@ class TestWavBlocks:
         del samples
         tracemalloc.start()
         try:
-            x = load_wav_mono(p)
+            x, _ = load_wav_mono(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
