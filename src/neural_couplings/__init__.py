@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 # the names README "Library use" imports; every other name is imported from
 # its defining module
 from .analysis import tod_r
-from .models import Arch
 from .nca import NcaConfig, run_nca
 from .spectral import normalized_pair_rows, normalized_window
 from .synth import make_synthetic_dataset

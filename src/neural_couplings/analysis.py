@@ -108,7 +108,7 @@ def evaluate_segment(
                 raise ShapeError(
                     f"couplings matrix has shape {c.shape}, model is {params.n}-dimensional")
             tod, est = tod_r(c), couplings_estimate(params, c, x)
-        records.append(MetricsRecord(params.arch.tag, method, segment, tod,
+        records.append(MetricsRecord(params.tag, method, segment, tod,
                                      snr_db(reference, est), snr_db(x_true, est)))
     return records
 

@@ -33,8 +33,7 @@ from .analysis import (
     write_report_csv,
     write_report_json,
 )
-from .linalg import ShapeError
-from .models import ARCH_TAGS, Arch, checkpoint_width, load_checkpoint, save_checkpoint
+from .models import FAMILIES, checkpoint_width, load_checkpoint, save_checkpoint
 from .nca import (
     STRATEGIES,
     NcaConfig,
@@ -225,12 +224,11 @@ def cmd_train(args) -> int:
     seeds = args.seeds = _parse_seeds(args.seeds)
     cfg = TrainConfig(max_epochs=args.max_epochs)
     rows = normalized_pair_rows(load_dataset(args.dataset))
-    arch = Arch.mss_dae() if args.model == "mss-dae" else Arch(args.model)
     out_dir = Path(args.out)
     outputs, runs = [], []
     for seed in seeds:
         try:
-            result = train(arch, rows, replace(cfg, seed=seed))
+            result = train(args.model, rows, replace(cfg, seed=seed))
         except Exception as e:
             raise TrainingError(f"seed {seed}: {e}") from None
         ck_path = out_dir / f"{args.model}-seed{seed}.ncm"
@@ -299,7 +297,7 @@ def cmd_couplings(args) -> int:
                 windows[i] = None
         with _naming(f"checkpoint {ck_path}"):
             layers = compositional_layers(params) if args.strategy == "compositional" else None
-        arch = params.arch.tag
+        arch = params.tag
         del params
         ck_hash = serial.sha256_file(ck_path)
         ck_stem = Path(ck_path).stem
@@ -444,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one architecture over one or more seeds")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True, choices=ARCH_TAGS)
+    p.add_argument("--model", required=True, choices=FAMILIES)
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
     p.add_argument("--max-epochs", type=int, default=200)
@@ -486,7 +484,6 @@ _KNOWN_ERRORS = (
     NcaError,
     TrainingError,
     WavError,
-    ShapeError,
     serial.FormatError,
     ValueError,
     OSError,

@@ -25,64 +25,43 @@ from .linalg import Mat, ShapeError, glorot_like_init
 CHECKPOINT_MAGIC = b"NCM1"
 CHECKPOINT_VERSION = 1
 
-# the .ncm header stores a checkpoint's architecture as its index here
-ARCH_TAGS = ("dae", "mss-dae", "sf")
-
-
-@dataclass(frozen=True)
-class Arch:
-    """Architecture tag plus hidden-layer count (only mss-dae has hidden layers)."""
-
-    tag: str
-    hidden_layers: int = 0
-
-    def __post_init__(self):
-        if self.tag not in ARCH_TAGS:
-            raise ValueError(f"unknown architecture tag {self.tag!r}")
-        if self.tag in ("dae", "sf") and self.hidden_layers != 0:
-            raise ValueError(f"{self.tag} takes no hidden layers")
-        if self.tag == "mss-dae" and self.hidden_layers < 1:
-            raise ValueError("mss-dae needs at least one hidden layer")
-
-    @property
-    def n_layers(self) -> int:
-        return 2 + self.hidden_layers
-
-    @property
-    def uses_mask(self) -> bool:
-        return self.tag == "sf"
-
-    @classmethod
-    def dae(cls) -> "Arch":
-        return cls("dae")
-
-    @classmethod
-    def mss_dae(cls, hidden_layers: int = 2) -> "Arch":
-        return cls("mss-dae", hidden_layers)
-
-    @classmethod
-    def sf(cls) -> "Arch":
-        return cls("sf")
+# each family's tag and the number of layers init_params builds for it; the
+# .ncm header stores a family as its index in this order
+FAMILIES = {"dae": 2, "mss-dae": 4, "sf": 2}
 
 
 @dataclass
 class ModelParams:
-    """Per-layer (W, b) with every W square n x n and every b an n x 1 column."""
+    """A family tag and its per-layer (W, b): every W square n x n and every b
+    an n x 1 column. dae and sf have 2 layers; mss-dae has at least 3, so a
+    checkpoint of any depth loads."""
 
-    arch: Arch
+    tag: str
     layers: list[tuple[Mat, Mat]]
-    n: int
 
     def __post_init__(self):
-        if len(self.layers) != self.arch.n_layers:
-            raise ValueError(
-                f"{self.arch.tag} wants {self.arch.n_layers} layers, got {len(self.layers)}"
-            )
+        if self.tag not in FAMILIES:
+            raise ValueError(f"unknown architecture tag {self.tag!r}")
+        count = len(self.layers)
+        if self.tag == "mss-dae" and count < 3:
+            raise ValueError(f"mss-dae wants at least 3 layers, got {count}")
+        if self.tag != "mss-dae" and count != 2:
+            raise ValueError(f"{self.tag} wants 2 layers, got {count}")
+        n = self.n
         for i, (w, b) in enumerate(self.layers):
-            if w.shape != (self.n, self.n):
-                raise ShapeError(f"layer {i}: W has shape {w.shape}, expected {(self.n, self.n)}")
-            if b.shape != (self.n, 1):
-                raise ShapeError(f"layer {i}: b has shape {b.shape}, expected {(self.n, 1)}")
+            if w.shape != (n, n):
+                raise ShapeError(f"layer {i}: W has shape {w.shape}, expected {(n, n)}")
+            if b.shape != (n, 1):
+                raise ShapeError(f"layer {i}: b has shape {b.shape}, expected {(n, 1)}")
+
+    @property
+    def n(self) -> int:
+        """The width: the row count of the first W."""
+        return self.layers[0][0].shape[0]
+
+    @property
+    def uses_mask(self) -> bool:
+        return self.tag == "sf"
 
 
 @dataclass
@@ -92,12 +71,11 @@ class Checkpoint:
     epochs: int
 
 
-def init_params(arch: Arch, n: int, rng: np.random.Generator) -> ModelParams:
-    """Weights drawn normal * sqrt(1/n) in layer order, biases zero."""
-    layers = [
-        (glorot_like_init(rng, n, n, n), np.zeros((n, 1))) for _ in range(arch.n_layers)
-    ]
-    return ModelParams(arch, layers, n)
+def init_params(tag: str, n: int, rng: np.random.Generator) -> ModelParams:
+    """The family's FAMILIES[tag] layers, weights drawn normal * sqrt(1/n) in
+    layer order, biases zero."""
+    layers = [(glorot_like_init(rng, n, n, n), np.zeros((n, 1))) for _ in range(FAMILIES[tag])]
+    return ModelParams(tag, layers)
 
 
 def forward(params: ModelParams, x_batch) -> list[Mat]:
@@ -136,7 +114,7 @@ def forward_unchecked(params: ModelParams, x: Mat) -> list[Mat]:
 def model_output(params: ModelParams, acts: list[Mat]) -> Mat:
     """The spectral estimate of a forward pass: A_L, or for sf the mask A_L
     applied to the input, A_L * X."""
-    return acts[-1] * acts[0] if params.arch.uses_mask else acts[-1]
+    return acts[-1] * acts[0] if params.uses_mask else acts[-1]
 
 
 def backward(
@@ -174,7 +152,7 @@ def backward(
     r = d.reshape(-1)
     loss = float(np.dot(r, r)) / r.size
     d *= 2.0 / r.size
-    if params.arch.uses_mask:
+    if params.uses_mask:
         d *= acts[0]
     ones = np.ones((d.shape[1], 1), dtype=d.dtype)
 
@@ -194,7 +172,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int, epochs: in
             raise ValueError(f"refusing to save checkpoint: layer {i} has non-finite values")
     with serial.atomic_writer(path) as f:
         serial.write_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-        serial.pack(f, "BII", ARCH_TAGS.index(params.arch.tag), params.n, len(params.layers))
+        serial.pack(f, "BII", list(FAMILIES).index(params.tag), params.n, len(params.layers))
         for w, b in params.layers:
             serial.write_mat(f, w)
             serial.write_mat(f, b)
@@ -207,9 +185,9 @@ def _read_header(f) -> tuple[str, int]:
     these 13 bytes."""
     serial.read_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     tag_byte, n = serial.unpack(f, "BI")
-    if tag_byte >= len(ARCH_TAGS):
+    if tag_byte >= len(FAMILIES):
         raise serial.FormatError(f"unknown architecture byte {tag_byte}")
-    return ARCH_TAGS[tag_byte], n
+    return list(FAMILIES)[tag_byte], n
 
 
 def checkpoint_width(path: str | Path) -> int:
@@ -221,11 +199,13 @@ def checkpoint_width(path: str | Path) -> int:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     with open(path, "rb") as f:
         tag, n = _read_header(f)
-        (n_layers,) = serial.unpack(f, "I")
-        layers = [(serial.read_mat(f), serial.read_mat(f)) for _ in range(n_layers)]
+        (count,) = serial.unpack(f, "I")
+        layers = [(serial.read_mat(f), serial.read_mat(f)) for _ in range(count)]
         seed, epochs = serial.unpack(f, "QI")
     try:
-        arch = Arch(tag, hidden_layers=n_layers - 2)  # checks the layer count
-        return Checkpoint(ModelParams(arch, layers, n), seed, epochs)
-    except (ValueError, ShapeError) as e:
+        params = ModelParams(tag, layers)
+        if params.n != n:
+            raise ValueError(f"layers are {params.n} wide, the header says {n}")
+    except ValueError as e:
         raise serial.FormatError(f"malformed checkpoint: {e}") from None
+    return Checkpoint(params, seed, epochs)

@@ -110,8 +110,9 @@ def write_mat(f: BinaryIO, m: np.ndarray) -> None:
 
 def write_f64s(f: BinaryIO, a: np.ndarray) -> None:
     """a's values as little-endian float64, written from a's own buffer when
-    it already is one, so no payload-sized copy is made."""
-    f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B"))
+    it already is one, so no payload-sized copy is made. The buffer is cast
+    through its flat view, which an array with a zero-length axis also has."""
+    f.write(memoryview(np.ascontiguousarray(a, dtype="<f8").reshape(-1)).cast("B"))
 
 
 def read_mat(f: BinaryIO) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import serial
 from .linalg import Mat, make_rng, single
-from .models import Arch, ModelParams, backward, forward_unchecked, init_params
+from .models import ModelParams, backward, forward_unchecked, init_params
 
 # An epoch improves only if its loss beats the best by more than this,
 # relatively; equal-to-the-eye plateaus do not reset the patience counters.
@@ -166,17 +166,18 @@ def _flat(layers: list[tuple[Mat, Mat]]) -> Mat:
     return np.concatenate([a.ravel() for layer in layers for a in layer])
 
 
-def _params_view(arch: Arch, theta: Mat, n: int) -> ModelParams:
+def _params_view(tag: str, theta: Mat, n: int) -> ModelParams:
     """ModelParams whose W and b are views of the flat vector theta."""
-    rows = theta.reshape(arch.n_layers, n * n + n)
-    layers = [(r[: n * n].reshape(n, n), r[n * n :].reshape(n, 1)) for r in rows]
-    return ModelParams(arch, layers, n)
+    rows = theta.reshape(-1, n * n + n)
+    return ModelParams(tag, [(r[: n * n].reshape(n, n), r[n * n :].reshape(n, 1)) for r in rows])
 
 
-def train(arch: Arch, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
-    """Train one model on rows = (mixture rows, target rows), the
-    normalized frames one per row as `spectral.normalized_pair_rows` builds
-    them; deterministic given (arch, rows, cfg).
+def train(tag: str, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
+    """Train one model of the family tag (its layers as `init_params` builds
+    them) on rows = (mixture rows, target rows), the normalized frames one
+    per row as `spectral.normalized_pair_rows` builds them; deterministic
+    given (tag, rows, cfg). Rows that hold no frame are refused with
+    TrainingError.
 
     Training runs in float32 (see the module docstring): float64 rows are
     rounded once per call and float32 rows are used as they are; a row or
@@ -201,13 +202,15 @@ def train(arch: Arch, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
     if mix_rows.shape != tgt_rows.shape:
         raise ValueError(f"mixture rows {mix_rows.shape} and target rows {tgt_rows.shape} differ")
     total_frames, n = mix_rows.shape
+    if total_frames == 0:
+        raise TrainingError("no frames to train on")
     theta = single(
-        _flat(init_params(arch, n, make_rng(cfg.seed)).layers),
+        _flat(init_params(tag, n, make_rng(cfg.seed)).layers),
         "the initial weight vector", TrainingError, "training",
     )
-    params = _params_view(arch, theta, n)
+    params = _params_view(tag, theta, n)
     grad = np.empty_like(theta)
-    grads = _params_view(arch, grad, n).layers
+    grads = _params_view(tag, grad, n).layers
     adam = Adam(INITIAL_LR)
 
     best_loss = math.inf
@@ -248,7 +251,7 @@ def train(arch: Arch, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
     # free the run's state before the float64 copy of the weights is made
     del params, grads, theta, grad, adam
     return TrainResult(
-        _params_view(arch, best_theta.astype(np.float64), n), history, best_loss, stopped_by
+        _params_view(tag, best_theta.astype(np.float64), n), history, best_loss, stopped_by
     )
 
 

@@ -24,7 +24,6 @@ from neural_couplings import serial
 from neural_couplings.analysis import tod_r
 from neural_couplings.linalg import make_rng
 from neural_couplings.models import (
-    Arch,
     ModelParams,
     forward,
     init_params,
@@ -122,7 +121,7 @@ def recovery_runs():
     for s in range(5):
         rng = make_rng([777, s])
         layers = [(rng.uniform(0.05, 0.3, (8, 8)), np.zeros((8, 1))) for _ in range(2)]
-        params = ModelParams(Arch.dae(), layers, 8)
+        params = ModelParams("dae", layers)
         x = np.abs(rng.normal(size=(8, 64))) + 0.1
         state = run_nca(params, x, NcaConfig("student", iterations=600, lr=2.5e-3, seed=0))
         y_l1 = float(np.abs(forward(params, x)[-1]).sum())
@@ -142,16 +141,14 @@ def test_criterion_1_model_gradient_fidelity(backward_grads, mse):
     h = 1e-6
     worst = 0.0
     checked = excluded = 0
-    for a_idx, arch in enumerate([Arch.dae(), Arch.mss_dae(2), Arch.sf()]):
+    for a_idx, arch in enumerate(["dae", "mss-dae", "sf"]):
         for inst in range(20):
             rng = make_rng([601, a_idx, inst])
             n = int(rng.integers(3, 9))
             t = int(rng.integers(1, 5))
             base = init_params(arch, n, rng)
             params = ModelParams(
-                arch,
-                [(w, b + rng.normal(0.0, 0.1, size=b.shape)) for w, b in base.layers],
-                n,
+                arch, [(w, b + rng.normal(0.0, 0.1, size=b.shape)) for w, b in base.layers]
             )
             x = np.abs(rng.normal(size=(n, t)))
             tgt = np.abs(rng.normal(size=(n, t)))
@@ -160,10 +157,10 @@ def test_criterion_1_model_gradient_fidelity(backward_grads, mse):
             def loss_with(layer, which, idx, delta):
                 layers = [(w.copy(), b.copy()) for w, b in params.layers]
                 layers[layer][which][idx] += delta
-                q = ModelParams(arch, layers, n)
+                q = ModelParams(arch, layers)
                 return mse(tgt, model_output(q, forward(q, x)))
 
-            for layer in range(arch.n_layers):
+            for layer in range(len(params.layers)):
                 for which in (0, 1):
                     g = grads[layer][which]
                     for idx in np.ndindex(*g.shape):
@@ -211,7 +208,7 @@ def test_criterion_2_compositional_gradient_fidelity():
     # part 1: bit-level agreement with an independent two-layer transcription
     exact = 0
     for inst in range(10):
-        arch = Arch.dae() if inst % 2 == 0 else Arch.sf()
+        arch = "dae" if inst % 2 == 0 else "sf"
         params = init_params(arch, n, make_rng([50, inst]))
         rng = make_rng([51, inst])
         x = np.abs(rng.normal(size=(n, t))) + 0.1
@@ -228,7 +225,7 @@ def test_criterion_2_compositional_gradient_fidelity():
     h = 1e-6
     worst_fd = 0.0
     checked = excluded = 0
-    arch4 = Arch.mss_dae(2)
+    arch4 = "mss-dae"
     for inst in range(10):
         params = init_params(arch4, n, make_rng([52, inst]))
         rng = make_rng([53, inst])
@@ -450,13 +447,14 @@ def _round_trip_dataset(rng, path) -> bool:
 
 
 def _round_trip_checkpoint(rng, path) -> bool:
-    arch = [Arch.dae(), Arch.mss_dae(int(rng.integers(1, 4))), Arch.sf()][int(rng.integers(0, 3))]
+    deep = 2 + int(rng.integers(1, 4))  # an mss-dae's layer count, 3 to 5
+    tag = ("dae", "mss-dae", "sf")[int(rng.integers(0, 3))]
     n = int(rng.integers(2, 7))
     layers = [
         (rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3), rng.normal(size=(n, 1)))
-        for _ in range(arch.n_layers)
+        for _ in range(deep if tag == "mss-dae" else 2)
     ]
-    params = ModelParams(arch, layers, n)
+    params = ModelParams(tag, layers)
     seed = int(rng.integers(0, 2**63))
     epochs = int(rng.integers(0, 2**31))
     save_checkpoint(path, params, seed, epochs)
@@ -464,7 +462,7 @@ def _round_trip_checkpoint(rng, path) -> bool:
     again = Path(str(path) + ".b")
     save_checkpoint(again, back.params, back.seed, back.epochs)
     same = path.read_bytes() == again.read_bytes()
-    same = same and back.params.arch == arch and back.seed == seed and back.epochs == epochs
+    same = same and back.params.tag == tag and back.seed == seed and back.epochs == epochs
     for (w0, b0), (w1, b1) in zip(layers, back.params.layers):
         same = same and np.array_equal(w0, w1) and np.array_equal(b0, b1)
     return same

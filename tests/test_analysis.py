@@ -17,14 +17,14 @@ from neural_couplings.analysis import (
     write_report_json,
 )
 from neural_couplings.linalg import ShapeError, make_rng
-from neural_couplings.models import Arch, ModelParams, forward
+from neural_couplings.models import ModelParams, forward
 from neural_couplings.nca import NcaConfig, run_nca
 
 
-def zero_bias_params(arch, mats):
+def zero_bias_params(tag, mats):
     n = mats[0].shape[0]
     layers = [(np.asarray(w, dtype=np.float64), np.zeros((n, 1))) for w in mats]
-    return ModelParams(arch, layers, n)
+    return ModelParams(tag, layers)
 
 
 class TestTodR:
@@ -93,25 +93,25 @@ class TestLinearComposition:
     def test_encoder_applied_first(self):
         w1 = np.array([[0.0, 1.0], [0.0, 0.0]])
         w2 = np.array([[1.0, 0.0], [1.0, 0.0]])
-        p = zero_bias_params(Arch.dae(), [w1, w2])
+        p = zero_bias_params("dae", [w1, w2])
         # W2 @ W1, not W1 @ W2
         assert linear_composition(p).tolist() == (w2 @ w1).tolist()
 
     def test_ignores_biases(self):
         w = np.eye(2)
-        p = ModelParams(Arch.dae(), [(w, np.ones((2, 1))), (w, np.ones((2, 1)))], 2)
+        p = ModelParams("dae", [(w, np.ones((2, 1))), (w, np.ones((2, 1)))])
         assert linear_composition(p).tolist() == np.eye(2).tolist()
 
 
 class TestCouplingsEstimate:
     def test_clips_at_zero(self):
-        p = zero_bias_params(Arch.dae(), [np.eye(2), np.eye(2)])
+        p = zero_bias_params("dae", [np.eye(2), np.eye(2)])
         c = np.array([[1.0, 0.0], [0.0, -1.0]])
         x = np.array([[1.0], [1.0]])
         assert couplings_estimate(p, c, x).tolist() == [[1.0], [0.0]]
 
     def test_sf_multiplies_input(self):
-        p = zero_bias_params(Arch.sf(), [np.eye(2), np.eye(2)])
+        p = zero_bias_params("sf", [np.eye(2), np.eye(2)])
         c = np.eye(2)
         x = np.array([[2.0], [3.0]])
         # mask estimate C x = x, times input -> x * x
@@ -120,9 +120,7 @@ class TestCouplingsEstimate:
 
 class TestEvaluateSegment:
     def setup_method(self):
-        self.params = zero_bias_params(
-            Arch.dae(), [np.eye(2) * 0.5, np.eye(2)]
-        )
+        self.params = zero_bias_params("dae", [np.eye(2) * 0.5, np.eye(2)])
         self.x = np.array([[2.0, 4.0], [2.0, 2.0]])
         self.truth = 0.5 * self.x
 
@@ -167,7 +165,7 @@ class TestEvaluateSegment:
         # within rounding noise of the model output (measured 61.7 dB)
         rng = make_rng([777, 0])
         layers = [(rng.uniform(0.05, 0.3, (8, 8)), np.zeros((8, 1))) for _ in range(2)]
-        params = ModelParams(Arch.dae(), layers, 8)
+        params = ModelParams("dae", layers)
         x = np.abs(rng.normal(size=(8, 64))) + 0.1
         state = run_nca(params, x, NcaConfig("student", iterations=2000, lr=2.5e-3))
         [rec] = evaluate_segment(params, x, x, [("student", state.c)], "0:64")

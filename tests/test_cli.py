@@ -25,7 +25,7 @@ from neural_couplings.analysis import (
 from neural_couplings.cli import list_segments, main, parse_segment_id
 from neural_couplings.linalg import make_rng
 from neural_couplings.models import (
-    Arch,
+    FAMILIES,
     ModelParams,
     forward,
     init_params,
@@ -36,6 +36,8 @@ from neural_couplings.nca import fit_couplings, load_couplings, save_couplings
 from neural_couplings.spectral import (
     BinScaler,
     Dataset,
+    Spectrogram,
+    StftConfig,
     load_dataset,
     normalized_window,
     save_dataset,
@@ -100,7 +102,7 @@ def huge_checkpoint(pipeline, ck_dir, weight_scale, bias):
     (w1, b1), *rest = [(w * weight_scale, b) for w, b in ck.params.layers]
     layers = [(w1, np.full_like(b1, bias)), *rest]
     path = ck_dir / "dae-seed0.ncm"
-    save_checkpoint(path, ModelParams(ck.params.arch, layers, ck.params.n), 0, 1)
+    save_checkpoint(path, ModelParams(ck.params.tag, layers), 0, 1)
     return path
 
 
@@ -252,13 +254,22 @@ class TestTrainCommand:
     def test_writes_checkpoint_and_history_per_seed(self, pipeline):
         for seed in (0, 1):
             ck = load_checkpoint(pipeline / "ck" / f"dae-seed{seed}.ncm")
-            assert ck.params.arch.tag == "dae"
+            assert ck.params.tag == "dae"
             assert ck.params.n == 16
             assert ck.seed == seed
             assert ck.epochs == 2
             hist = (pipeline / "ck" / f"dae-seed{seed}-history.csv").read_text().splitlines()
             assert hist[0] == "epoch,mean_loss,lr"
             assert len(hist) == 3
+
+    def test_dataset_without_frames_is_refused(self, tmp_path, capsys):
+        cfg = StftConfig(sample_rate=8000, window_len=4, hop=2, fft_size=4)
+        empty = Spectrogram(cfg, np.zeros((3, 0)), "t0")
+        save_dataset(Dataset(cfg, [(empty, empty)], BinScaler(np.ones(3))), tmp_path / "ds.ncd")
+        err = run_fail(["train", "--dataset", str(tmp_path / "ds.ncd"), "--model", "dae",
+                        "--out", str(tmp_path / "ck")], capsys, "TrainingError")
+        assert err["message"] == "seed 0: no frames to train on"
+        assert not (tmp_path / "ck").exists()
 
     def test_manifest_covers_all_outputs(self, pipeline):
         manifest = json.loads((pipeline / "ck" / "train-dae.manifest.json").read_text())
@@ -338,7 +349,7 @@ class TestTrainCommand:
         ds_path = tmp_path / "ds.ncd"
         save_dataset(make_synthetic_dataset(n, frames, 2, 0), ds_path)
         dataset_bytes = 2 * 2 * n * frames * 8
-        param_bytes = Arch.mss_dae(2).n_layers * (n * n + n) * 8
+        param_bytes = FAMILIES["mss-dae"] * (n * n + n) * 8
         tracemalloc.start()
         try:
             run_ok(["train", "--dataset", str(ds_path), "--model", "mss-dae",
@@ -366,9 +377,9 @@ class TestTrainCommand:
         # every earlier seed's result and model are gone when a seed starts
         results = []
 
-        def training(arch, ds, cfg):
+        def training(tag, ds, cfg):
             assert all(ref() is None for ref in results)
-            result = train(arch, ds, cfg)
+            result = train(tag, ds, cfg)
             results.extend(weakref.ref(a) for a in (result, result.params))
             return result
 
@@ -381,11 +392,11 @@ class TestTrainCommand:
         # seed 0's files are written as it finishes; seed 2 never starts
         started = []
 
-        def training(arch, ds, cfg):
+        def training(tag, ds, cfg):
             started.append(cfg.seed)
             if cfg.seed == 1:
                 raise FloatingPointError("overflow encountered in matmul")
-            return train(arch, ds, cfg)
+            return train(tag, ds, cfg)
 
         monkeypatch.setattr(cli, "train", training)
         # run_fail parses stderr as one JSON document, so a second line fails it
@@ -617,7 +628,7 @@ class TestCouplingsCommand:
         ck_dir = tmp_path / "ck"
         ck_dir.mkdir()
         (ck_dir / "a.ncm").write_bytes((pipeline / "ck" / "dae-seed0.ncm").read_bytes())
-        save_checkpoint(ck_dir / "b.ncm", init_params(Arch.dae(), 20, make_rng(0)), 0, 1)
+        save_checkpoint(ck_dir / "b.ncm", init_params("dae", 20, make_rng(0)), 0, 1)
         err = run_fail(["couplings", "--checkpoint", str(ck_dir / "*.ncm"),
                         "--dataset", str(pipeline / "ds.ncd"), "--strategy", "student",
                         "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"],

@@ -22,7 +22,7 @@ import pytest
 from neural_couplings import serial
 from neural_couplings.cli import _KNOWN_ERRORS, main
 from neural_couplings.linalg import make_rng
-from neural_couplings.models import Arch, init_params, load_checkpoint, save_checkpoint
+from neural_couplings.models import init_params, load_checkpoint, save_checkpoint
 from neural_couplings.nca import NcaConfig, load_couplings, run_nca, save_couplings
 from neural_couplings.spectral import (
     load_dataset,
@@ -73,7 +73,7 @@ def files(tmp_path_factory, wav_builder):
     (root / "s.wav").write_bytes(wav_builder(8000, stereo, 16, 1))
     ds = make_synthetic_dataset(N_BINS, FRAMES, 2, 0)
     save_dataset(ds, root / "ds.ncd")
-    params = init_params(Arch.dae(), N_BINS, make_rng(0))
+    params = init_params("dae", N_BINS, make_rng(0))
     (root / "ck").mkdir()
     save_checkpoint(root / "ck" / "dae-seed0.ncm", params, 0, 1)
     x_mix, _ = normalized_window(ds, 0, 0, WINDOW)

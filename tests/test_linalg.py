@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neural_couplings.linalg import glorot_like_init, make_rng
-from neural_couplings.models import Arch, ModelParams, forward
+from neural_couplings.models import ModelParams, forward
 from neural_couplings.nca import compositional_objective, shifted_layers, student_objective
 
 
@@ -30,7 +30,7 @@ def test_glorot_like_init_rejects_bad_n():
 
 def _dae(w1, b2=0.0):
     return ModelParams(
-        Arch.dae(), [(np.array([[w1]]), np.zeros((1, 1))), (np.ones((1, 1)), np.array([[b2]]))], 1
+        "dae", [(np.array([[w1]]), np.zeros((1, 1))), (np.ones((1, 1)), np.array([[b2]]))]
     )
 
 
@@ -40,7 +40,7 @@ def test_relu_clips_negatives_only():
     # the compositional gate: with W1 = 1 and b1 = -2 the first gate's
     # pre-activation is -P1, and W2 = 1, b2 = 0, P2 = 1 leave C = G1
     one = np.ones((1, 1))
-    p = ModelParams(Arch.dae(), [(one, np.array([[-2.0]])), (one, np.zeros((1, 1)))], 1)
+    p = ModelParams("dae", [(one, np.array([[-2.0]])), (one, np.zeros((1, 1)))])
     gates = [
         compositional_objective(np.array([[[p1]], one]), shifted_layers(p.layers), one, one, one,
                                 loss_only=True)[0]
@@ -70,7 +70,7 @@ def test_kernels_do_not_mutate_inputs(backward_grads):
     a = np.array([[-1.0, 2.0], [3.0, -4.0]])
     b = np.array([[0.5], [-0.5]])
     before = (a.copy(), b.copy())
-    p = ModelParams(Arch.dae(), [(a, b), (a, b)], 2)
+    p = ModelParams("dae", [(a, b), (a, b)])
     backward_grads(p, forward(p, a), a)
     # a.T, a view, would show a write to X^T as a change of a
     compositional_objective([a, a], shifted_layers(p.layers), a, a.T, a)

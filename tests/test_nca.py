@@ -5,7 +5,7 @@ import pytest
 
 from neural_couplings import nca, serial
 from neural_couplings.linalg import glorot_like_init, make_rng
-from neural_couplings.models import Arch, ModelParams, forward, init_params, model_output
+from neural_couplings.models import FAMILIES, ModelParams, forward, init_params, model_output
 from neural_couplings.nca import (
     STRATEGIES,
     NcaConfig,
@@ -49,7 +49,7 @@ def single(*arrays):
 
 def single_params(params):
     """The model with its weights rounded to float32."""
-    return ModelParams(params.arch, [single(w, b) for w, b in params.layers], params.n)
+    return ModelParams(params.tag, [single(w, b) for w, b in params.layers])
 
 
 def gate(p, w, b):
@@ -62,17 +62,26 @@ def with_biases(params, seed):
     W + b^T equal W, and a gradient that used W in their place would pass."""
     rng = make_rng([70, seed])
     layers = [(w, rng.normal(0.0, 0.5, b.shape)) for w, b in params.layers]
-    return ModelParams(params.arch, layers, params.n)
+    return ModelParams(params.tag, layers)
 
 
-def positive_params(arch, n, seed, lo=0.05, hi=0.3):
+def positive_params(tag, n, seed, lo=0.05, hi=0.3, count=None):
     """All-positive weights and zero biases keep every relu active on
-    positive inputs, which makes hand reasoning exact."""
+    positive inputs, which makes hand reasoning exact. count layers, by
+    default as many as init_params builds for tag."""
     rng = make_rng(seed)
     layers = [
-        (rng.uniform(lo, hi, (n, n)), np.zeros((n, 1))) for _ in range(arch.n_layers)
+        (rng.uniform(lo, hi, (n, n)), np.zeros((n, 1)))
+        for _ in range(count or FAMILIES[tag])
     ]
-    return ModelParams(arch, layers, n)
+    return ModelParams(tag, layers)
+
+
+def params_of_depth(count, n, rng):
+    """A dae (2 layers) or mss-dae of count layers, drawn as init_params
+    draws its own: the same arrays as init_params at 2 and 4 layers."""
+    layers = [(glorot_like_init(rng, n, n, n), np.zeros((n, 1))) for _ in range(count)]
+    return ModelParams("dae" if count == 2 else "mss-dae", layers)
 
 
 class TestConfig:
@@ -169,7 +178,7 @@ class TestTarget:
         return x, y
 
     def test_dae_target_is_model_output(self, monkeypatch):
-        p = positive_params(Arch.dae(), 4, 1)
+        p = positive_params("dae", 4, 1)
         x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
         got_x, y = self.fitted(p, x, monkeypatch)
         assert got_x.dtype == y.dtype == np.float32
@@ -177,7 +186,7 @@ class TestTarget:
         assert np.array_equal(y, model_output(p, forward(p, x)).astype(np.float32))
 
     def test_sf_target_is_the_mask_not_the_product(self, monkeypatch):
-        p = positive_params(Arch.sf(), 4, 1)
+        p = positive_params("sf", 4, 1)
         x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
         _, y = self.fitted(p, x, monkeypatch)
         acts = forward(p, x)
@@ -191,7 +200,7 @@ class TestGates:
         # C = M_2 M_1 is the first factor G_1 . W_1 when the second layer is
         # (I, 0) with all-ones drivers: its gate is all ones, its factor I
         n = len(w1)
-        params = ModelParams(Arch.dae(), [(w1, b1), (np.eye(n), np.zeros((n, 1)))], n)
+        params = ModelParams("dae", [(w1, b1), (np.eye(n), np.zeros((n, 1)))])
         x = np.eye(n)
         c, _, _ = compositional_objective([p1, np.ones((n, n))], shifted_layers(params.layers),
                                           *window(x, x), loss_only=True)
@@ -215,7 +224,7 @@ class TestGates:
         assert np.array_equal(c, g * w1)
 
     def test_objective_checks_gate_driver_count(self):
-        p = positive_params(Arch.dae(), 2, 0)
+        p = positive_params("dae", 2, 0)
         with pytest.raises(ValueError):
             compositional_objective([np.eye(2)], shifted_layers(p.layers),
                                     *batch(np.eye(2), np.eye(2)))
@@ -226,9 +235,7 @@ class TestGates:
         # G2 = diag(2,3)
         w1 = np.array([[1.0, 0.0], [1.0, 1.0]])
         w2 = np.eye(2)
-        p = ModelParams(
-            Arch.dae(), [(w1, np.zeros((2, 1))), (w2, np.zeros((2, 1)))], 2
-        )
+        p = ModelParams("dae", [(w1, np.zeros((2, 1))), (w2, np.zeros((2, 1)))])
         p1 = np.array([[1.0, 0.0], [1.0, 0.0]])
         p2 = np.array([[2.0, 0.0], [0.0, 3.0]])
         c, loss, _ = compositional_objective(
@@ -242,7 +249,7 @@ class TestGates:
         # if every gate is all ones, C X must equal the model output when all
         # relus are active, which positive weights and inputs guarantee;
         # P_l = ones (W_l + b_l)^-T opens every gate up to rounding
-        p = positive_params(Arch.mss_dae(1), 5, 3)
+        p = positive_params("mss-dae", 5, 3, count=3)
         x = np.abs(make_rng(4).normal(size=(5, 6))) + 0.1
         p_open = [np.ones((5, 5)) @ np.linalg.inv(w + b.T).T for w, b in p.layers]
         gates = [gate(q, w, b) for q, (w, b) in zip(p_open, p.layers)]
@@ -253,15 +260,15 @@ class TestGates:
 
 
 class TestCompositionalGrads:
-    def grads_for(self, arch, seed, biased=False):
+    def grads_for(self, count, seed, biased=False):
         n, t = 6, 5
-        params = init_params(arch, n, make_rng([50, seed]))
+        params = params_of_depth(count, n, make_rng([50, seed]))
         if biased:
             params = with_biases(params, seed)
         rng = make_rng([51, seed])
         x = np.abs(rng.normal(size=(n, t))) + 0.1
         layers, tb = shifted_layers(params.layers), window(*target(params, x))
-        p_list = [glorot(rng, n) for _ in range(arch.n_layers)]
+        p_list = [glorot(rng, n) for _ in range(count)]
         return layers, tb, p_list, compositional_objective(p_list, layers, *tb)[2]
 
     def test_two_layer_grads_match_direct_transcription(self):
@@ -269,7 +276,7 @@ class TestCompositionalGrads:
         # C = M2 M1, dE/dM2 = D M1^T, dE/dM1 = M2^T D
         for seed in range(6):
             n, t = 6, 5
-            params = init_params(Arch.dae(), n, make_rng([50, seed]))
+            params = init_params("dae", n, make_rng([50, seed]))
             rng = make_rng([51, seed])
             x = np.abs(rng.normal(size=(n, t))) + 0.1
             x, y = target(params, x)
@@ -295,10 +302,10 @@ class TestCompositionalGrads:
             assert np.array_equal(got_c, c)
             assert got_loss == c_loss == l1(c @ x - y)
 
-    def assert_grads_match_finite_differences(self, arch, seed, biased=False):
-        layers, tb, p_list, grads = self.grads_for(arch, seed, biased)
+    def assert_grads_match_finite_differences(self, count, seed, biased=False):
+        layers, tb, p_list, grads = self.grads_for(count, seed, biased)
         h = 1e-6
-        for l in range(arch.n_layers):
+        for l in range(count):
             for idx in [(0, 0), (2, 3), (5, 1)]:
                 pp = [q.copy() for q in p_list]
                 pm = [q.copy() for q in p_list]
@@ -312,14 +319,13 @@ class TestCompositionalGrads:
 
     @pytest.mark.parametrize("hidden", [1, 2])
     def test_deep_grads_match_finite_differences(self, hidden):
-        self.assert_grads_match_finite_differences(Arch.mss_dae(hidden), seed=hidden)
+        self.assert_grads_match_finite_differences(2 + hidden, seed=hidden)
 
-    @pytest.mark.parametrize("arch", [Arch.dae(), Arch.mss_dae(1), Arch.mss_dae(2)],
-                             ids=lambda a: f"L{a.n_layers}")
-    def test_grads_with_nonzero_biases_match_finite_differences(self, arch):
+    @pytest.mark.parametrize("count", [2, 3, 4], ids=lambda c: f"L{c}")
+    def test_grads_with_nonzero_biases_match_finite_differences(self, count):
         # a backward product that used W_l in place of W_l + b_l^T, or added
         # b_l by row, passes at b = 0 but not here
-        self.assert_grads_match_finite_differences(arch, seed=3 + arch.n_layers, biased=True)
+        self.assert_grads_match_finite_differences(count, seed=3 + count, biased=True)
 
     @pytest.mark.parametrize("hidden", [0, 2])
     @pytest.mark.parametrize("n", [33, 257])
@@ -327,11 +333,10 @@ class TestCompositionalGrads:
         # the objective written with every intermediate a fresh array and
         # the float gate pre-activations kept; the in-place forms must give
         # the same bits. The biases are non-zero, so W + b^T differs from W
-        arch = Arch.mss_dae(hidden) if hidden else Arch.dae()
-        params = with_biases(init_params(arch, n, make_rng([52, n])), n)
+        params = with_biases(params_of_depth(2 + hidden, n, make_rng([52, n])), n)
         rng = make_rng([53, n])
         x, xt, y = window(*target(params, np.abs(rng.normal(size=(n, 40))) + 0.1))
-        p = np.stack([glorot(rng, n) for _ in range(arch.n_layers)])
+        p = np.stack([glorot(rng, n) for _ in params.layers])
 
         g_hats, factors, prefix = [], [], []
         for p_l, (w, b) in zip(p, params.layers):
@@ -362,7 +367,7 @@ class TestCompositionalGrads:
             assert np.array_equal(got, expect)
 
     def test_zero_residual_gives_zero_gradients(self):
-        params = positive_params(Arch.dae(), 4, 3)
+        params = positive_params("dae", 4, 3)
         rng = make_rng(13)
         p_list = [glorot(rng, 4) for _ in range(2)]
         x = np.abs(rng.normal(size=(4, 6))) + 0.1
@@ -396,7 +401,7 @@ class TestRunNca:
     def test_student_recovers_an_effectively_linear_model(self):
         # positive weights, zero biases, positive inputs: the model is the
         # exact linear map W2 W1, which a free C can reach
-        p = positive_params(Arch.dae(), 6, 7)
+        p = positive_params("dae", 6, 7)
         x = np.abs(make_rng(8).normal(size=(6, 48))) + 0.1
         c_lin = p.layers[1][0] @ p.layers[0][0]
         state = run_nca(p, x, NcaConfig("student", iterations=600, lr=2.5e-3))
@@ -405,7 +410,7 @@ class TestRunNca:
 
     def test_student_pulls_identity_model_toward_identity_couplings(self):
         eye_layers = [(np.eye(8), np.zeros((8, 1))) for _ in range(2)]
-        p = ModelParams(Arch.dae(), eye_layers, 8)
+        p = ModelParams("dae", eye_layers)
         x = np.abs(make_rng(21).normal(size=(8, 64))) + 0.1
         state = run_nca(p, x, NcaConfig("student", iterations=600, lr=2.5e-3))
         diag_mass = np.abs(np.diag(state.c)).sum()
@@ -414,7 +419,7 @@ class TestRunNca:
         assert off_mass < diag_mass
 
     def test_loss_curve_length_and_first_entry(self):
-        p = positive_params(Arch.dae(), 4, 1)
+        p = positive_params("dae", 4, 1)
         x = np.abs(make_rng(2).normal(size=(4, 10))) + 0.1
         cfg = NcaConfig("student", iterations=25, lr=1e-3)
         state = run_nca(p, x, cfg)
@@ -433,7 +438,7 @@ class TestRunNca:
             return compositional_objective(p, *args, loss_only=loss_only, **kwargs)
 
         monkeypatch.setattr(nca, "compositional_objective", spy)
-        p = with_biases(positive_params(Arch.mss_dae(1), 4, 2), 2)
+        p = with_biases(positive_params("mss-dae", 4, 2, count=3), 2)
         x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
         state = run_nca(p, x, NcaConfig("compositional", iterations=15, lr=1e-3))
         (p_final,) = finals
@@ -447,7 +452,7 @@ class TestRunNca:
         # one (L n, n) draw reshaped to (L, n, n) is the same stream as one
         # n x n draw per layer, so the first loss is that of these drivers,
         # rounded to float32 like the weights, X and Y
-        p = positive_params(Arch.mss_dae(2), 5, 4)
+        p = positive_params("mss-dae", 5, 4)
         x = np.abs(make_rng(5).normal(size=(5, 9))) + 0.1
         cfg = NcaConfig("compositional", iterations=3, lr=1e-3, seed=11)
         state = run_nca(p, x, cfg)
@@ -459,11 +464,11 @@ class TestRunNca:
 
     @staticmethod
     def peak_matrices(strategy):
-        """tracemalloc peak of a 2-iteration mss-dae(2) run at n=257, T=32,
+        """tracemalloc peak of a 2-iteration 4-layer mss-dae run at n=257, T=32,
         in n x n float64 matrices; the iterations hold float32 arrays, half
         a unit each."""
         n = 257
-        params = init_params(Arch.mss_dae(2), n, make_rng(1))
+        params = init_params("mss-dae", n, make_rng(1))
         x = np.abs(make_rng(2).normal(size=(n, 32))) + 0.1
         tracemalloc.start()
         try:
@@ -506,7 +511,7 @@ class TestRunNca:
             return loss, grad
 
         monkeypatch.setattr(nca, "student_objective", spy)
-        p = positive_params(Arch.mss_dae(1), 4, 2)
+        p = positive_params("mss-dae", 4, 2, count=3)
         x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
         state = run_nca(p, x, NcaConfig(strategy, iterations=3, lr=1e-3))
         assert formed == [True, True, True, False]
@@ -515,7 +520,7 @@ class TestRunNca:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_returns_float64(self, strategy):
-        p = positive_params(Arch.mss_dae(1), 4, 2)
+        p = positive_params("mss-dae", 4, 2, count=3)
         x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
         state = run_nca(p, x, NcaConfig(strategy, iterations=2))
         assert state.c.dtype == np.float64
@@ -541,12 +546,11 @@ class TestRunNca:
         return losses + [objective(theta, loss_only=True)[0]]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()],
-                             ids=lambda a: a.tag)
-    def test_float32_run_tracks_a_float64_run(self, arch, strategy):
+    @pytest.mark.parametrize("tag", ["dae", "mss-dae", "sf"])
+    def test_float32_run_tracks_a_float64_run(self, tag, strategy):
         # each loss within 9.2e-7 relative, measured; the two runs drift
         # apart slowly as Adam steps from different roundings
-        params = init_params(arch, 16, make_rng([60, arch.n_layers, arch.uses_mask]))
+        params = init_params(tag, 16, make_rng([60, FAMILIES[tag], tag == "sf"]))
         x = np.abs(make_rng(61).normal(size=(16, 40))) + 0.1
         cfg = NcaConfig(strategy, iterations=100, lr=1e-3, seed=3)
         got = np.array(run_nca(params, x, cfg).losses)
@@ -557,7 +561,7 @@ class TestRunNca:
     def test_output_outside_float32_range_is_refused(self, strategy):
         # weights near 1e39 make an output near 1e78: finite in float64,
         # infinite once rounded
-        p = positive_params(Arch.dae(), 4, 1, lo=1e39, hi=2e39)
+        p = positive_params("dae", 4, 1, lo=1e39, hi=2e39)
         x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
         with pytest.raises(NcaError, match=r"model output .*float32 range"):
             run_nca(p, x, NcaConfig(strategy, iterations=1))
@@ -567,7 +571,7 @@ class TestRunNca:
         # float32 and only the compositional run rounds the weights
         rng = make_rng(3)
         layers = [(rng.uniform(0.1, 0.3, (4, 4)) * s, np.zeros((4, 1))) for s in (1e40, 1e-40)]
-        p = ModelParams(Arch.dae(), layers, 4)
+        p = ModelParams("dae", layers)
         x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
         assert np.isfinite(forward(p, x)[-1].astype(np.float32)).all()
         run_nca(p, x, NcaConfig("student", iterations=1))
@@ -580,7 +584,7 @@ class TestRunNca:
             fit_couplings(x, x, NcaConfig("compositional", iterations=1))
 
     def test_deterministic(self):
-        p = positive_params(Arch.sf(), 4, 5)
+        p = positive_params("sf", 4, 5)
         x = np.abs(make_rng(6).normal(size=(4, 12))) + 0.1
         cfg = NcaConfig("compositional", iterations=10, lr=1e-3)
         a = run_nca(p, x, cfg)
@@ -589,7 +593,7 @@ class TestRunNca:
         assert a.losses == b.losses
 
     def test_both_strategies_reduce_loss(self):
-        p = positive_params(Arch.mss_dae(2), 6, 9)
+        p = positive_params("mss-dae", 6, 9)
         x = np.abs(make_rng(10).normal(size=(6, 40))) + 0.1
         for strategy in ("student", "compositional"):
             state = run_nca(p, x, NcaConfig(strategy, iterations=200, lr=1e-3))

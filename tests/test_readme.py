@@ -1,12 +1,15 @@
 """The README's "Library use" block runs as written against this package,
-and the package root exports exactly the names that block imports."""
+the package root exports exactly the names that block imports, and every
+`nca` command of its "Command line" section parses."""
 
 import math
 import pathlib
 import re
+import shlex
 import types
 
 import neural_couplings
+from neural_couplings import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +33,24 @@ def test_package_root_exports_only_the_library_use_names():
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == names
     assert isinstance(neural_couplings.__version__, str)
+
+
+def command_line_commands():
+    """The argument lists of the `nca` commands in the sh blocks of README
+    "Command line", each with its backslash continuations joined."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)\n```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words[:1] == ["nca"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_command_line_commands_parse():
+    commands = command_line_commands()
+    assert {argv[0] for argv in commands} >= {"synth", "train", "couplings", "analyze", "heatmap"}
+    for argv in commands:
+        assert cli.build_parser().parse_args(argv).command == argv[0]

@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 
 from neural_couplings import serial
-from neural_couplings.models import Arch, ModelParams, save_checkpoint
+from neural_couplings.models import ModelParams, save_checkpoint
 from neural_couplings.nca import save_couplings
-from neural_couplings.spectral import BinScaler, Dataset, Spectrogram, StftConfig, save_dataset
+from neural_couplings.spectral import (
+    BinScaler,
+    Dataset,
+    Spectrogram,
+    StftConfig,
+    load_dataset,
+    save_dataset,
+)
 
 
 def test_scalar_round_trips():
@@ -270,10 +277,26 @@ def test_dataset_bytes_follow_the_readme_layout(tmp_path):
     assert (tmp_path / "d.ncd").read_bytes() == want
 
 
+def test_dataset_with_a_zero_frame_pair_round_trips(tmp_path):
+    # the loader accepts a pair of (n, 0) spectrograms, so the writer must
+    # write one back: a zero-length axis has no buffer shape memoryview casts
+    empty = np.zeros((3, 0))
+    raw = (b"NCD1" + struct.pack("<I", 1)
+           + struct.pack("<IIIIIB", 8000, 4, 2, 4, 3, 0)
+           + struct.pack("<I", 1)
+           + struct.pack("<I", 2) + b"ab" + mat(empty) + mat(empty)
+           + struct.pack("<I", 3) + f64s([0.25, 1.5, 3.0]) + struct.pack("<d", 1e-8))
+    (tmp_path / "in.ncd").write_bytes(raw)
+    ds = load_dataset(tmp_path / "in.ncd")
+    assert [(mix.frames, tgt.frames) for mix, tgt in ds.pairs] == [(0, 0)]
+    save_dataset(ds, tmp_path / "out.ncd")
+    assert (tmp_path / "out.ncd").read_bytes() == raw
+
+
 def test_checkpoint_bytes_follow_the_readme_layout(tmp_path):
     layers = [(np.array([[1.0, -2.0], [0.5, 4.0]]) * k, np.array([[0.25], [-1.0]]) * k)
               for k in (1, 3)]
-    save_checkpoint(tmp_path / "m.ncm", ModelParams(Arch.sf(), layers, 2), 2**40 + 5, 17)
+    save_checkpoint(tmp_path / "m.ncm", ModelParams("sf", layers), 2**40 + 5, 17)
     want = (b"NCM1" + struct.pack("<I", 1)
             + struct.pack("<BII", 2, 2, 2)  # arch sf, n, layers
             + b"".join(mat(w) + mat(b) for w, b in layers)

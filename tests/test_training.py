@@ -6,7 +6,14 @@ import pytest
 
 from neural_couplings import training
 from neural_couplings.linalg import make_rng
-from neural_couplings.models import Arch, ModelParams, backward, forward, init_params, model_output
+from neural_couplings.models import (
+    FAMILIES,
+    ModelParams,
+    backward,
+    forward,
+    init_params,
+    model_output,
+)
 from neural_couplings.spectral import (
     BinScaler,
     Dataset,
@@ -203,7 +210,7 @@ class TestTrain:
         # at this width a few relu units die at init, so convergence stops
         # well short of zero; a 3x loss reduction still proves learning
         monkeypatch.setattr(training, "BATCH_SIZE", 8)
-        res = train(Arch.dae(), learnable_rows(), TrainConfig(seed=0))
+        res = train("dae", learnable_rows(), TrainConfig(seed=0))
         assert res.best_loss < 0.35 * res.history[0].mean_loss
 
     def test_identity_task_is_representable_and_improves(self, mse, monkeypatch):
@@ -217,20 +224,20 @@ class TestTrain:
         mix = Spectrogram(cfg16, mix_mags, "t0")
         ds = Dataset(cfg16, [(mix, mix)], BinScaler(np.ones(16)))
 
-        exact = ModelParams(Arch.dae(), [(np.eye(16), np.zeros((16, 1))) for _ in range(2)], 16)
+        exact = ModelParams("dae", [(np.eye(16), np.zeros((16, 1))) for _ in range(2)])
         assert mse(forward(exact, mix_mags)[-1], mix_mags) == 0.0
 
         monkeypatch.setattr(training, "BATCH_SIZE", 16)
         monkeypatch.setattr(training, "INITIAL_LR", 1e-2)
-        res = train(Arch.dae(), normalized_pair_rows(ds), TrainConfig(seed=4, max_epochs=50))
+        res = train("dae", normalized_pair_rows(ds), TrainConfig(seed=4, max_epochs=50))
         assert res.history[-1].mean_loss < 0.5 * res.history[0].mean_loss
         assert res.best_loss < 0.2
 
     def test_deterministic(self):
         rows = learnable_rows()
         cfg = TrainConfig(seed=3, max_epochs=20)
-        a = train(Arch.dae(), rows, cfg)
-        b = train(Arch.dae(), rows, cfg)
+        a = train("dae", rows, cfg)
+        b = train("dae", rows, cfg)
         assert [(h.epoch, h.mean_loss, h.lr) for h in a.history] == [
             (h.epoch, h.mean_loss, h.lr) for h in b.history
         ]
@@ -240,17 +247,17 @@ class TestTrain:
 
     def test_seed_changes_the_run(self):
         rows = learnable_rows()
-        a = train(Arch.dae(), rows, TrainConfig(seed=0, max_epochs=5))
-        b = train(Arch.dae(), rows, TrainConfig(seed=1, max_epochs=5))
+        a = train("dae", rows, TrainConfig(seed=0, max_epochs=5))
+        b = train("dae", rows, TrainConfig(seed=1, max_epochs=5))
         assert not np.array_equal(a.params.layers[0][0], b.params.layers[0][0])
 
     def test_best_loss_is_the_history_minimum(self):
-        res = train(Arch.dae(), learnable_rows(), TrainConfig(seed=0, max_epochs=30))
+        res = train("dae", learnable_rows(), TrainConfig(seed=0, max_epochs=30))
         assert np.isclose(res.best_loss, min(h.mean_loss for h in res.history), rtol=1e-8)
 
     def test_plateau_halves_lr_then_stops(self):
         cfg = TrainConfig(seed=0, max_epochs=500)
-        res = train(Arch.dae(), halving_rows(), cfg)
+        res = train("dae", halving_rows(), cfg)
         lrs = [h.lr for h in res.history]
         assert res.epochs < cfg.max_epochs
         assert lrs[0] == INITIAL_LR
@@ -265,69 +272,68 @@ class TestTrain:
         assert all(t >= res.best_loss * (1 - training.IMPROVEMENT_REL) for t in tail)
 
     def test_stopped_by_names_the_ending_rule(self):
-        budget = train(Arch.dae(), learnable_rows(), TrainConfig(seed=0, max_epochs=3))
+        budget = train("dae", learnable_rows(), TrainConfig(seed=0, max_epochs=3))
         assert (budget.stopped_by, budget.epochs) == ("max_epochs", 3)
         cfg = TrainConfig(seed=0, max_epochs=500)
-        plateau = train(Arch.dae(), halving_rows(), cfg)
+        plateau = train("dae", halving_rows(), cfg)
         assert plateau.stopped_by == "patience"
         assert plateau.epochs < cfg.max_epochs
 
     def test_rejects_rows_of_different_shapes(self):
         mix_rows, tgt_rows = learnable_rows()
         with pytest.raises(ValueError, match="differ"):
-            train(Arch.dae(), (mix_rows, tgt_rows[1:]), TrainConfig(max_epochs=1))
+            train("dae", (mix_rows, tgt_rows[1:]), TrainConfig(max_epochs=1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, monkeypatch):
         monkeypatch.setattr(training, "INITIAL_LR", 1e200)
         with pytest.raises(TrainingError, match="diverged"):
-            train(Arch.dae(), halving_rows(), TrainConfig(seed=0, max_epochs=3))
+            train("dae", halving_rows(), TrainConfig(seed=0, max_epochs=3))
 
     @pytest.mark.parametrize(
-        "arch, n, frames, batch_size",
+        "tag, n, frames, batch_size",
         [
-            (Arch.dae(), 6, 40, 16),
-            (Arch.mss_dae(2), 6, 40, 16),
-            (Arch.sf(), 6, 40, 16),
+            ("dae", 6, 40, 16),
+            ("mss-dae", 6, 40, 16),
+            ("sf", 6, 40, 16),
             # at 257 bins a product with its operand roles swapped gives other
             # bits (at 6 bins it still matches), so this case pins the roles
-            (Arch.mss_dae(1), 257, 300, 128),
+            ("mss-dae", 257, 300, 128),
         ],
         ids=["dae", "mss-dae", "sf", "mss-dae-257"],
     )
-    def test_single_epoch_matches_recipe_transcription(self, arch, n, frames, batch_size,
+    def test_single_epoch_matches_recipe_transcription(self, tag, n, frames, batch_size,
                                                          monkeypatch):
         x_mix, x_tgt = recipe_columns(n, frames, 7)
         cfg = TrainConfig(seed=2, max_epochs=1)
         monkeypatch.setattr(training, "BATCH_SIZE", batch_size)
-        res = train(arch, rows_of(x_mix, x_tgt), cfg)
-        losses, layers = recipe_epochs(arch, x_mix, x_tgt, cfg, np.float32, batch_size,
+        res = train(tag, rows_of(x_mix, x_tgt), cfg)
+        losses, layers = recipe_epochs(tag, x_mix, x_tgt, cfg, np.float32, batch_size,
                                        exact=True)
         assert res.history[0].mean_loss == losses[0]
-        assert len(res.params.layers) == arch.n_layers
+        assert (res.params.tag, len(res.params.layers)) == (tag, FAMILIES[tag])
         for (wa, ba), (wb, bb) in zip(res.params.layers, layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("arch", [Arch.dae(), Arch.mss_dae(2), Arch.sf()],
-                             ids=["dae", "mss-dae", "sf"])
-    def test_float32_training_tracks_a_float64_run(self, arch, seed, monkeypatch):
+    @pytest.mark.parametrize("tag", ["dae", "mss-dae", "sf"])
+    def test_float32_training_tracks_a_float64_run(self, tag, seed, monkeypatch):
         # the same recipe in float64 on the unrounded rows and weights: over
         # ten epochs every epoch loss stays within 1e-6 relative (measured at
         # most 2.0e-7); the schedule keeps lr fixed, as the recipe does
         x_mix, x_tgt = recipe_columns(16, 300, 20 + seed)
         cfg = TrainConfig(seed=seed, max_epochs=10)
         monkeypatch.setattr(training, "BATCH_SIZE", 32)
-        res = train(arch, rows_of(x_mix, x_tgt), cfg)
-        want, _ = recipe_epochs(arch, x_mix, x_tgt, cfg, np.float64, 32)
+        res = train(tag, rows_of(x_mix, x_tgt), cfg)
+        want, _ = recipe_epochs(tag, x_mix, x_tgt, cfg, np.float64, 32)
         assert [h.lr for h in res.history] == [INITIAL_LR] * cfg.max_epochs
         got = np.array([h.mean_loss for h in res.history])
         assert np.allclose(got, want, rtol=1e-6, atol=0.0)
 
     def test_returns_float64_params(self):
         # the .ncm format and every caller see float64, holding float32 values
-        res = train(Arch.mss_dae(2), learnable_rows(), TrainConfig(seed=0, max_epochs=3))
+        res = train("mss-dae", learnable_rows(), TrainConfig(seed=0, max_epochs=3))
         for w, b in res.params.layers:
             for a in (w, b):
                 assert a.dtype == np.float64
@@ -342,7 +348,7 @@ class TestTrain:
         name = ("mixture", "target")[which]
         with pytest.raises(TrainingError,
                            match=rf"a {name} row holds .*float32 range \|v\| <= 3\.40282e\+38"):
-            train(Arch.dae(), tuple(rows), TrainConfig(seed=0, max_epochs=1))
+            train("dae", tuple(rows), TrainConfig(seed=0, max_epochs=1))
 
     def test_nan_row_is_named_non_finite(self):
         # a NaN is not outside the float32 range, so the message says both
@@ -350,12 +356,12 @@ class TestTrain:
         rows[0][3, 2] = np.nan
         with pytest.raises(TrainingError,
                            match=r"a mixture row holds values that are non-finite or outside"):
-            train(Arch.dae(), tuple(rows), TrainConfig(seed=0, max_epochs=1))
+            train("dae", tuple(rows), TrainConfig(seed=0, max_epochs=1))
 
-    @pytest.mark.parametrize("arch, n, pairs, epochs", [(Arch.mss_dae(2), 64, 2, 200),
-                                                         (Arch.sf(), 257, 1, 20)],
+    @pytest.mark.parametrize("tag, n, pairs, epochs", [("mss-dae", 64, 2, 200),
+                                                        ("sf", 257, 1, 20)],
                              ids=["mss-dae-64", "sf-257"])
-    def test_improvement_threshold_sits_above_epoch_loss_rounding(self, arch, n, pairs, epochs,
+    def test_improvement_threshold_sits_above_epoch_loss_rounding(self, tag, n, pairs, epochs,
                                                                    monkeypatch):
         # each batch's squared error taken again in float64, from the float64
         # values of the same float32 weights and frames, and summed per epoch
@@ -366,21 +372,21 @@ class TestTrain:
         sq_err = []
 
         def backward_and_float64_error(params, acts, target, grads):
-            p64 = ModelParams(arch, [(w.astype(np.float64), b.astype(np.float64))
-                                     for w, b in params.layers], n)
+            p64 = ModelParams(tag, [(w.astype(np.float64), b.astype(np.float64))
+                                    for w, b in params.layers])
             d = model_output(p64, forward(p64, acts[0])) - target
             sq_err.append(float(np.sum(d * d)))
             return backward(params, acts, target, grads)
 
         monkeypatch.setattr(training, "backward", backward_and_float64_error)
         rows = normalized_pair_rows(make_synthetic_dataset(n, 720, pairs, 0))
-        res = train(arch, rows, TrainConfig(seed=0, max_epochs=epochs))
+        res = train(tag, rows, TrainConfig(seed=0, max_epochs=epochs))
         want = np.array(sq_err).reshape(res.epochs, -1).sum(axis=1) / rows[1].size
         got = np.array([h.mean_loss for h in res.history])
         assert 10 * np.max(np.abs(got - want) / want) <= training.IMPROVEMENT_REL
 
     def test_peak_memory_is_bounded(self):
-        # mss-dae(2) at n=257 on 2000 frames: one float32 parameter vector P
+        # the 4-layer mss-dae at n=257 on 2000 frames: one float32 parameter vector P
         # is 1.0 MiB. The float32 rows (3.9 P) are the caller's, used without
         # a copy and not counted. A run holds 5 P (weights, gradient, best-
         # epoch snapshot, Adam's two moments) plus a batch's gathers and
@@ -389,10 +395,10 @@ class TestTrain:
         # Measured 6.16 P; 7.24 P while the run's state outlived the cast.
         n = 257
         rows = rows_of(*recipe_columns(n, 2000, 3))
-        p_bytes = Arch.mss_dae(2).n_layers * (n * n + n) * 4
+        p_bytes = FAMILIES["mss-dae"] * (n * n + n) * 4
         tracemalloc.start()
         try:
-            train(Arch.mss_dae(2), rows, TrainConfig(seed=0, max_epochs=1))
+            train("mss-dae", rows, TrainConfig(seed=0, max_epochs=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -438,7 +444,7 @@ class RecipeAdam:
             p[...] = p - self.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def recipe_epochs(arch, x_mix, x_tgt, cfg, dtype, batch_size, exact=False):
+def recipe_epochs(tag, x_mix, x_tgt, cfg, dtype, batch_size, exact=False):
     """The documented recipe transcribed in plain numpy, in (bins, frames)
     orientation, at the fixed learning rate INITIAL_LR: the columns and the
     float64 initial weights are rounded to dtype once, then each epoch
@@ -454,11 +460,11 @@ def recipe_epochs(arch, x_mix, x_tgt, cfg, dtype, batch_size, exact=False):
     column and the folded Adam."""
     n, frames = x_mix.shape
     x_mix, x_tgt = x_mix.astype(dtype), x_tgt.astype(dtype)
-    initial = init_params(arch, n, make_rng(cfg.seed)).layers
+    initial = init_params(tag, n, make_rng(cfg.seed)).layers
     flat_p = np.concatenate([a.ravel() for layer in initial for a in layer]).astype(dtype)
     # views of flat_p, which Adam steps in place: W is n * n values and b is
     # n, so layer i starts at (n * n + n) * i
-    rows = flat_p.reshape(arch.n_layers, n * n + n)
+    rows = flat_p.reshape(len(initial), n * n + n)
     layers = [(r[: n * n].reshape(n, n), r[n * n :].reshape(n, 1)) for r in rows]
     adam = RecipeAdam(INITIAL_LR, folded=exact)
     losses = []
@@ -473,12 +479,12 @@ def recipe_epochs(arch, x_mix, x_tgt, cfg, dtype, batch_size, exact=False):
                 pre.append(w @ a + b)
                 a = np.maximum(pre[-1], 0.0)
                 post.append(a)
-            out = post[-1] * xb if arch.uses_mask else post[-1]
+            out = post[-1] * xb if tag == "sf" else post[-1]
             d = out - yb
             r = d.ravel()
             total_se += (float(r @ r) / r.size if exact else float(np.mean(d * d))) * yb.size
             d_post = (2.0 / yb.size) * d
-            if arch.uses_mask:
+            if tag == "sf":
                 d_post = d_post * xb
             grads = [None] * len(layers)
             ones = np.ones((yb.shape[1], 1), dtype=dtype)
