@@ -2,7 +2,9 @@
 
 TOD-R scores diagonal dominance: sqrt(N) * trace(|C|) over the L1 mass of
 the off-diagonal part; it is undefined (None) when the off-diagonal mass is
-exactly zero. SNR compares spectral estimates in dB, capped at +300. The
+exactly zero. SNR compares spectral estimates in dB, capped at +300; it is
+undefined (None) when the reference has no energy, as a window of silent
+target or of dead model output has. The
 evaluation of a segment clips the couplings estimate C X at zero before
 scoring, and for skip-filtering models multiplies it with the input, mirroring
 the model's own masking.
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
 import struct
@@ -37,8 +38,8 @@ class MetricsRecord:
     method: str  # student | compositional | linear | identity
     segment: str
     tod_r: float | None
-    snr_model_db: float
-    snr_truth_db: float
+    snr_model_db: float | None
+    snr_truth_db: float | None
 
 
 def linear_composition(params: ModelParams) -> Mat:
@@ -62,15 +63,16 @@ def tod_r(c: Mat) -> float | None:
     return math.sqrt(c.shape[0]) * float(np.abs(np.diagonal(c)).sum()) / off_mass
 
 
-def snr_db(reference: Mat, estimate: Mat) -> float:
-    """10 log10 of reference energy over error energy, capped at +300 dB."""
+def snr_db(reference: Mat, estimate: Mat) -> float | None:
+    """10 log10 of reference energy over error energy, capped at +300 dB;
+    None when the reference is all zero."""
     ref = np.asarray(reference, dtype=np.float64)
     est = np.asarray(estimate, dtype=np.float64)
     if ref.shape != est.shape:
         raise ShapeError(f"snr_db: shapes {ref.shape} and {est.shape} differ")
     ref_energy = float((ref * ref).sum())
     if ref_energy == 0.0:
-        raise ValueError("snr_db: all-zero reference")
+        return None
     err = ref - est
     err_energy = float((err * err).sum())
     if err_energy == 0.0:
@@ -113,14 +115,18 @@ def evaluate_segment(
     return records
 
 
-def _stats(values: list[float]) -> dict:
-    arr = np.asarray(values, dtype=np.float64)
-    return {"mean": float(arr.mean()), "std": float(arr.std())}  # population std
+def _stats(values: list[float | None]) -> dict:
+    """Mean and population std of the defined values, both None if none is."""
+    arr = np.asarray([v for v in values if v is not None], dtype=np.float64)
+    if not arr.size:
+        return {"mean": None, "std": None}
+    return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
 def aggregate(records: list[MetricsRecord]) -> dict:
-    """Per (arch, method) cell: count, SNR mean/std, TOD-R mean/std over the
-    defined values with the undefined count reported alongside."""
+    """Per (arch, method) cell: count, SNR mean/std over the defined values,
+    TOD-R mean/std over the defined values with the undefined count reported
+    alongside. One warning counts the records with an undefined SNR."""
     cells: dict[str, dict[str, dict]] = {}
     for arch in sorted({r.arch for r in records}):
         for method in sorted({r.method for r in records if r.arch == arch}):
@@ -138,22 +144,22 @@ def aggregate(records: list[MetricsRecord]) -> dict:
                 log.warning("TOD-R undefined for every record in cell (%s, %s)", arch, method)
             cell["tod_r"] = tod
             cells.setdefault(arch, {})[method] = cell
+    silent = sum(r.snr_model_db is None or r.snr_truth_db is None for r in records)
+    if silent:
+        log.warning("SNR undefined for %d of %d records: their reference is all zero",
+                    silent, len(records))
     return {"cells": cells, "record_count": len(records)}
 
 
-def write_report_json(report: dict, path) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    serial.write_file_atomic(path, text.encode("utf-8"))
-
-
 def write_report_csv(records: list[MetricsRecord], path) -> None:
-    """Flat rows, fixed column order, sorted by (arch, method, segment)."""
+    """Flat rows, fixed column order, sorted by (arch, method, segment); an
+    undefined TOD-R or SNR is a blank cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["arch", "method", "segment", "tod_r", "snr_model_db", "snr_truth_db"])
     for r in sorted(records, key=lambda r: (r.arch, r.method, r.segment)):
-        tod = "" if r.tod_r is None else repr(r.tod_r)
-        writer.writerow([r.arch, r.method, r.segment, tod, repr(r.snr_model_db), repr(r.snr_truth_db)])
+        cells = ("" if v is None else repr(v) for v in (r.tod_r, r.snr_model_db, r.snr_truth_db))
+        writer.writerow([r.arch, r.method, r.segment, *cells])
     serial.write_file_atomic(path, buf.getvalue().encode("utf-8"))
 
 

@@ -31,7 +31,6 @@ from .analysis import (
     export_heatmap,
     linear_composition,
     write_report_csv,
-    write_report_json,
 )
 from .models import FAMILIES, checkpoint_width, load_checkpoint, save_checkpoint
 from .nca import (
@@ -48,7 +47,7 @@ from .spectral import (
     Dataset,
     StftConfig,
     WavError,
-    fit_scaler,
+    fit_scale,
     load_dataset,
     load_wav_mono,
     normalized_pair_rows,
@@ -95,9 +94,7 @@ def write_manifest(manifest_path: Path, args, inputs, outputs, started, hashed=N
         "outputs": _hash_paths(outputs),
         "wall_clock_s": round(time.perf_counter() - started, 6),
     }
-    serial.write_file_atomic(
-        manifest_path, (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
-    )
+    serial.write_json(manifest_path, manifest)
 
 
 def list_segments(ds: Dataset, frames: int) -> list[tuple[int, int, int]]:
@@ -177,8 +174,8 @@ def cmd_ingest(args) -> int:
     # the flags are checked before any file is read; the first file read then
     # sets the dataset's rate, and every other must match it
     cfg = StftConfig(sample_rate=1, window_len=args.window, hop=args.hop, fft_size=args.fft)
-    pairs, first = [], None
-    for track in sorted(mixes):
+    tracks, pairs, first = sorted(mixes), [], None
+    for track in tracks:
         signals = []
         for path in (mixes[track], voxes[track]):
             signal, rate = load_wav_mono(path)
@@ -189,10 +186,9 @@ def cmd_ingest(args) -> int:
                                f"the rate of {first}")
             signals.append(signal)
         usable = min(map(len, signals))
-        pairs.append(tuple(stft_mag(signal[:usable], cfg, track) for signal in signals))
-    scaler = fit_scaler([mix for mix, _ in pairs])
+        pairs.append(tuple(stft_mag(signal[:usable], cfg) for signal in signals))
     out = Path(args.out)
-    save_dataset(Dataset(cfg, pairs, scaler), out)
+    save_dataset(Dataset(cfg, tracks, pairs, fit_scale([mix for mix, _ in pairs])), out)
     inputs = list(mixes.values()) + list(voxes.values())
     write_manifest(Path(str(out) + ".manifest.json"), args, inputs, [out], started)
     return 0
@@ -274,6 +270,14 @@ def cmd_couplings(args) -> int:
     ck_paths = sorted(globlib.glob(args.checkpoint))
     if not ck_paths:
         raise CliError(f"no checkpoints match {args.checkpoint!r}")
+    # the outputs are named by the checkpoint's file stem
+    stems: dict[str, str] = {}
+    for ck_path in ck_paths:
+        stem = Path(ck_path).stem
+        if stem in stems:
+            raise CliError(f"checkpoints {stems[stem]} and {ck_path} share the file stem "
+                           f"{stem!r}, so their outputs in {args.out} would collide")
+        stems[stem] = ck_path
     ds = load_dataset(args.dataset)
     segments = list_segments(ds, args.frames)
     if not segments:
@@ -388,7 +392,7 @@ def cmd_analyze(args) -> int:
                 records += evaluate_segment(params, x_mix, x_true, scored + baselines, seg)
         del params, baselines
 
-    write_report_json(aggregate(records), out)
+    serial.write_json(out, aggregate(records))
     write_report_csv(records, csv_path)
     inputs = list(couplings_paths) + list(by_hash.values()) + [args.dataset]
     hashed = {str(p): h for h, p in by_hash.items()}

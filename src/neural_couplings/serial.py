@@ -170,6 +170,12 @@ def write_file_atomic(path: str | Path, data: bytes) -> None:
         f.write(data)
 
 
+def write_json(path: str | Path, obj) -> None:
+    """obj as JSON text with sorted keys, a two-space indent and a final
+    newline, written through write_file_atomic."""
+    write_file_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
+
+
 def sha256_file(path: str | Path) -> str:
     """Hex sha256 of a file's contents, read in blocks of at most 1 MiB."""
     h = hashlib.sha256()

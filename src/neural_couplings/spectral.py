@@ -1,10 +1,11 @@
 """WAV decoding, magnitude STFT, per-bin normalization, segment selection,
 and the dataset file codec.
 
-A dataset holds aligned (mixture, target) magnitude-spectrogram pairs plus
-the per-bin scaler fitted on the mixtures. Spectrograms are stored raw; the
-scaler is applied when frames are drawn for training or couplings extraction
-so one file serves both.
+A dataset holds one STFT config, aligned (mixture, target) magnitude
+spectrograms with one track id per pair, and the per-bin scale fitted on the
+mixtures (see fit_scale). Spectrograms are stored raw; each frame is divided
+by the scale when frames are drawn for training or couplings extraction, so
+one file serves both.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .linalg import Mat
 
 DATASET_MAGIC = b"NCD1"
 DATASET_VERSION = 1
+
+# fit_scale floors each bin's std here, so a silent bin scales by a positive
+# value; a dataset stores the floor its scale was fitted with
+SCALE_FLOOR = 1e-8
 
 # Frames per STFT block: stft_mag frames, windows and transforms this many at a
 # time, so its temporaries stay a few MiB at 2049 bins whatever the length.
@@ -68,20 +73,14 @@ class StftConfig:
 
 @dataclass
 class Spectrogram:
-    """Non-negative magnitudes, one column per analysis frame."""
+    """Non-negative magnitudes, one row per bin and one column per frame."""
 
-    config: StftConfig
     mags: Mat
-    source_id: str = ""
 
     def __post_init__(self):
         self.mags = np.asarray(self.mags, dtype=np.float64)
         if self.mags.ndim != 2:
             raise ValueError(f"mags must be 2-D, got shape {self.mags.shape}")
-        if self.mags.shape[0] != self.config.bins_kept:
-            raise ValueError(
-                f"mags has {self.mags.shape[0]} rows but config keeps {self.config.bins_kept} bins"
-            )
         if self.mags.size and self.mags.min() < 0:
             raise ValueError("magnitudes must be non-negative")
 
@@ -91,46 +90,35 @@ class Spectrogram:
 
 
 @dataclass
-class BinScaler:
-    """Per-bin population standard deviations, floored at epsilon."""
-
-    per_bin_std: np.ndarray
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        self.per_bin_std = np.asarray(self.per_bin_std, dtype=np.float64).ravel()
-        if self.per_bin_std.size == 0:
-            raise ValueError("scaler needs at least one bin")
-        if self.per_bin_std.min() <= 0:
-            raise ValueError("per-bin std must be positive after flooring")
-
-
-@dataclass
 class Dataset:
-    """Aligned (mixture, target) spectrogram pairs plus the mixture-fit scaler.
-
-    Both members of a pair carry the same track source_id; the file format
-    stores one id per pair.
-    """
+    """Aligned (mixture, target) spectrogram pairs at one STFT setting, one
+    track id per pair, and the per-bin scale fitted on the mixtures with the
+    floor it was fitted with; each fact as the file stores it, once."""
 
     config: StftConfig
+    ids: list[str]
     pairs: list[tuple[Spectrogram, Spectrogram]]
-    scaler: BinScaler
+    scale: np.ndarray
+    floor: float = SCALE_FLOOR
 
     def __post_init__(self):
-        for mix, tgt in self.pairs:
-            if mix.source_id != tgt.source_id:
-                raise ValueError(
-                    f"pair {mix.source_id!r}: target source_id {tgt.source_id!r} differs"
-                )
+        if len(self.ids) != len(self.pairs):
+            raise ValueError(f"{len(self.ids)} track ids for {len(self.pairs)} pairs")
+        n = self.config.bins_kept
+        for track, (mix, tgt) in zip(self.ids, self.pairs):
+            for member, s in (("mixture", mix), ("target", tgt)):
+                if s.mags.shape[0] != n:
+                    raise ValueError(f"pair {track!r}: {member} has {s.mags.shape[0]} rows "
+                                     f"but config keeps {n} bins")
             if mix.frames != tgt.frames:
                 raise ValueError(
-                    f"pair {mix.source_id!r}: mixture has {mix.frames} frames, target {tgt.frames}"
+                    f"pair {track!r}: mixture has {mix.frames} frames, target {tgt.frames}"
                 )
-            if mix.config != self.config or tgt.config != self.config:
-                raise ValueError(f"pair {mix.source_id!r} does not match the dataset config")
-        if self.scaler.per_bin_std.shape[0] != self.config.bins_kept:
-            raise ValueError("scaler length does not match bins_kept")
+        self.scale = np.asarray(self.scale, dtype=np.float64)
+        if self.scale.shape != (n,):
+            raise ValueError(f"scale has shape {self.scale.shape}, expected ({n},)")
+        if self.scale.min() <= 0:
+            raise ValueError("per-bin scale must be positive")
 
 
 def load_wav_mono(path: str | Path) -> tuple[np.ndarray, int]:
@@ -207,7 +195,7 @@ def _decode_samples(raw: np.ndarray, width: int) -> np.ndarray:
     return raw.view("<f4").astype(np.float64)
 
 
-def stft_mag(signal, cfg: StftConfig, source_id: str = "") -> Spectrogram:
+def stft_mag(signal, cfg: StftConfig) -> Spectrogram:
     """Magnitude STFT with hamming windowing and zero-padding to fft_size.
 
     Frame t covers samples [t*hop, t*hop + window_len); the frame count is
@@ -233,38 +221,38 @@ def stft_mag(signal, cfg: StftConfig, source_id: str = "") -> Spectrogram:
         frames = sig[cfg.hop * np.arange(lo, hi)[:, None] + offsets]
         frames *= window
         np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1), out=mags[:, lo:hi].T)
-    return Spectrogram(cfg, mags, source_id)
+    return Spectrogram(mags)
 
 
-def fit_scaler(spectrograms: list[Spectrogram]) -> BinScaler:
-    """Per-bin population std over all frames of all inputs, floored at epsilon.
-    Each bin's std is taken over that bin's concatenated row, one row at a
-    time, so no copy of all the frames is made."""
+def fit_scale(spectrograms: list[Spectrogram]) -> np.ndarray:
+    """Per-bin population std over all frames of all inputs, floored at
+    SCALE_FLOOR. Each bin's std is taken over that bin's concatenated row,
+    one row at a time, so no copy of all the frames is made."""
     if not spectrograms:
-        raise ValueError("fit_scaler: no spectrograms given")
+        raise ValueError("fit_scale: no spectrograms given")
     n = spectrograms[0].mags.shape[0]
     if any(s.mags.shape[0] != n for s in spectrograms):
-        raise ValueError("fit_scaler: inputs differ in bin count")
+        raise ValueError("fit_scale: inputs differ in bin count")
     total = sum(s.frames for s in spectrograms)
     if total < 2:
-        raise ValueError(f"fit_scaler: need at least 2 frames, got {total}")
+        raise ValueError(f"fit_scale: need at least 2 frames, got {total}")
     row = np.empty(total)
     std = np.empty(n)
     for i in range(n):
         np.concatenate([s.mags[i] for s in spectrograms], out=row)
         std[i] = row.std()  # population (ddof=0)
-    return BinScaler(np.maximum(std, BinScaler.epsilon))
+    return np.maximum(std, SCALE_FLOOR)
 
 
 def normalized_pair_rows(ds: Dataset) -> tuple[Mat, Mat]:
-    """All frames of all pairs, scaler-applied, one frame per row:
+    """All frames of all pairs, divided by the scale, one frame per row:
     (mixture rows, target rows), each a (total frames, bins) C-order float32
     array, the rows training runs on. Each pair is divided straight into its
     rows, which rounds the float64 quotient, so no other copy is made. A
     quotient beyond the float32 range becomes inf, which training refuses."""
     if not ds.pairs:
         raise ValueError("dataset has no pairs")
-    scale = ds.scaler.per_bin_std[:, None]
+    scale = ds.scale[:, None]
     total = sum(mix.frames for mix, _ in ds.pairs)
     mix_rows, tgt_rows = np.empty((2, total, ds.config.bins_kept), dtype=np.float32)
     k = 0
@@ -277,13 +265,13 @@ def normalized_pair_rows(ds: Dataset) -> tuple[Mat, Mat]:
 
 
 def normalized_window(ds: Dataset, pair_idx: int, start: int, stop: int) -> tuple[Mat, Mat]:
-    """Scaler-applied (mixture, target) frames [start, stop) of one pair."""
+    """(mixture, target) frames [start, stop) of one pair, divided by the scale."""
     if not 0 <= pair_idx < len(ds.pairs):
         raise ValueError(f"pair index {pair_idx} out of range ({len(ds.pairs)} pairs)")
     mix, tgt = ds.pairs[pair_idx]
     if not 0 <= start < stop <= mix.frames:
         raise ValueError(f"window [{start}, {stop}) out of range for {mix.frames} frames")
-    scale = ds.scaler.per_bin_std[:, None]
+    scale = ds.scale[:, None]
     return mix.mags[:, start:stop] / scale, tgt.mags[:, start:stop] / scale
 
 
@@ -308,13 +296,13 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
         serial.pack(f, "5IB", cfg.sample_rate, cfg.window_len, cfg.hop, cfg.fft_size,
                     cfg.bins_kept, 0)
         serial.pack(f, "I", len(ds.pairs))
-        for mix, tgt in ds.pairs:
-            serial.write_str(f, mix.source_id)
+        for track, (mix, tgt) in zip(ds.ids, ds.pairs):
+            serial.write_str(f, track)
             serial.write_mat(f, mix.mags)
             serial.write_mat(f, tgt.mags)
-        serial.pack(f, "I", ds.scaler.per_bin_std.shape[0])
-        serial.write_f64s(f, ds.scaler.per_bin_std)
-        serial.pack(f, "d", ds.scaler.epsilon)
+        serial.pack(f, "I", ds.scale.shape[0])
+        serial.write_f64s(f, ds.scale)
+        serial.pack(f, "d", ds.floor)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -322,21 +310,15 @@ def load_dataset(path: str | Path) -> Dataset:
         serial.read_header(f, DATASET_MAGIC, DATASET_VERSION)
         cfg = _read_config(f)
         (n_pairs,) = serial.unpack(f, "I")
-        pairs = []
+        ids, mats = [], []
         for _ in range(n_pairs):
-            source_id = serial.read_str(f)
-            mix = serial.read_mat(f)
-            tgt = serial.read_mat(f)
-            try:
-                pairs.append(
-                    (Spectrogram(cfg, mix, source_id), Spectrogram(cfg, tgt, source_id))
-                )
-            except ValueError as e:
-                raise serial.FormatError(f"invalid stored spectrogram: {e}") from None
+            ids.append(serial.read_str(f))
+            mats.append((serial.read_mat(f), serial.read_mat(f)))
         (n_bins,) = serial.unpack(f, "I")
-        std = serial.read_f64s(f, n_bins)
-        epsilon = float(serial.read_f64s(f, 1)[0])
-        try:
-            return Dataset(cfg, pairs, BinScaler(std, epsilon))
-        except ValueError as e:
-            raise serial.FormatError(f"invalid stored dataset: {e}") from None
+        scale = serial.read_f64s(f, n_bins)
+        floor = float(serial.read_f64s(f, 1)[0])
+    try:
+        pairs = [(Spectrogram(mix), Spectrogram(tgt)) for mix, tgt in mats]
+        return Dataset(cfg, ids, pairs, scale, floor)
+    except ValueError as e:
+        raise serial.FormatError(f"invalid stored dataset: {e}") from None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import BinScaler, Dataset, Spectrogram, StftConfig, fit_scaler
+from .spectral import Dataset, Spectrogram, StftConfig, fit_scale
 
 
 def _smooth_walk(rng, frames: int, lo: float, hi: float, step: float) -> np.ndarray:
@@ -79,7 +79,7 @@ def _interference(rng, n_bins: int, frames: int) -> np.ndarray:
 def make_synthetic_dataset(
     n_bins: int = 64, frames: int = 720, pairs: int = 2, seed: int = 0
 ) -> Dataset:
-    """Deterministic synthetic dataset with the scaler fitted on the mixtures."""
+    """Deterministic synthetic dataset with the scale fitted on the mixtures."""
     if n_bins < 16:
         raise ValueError(f"n_bins must be at least 16, got {n_bins}")
     if frames < 2 or pairs < 1:
@@ -98,9 +98,6 @@ def make_synthetic_dataset(
         rng = np.random.default_rng([seed, pair_idx])
         target = _vocal_target(rng, n_bins, frames)
         mixture = target + _interference(rng, n_bins, frames)
-        source_id = f"synth{pair_idx:02d}"
-        pair_list.append(
-            (Spectrogram(cfg, mixture, source_id), Spectrogram(cfg, target, source_id))
-        )
-    scaler = fit_scaler([mix for mix, _ in pair_list])
-    return Dataset(cfg, pair_list, scaler)
+        pair_list.append((Spectrogram(mixture), Spectrogram(target)))
+    ids = [f"synth{pair_idx:02d}" for pair_idx in range(pairs)]
+    return Dataset(cfg, ids, pair_list, fit_scale([mix for mix, _ in pair_list]))

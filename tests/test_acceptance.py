@@ -40,7 +40,6 @@ from neural_couplings.nca import (
     shifted_layers,
 )
 from neural_couplings.spectral import (
-    BinScaler,
     Dataset,
     Spectrogram,
     StftConfig,
@@ -425,25 +424,24 @@ def _random_config(rng) -> StftConfig:
 def _round_trip_dataset(rng, path) -> bool:
     cfg = _random_config(rng)
     n = cfg.bins_kept
-    pairs = []
+    ids, pairs = [], []
     for p in range(int(rng.integers(1, 4))):
         frames = int(rng.integers(2, 13))
         scale = 10.0 ** rng.uniform(-6, 6)
         mix = np.abs(rng.normal(size=(n, frames))) * scale
         tgt = np.abs(rng.normal(size=(n, frames))) * scale
-        sid = f"track-{p}-{int(rng.integers(0, 999))}"
-        pairs.append((Spectrogram(cfg, mix, sid), Spectrogram(cfg, tgt, sid)))
-    ds = Dataset(cfg, pairs, BinScaler(rng.uniform(0.5, 2.0, n), 10.0 ** rng.uniform(-12, -6)))
+        ids.append(f"track-{p}-{int(rng.integers(0, 999))}")
+        pairs.append((Spectrogram(mix), Spectrogram(tgt)))
+    ds = Dataset(cfg, ids, pairs, rng.uniform(0.5, 2.0, n), 10.0 ** rng.uniform(-12, -6))
     save_dataset(ds, path)
     back = load_dataset(path)
     again = Path(str(path) + ".b")
     save_dataset(back, again)
     same = path.read_bytes() == again.read_bytes()
-    same = same and back.config == ds.config
+    same = same and back.config == ds.config and back.ids == ds.ids
     for (m0, t0), (m1, t1) in zip(ds.pairs, back.pairs):
         same = same and np.array_equal(m0.mags, m1.mags) and np.array_equal(t0.mags, t1.mags)
-        same = same and m0.source_id == m1.source_id
-    return same and np.array_equal(ds.scaler.per_bin_std, back.scaler.per_bin_std)
+    return same and np.array_equal(ds.scale, back.scale) and back.floor == ds.floor
 
 
 def _round_trip_checkpoint(rng, path) -> bool:

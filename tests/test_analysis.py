@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from neural_couplings import serial
 from neural_couplings.analysis import (
     MetricsRecord,
     aggregate,
@@ -14,7 +15,6 @@ from neural_couplings.analysis import (
     snr_db,
     tod_r,
     write_report_csv,
-    write_report_json,
 )
 from neural_couplings.linalg import ShapeError, make_rng
 from neural_couplings.models import ModelParams, forward
@@ -80,9 +80,10 @@ class TestSnr:
     def test_error_energy_equal_to_reference_energy(self):
         assert snr_db(np.array([[1.0], [0.0]]), np.array([[1.0], [1.0]])) == 0.0
 
-    def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError, match="reference"):
-            snr_db(np.zeros((2, 2)), np.ones((2, 2)))
+    def test_zero_reference_is_undefined(self):
+        # a silent target or a dead model output has no energy to compare with
+        assert snr_db(np.zeros((2, 2)), np.ones((2, 2))) is None
+        assert snr_db(np.zeros((2, 2)), np.zeros((2, 2))) is None
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -211,6 +212,27 @@ class TestAggregate:
             aggregate([self.rec("dae", "student", None, 5.0), self.rec("dae", "student", None, 6.0)])
         assert "TOD-R undefined for every record in cell (dae, student)" in caplog.text
 
+    def test_snr_stats_skip_undefined_values(self, caplog):
+        records = [
+            self.rec("dae", "student", 1.0, 10.0, None),
+            self.rec("dae", "student", 1.0, 30.0, 4.0),
+            self.rec("dae", "linear", 1.0, None, None),
+        ]
+        with caplog.at_level("WARNING"):
+            out = aggregate(records)
+        student, linear = out["cells"]["dae"]["student"], out["cells"]["dae"]["linear"]
+        assert student["n"] == 2
+        assert student["snr_model_db"] == {"mean": 20.0, "std": 10.0}
+        assert student["snr_truth_db"] == {"mean": 4.0, "std": 0.0}
+        assert linear["snr_model_db"] == linear["snr_truth_db"] == {"mean": None, "std": None}
+        warnings = [r.getMessage() for r in caplog.records]
+        assert warnings == ["SNR undefined for 2 of 3 records: their reference is all zero"]
+
+    def test_defined_snr_gives_no_warning(self, caplog):
+        with caplog.at_level("WARNING"):
+            aggregate([self.rec("dae", "student", 1.0, 10.0)])
+        assert caplog.text == ""
+
     def test_empty_input(self):
         assert aggregate([]) == {"cells": {}, "record_count": 0}
 
@@ -219,8 +241,8 @@ class TestReports:
     def test_json_report_is_stable_text(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         report = {"cells": {"dae": {"student": {"n": 1}}}, "record_count": 1}
-        write_report_json(report, p1)
-        write_report_json(report, p2)
+        serial.write_json(p1, report)
+        serial.write_json(p2, report)
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text()) == report
 
@@ -237,6 +259,14 @@ class TestReports:
         assert lines[1] == "dae,linear,0:2,1.5,5.0,4.0"
         assert lines[2] == "dae,student,2:4,,10.0,9.0"
         assert lines[3] == "sf,student,0:2,2.0,8.0,7.0"
+
+    def test_csv_blank_for_undefined_snr(self, tmp_path):
+        records = [MetricsRecord("dae", "student", "0:2", 1.5, None, 3.0),
+                   MetricsRecord("dae", "student", "2:4", 1.5, 5.0, None)]
+        path = tmp_path / "r.csv"
+        write_report_csv(records, path)
+        assert path.read_text().splitlines()[1:] == ["dae,student,0:2,1.5,,3.0",
+                                                     "dae,student,2:4,1.5,5.0,"]
 
 
 class TestHeatmap:

@@ -20,7 +20,6 @@ from neural_couplings.analysis import (
     evaluate_segment,
     linear_composition,
     write_report_csv,
-    write_report_json,
 )
 from neural_couplings.cli import list_segments, main, parse_segment_id
 from neural_couplings.linalg import make_rng
@@ -34,7 +33,6 @@ from neural_couplings.models import (
 )
 from neural_couplings.nca import fit_couplings, load_couplings, save_couplings
 from neural_couplings.spectral import (
-    BinScaler,
     Dataset,
     Spectrogram,
     StftConfig,
@@ -264,8 +262,8 @@ class TestTrainCommand:
 
     def test_dataset_without_frames_is_refused(self, tmp_path, capsys):
         cfg = StftConfig(sample_rate=8000, window_len=4, hop=2, fft_size=4)
-        empty = Spectrogram(cfg, np.zeros((3, 0)), "t0")
-        save_dataset(Dataset(cfg, [(empty, empty)], BinScaler(np.ones(3))), tmp_path / "ds.ncd")
+        empty = Spectrogram(np.zeros((3, 0)))
+        save_dataset(Dataset(cfg, ["t0"], [(empty, empty)], np.ones(3)), tmp_path / "ds.ncd")
         err = run_fail(["train", "--dataset", str(tmp_path / "ds.ncd"), "--model", "dae",
                         "--out", str(tmp_path / "ck")], capsys, "TrainingError")
         assert err["message"] == "seed 0: no frames to train on"
@@ -309,10 +307,9 @@ class TestTrainCommand:
         # 3.4e38, the float32 range training runs in; the rows are finite in
         # float64, and the guard refuses them before the first epoch
         ds = make_synthetic_dataset(16, 40, 1, 0)
-        std = ds.scaler.per_bin_std.copy()
-        std[3] = 1e-40
+        ds.scale[3] = 1e-40
         ds_path = tmp_path / "ds.ncd"
-        save_dataset(Dataset(ds.config, ds.pairs, BinScaler(std)), ds_path)
+        save_dataset(ds, ds_path)
         err = run_fail(["train", "--dataset", str(ds_path), "--model", "dae",
                         "--out", str(tmp_path / "ck"), "--seeds", "5"], capsys, "TrainingError")
         assert err["message"].startswith("seed 5: a mixture row holds values")
@@ -636,6 +633,21 @@ class TestCouplingsCommand:
         assert "b.ncm" in err["message"] and "20" in err["message"]
         assert not (tmp_path / "cp").exists()
 
+    def test_checkpoints_sharing_a_file_name_are_refused(self, pipeline, tmp_path, capsys):
+        # the outputs are named by the checkpoint's file stem, so the second
+        # would overwrite the first's; the dataset does not exist, so a
+        # CliError proves the check runs before it is read
+        paths = [tmp_path / "ck" / side / "dae-seed0.ncm" for side in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir(parents=True)
+            path.write_bytes((pipeline / "ck" / "dae-seed0.ncm").read_bytes())
+        err = run_fail(["couplings", "--checkpoint", str(tmp_path / "ck" / "*" / "dae-seed0.ncm"),
+                        "--dataset", str(tmp_path / "gone.ncd"), "--strategy", "student",
+                        "--out", str(tmp_path / "cp"), "--iters", "3", "--frames", "20"],
+                       capsys, "CliError")
+        assert str(paths[0]) in err["message"] and str(paths[1]) in err["message"]
+        assert not (tmp_path / "cp").exists()
+
     @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
                                              ("--lr", "0"), ("--iters", "0"),
                                              ("--seed", "-1")])
@@ -804,6 +816,31 @@ class TestAnalyzeCommand:
                 "their loss does not determine their couplings matrix"]
         assert warnings_seen == (want if warned else [])
 
+    def test_silent_target_window_leaves_its_snr_blank(self, pipeline, tmp_path, caplog):
+        # an instrumental passage: the target of the first 20-frame window is
+        # all zero, so its truth SNR is undefined, and the report still goes
+        ds = make_synthetic_dataset(16, 40, 1, 0)
+        ds.pairs[0][1].mags[:, :20] = 0.0
+        save_dataset(ds, tmp_path / "ds.ncd")
+        ck = pipeline / "ck" / "dae-seed0.ncm"
+        run_ok(["couplings", "--checkpoint", str(ck), "--dataset", str(tmp_path / "ds.ncd"),
+                "--strategy", "student", "--out", str(tmp_path / "cp"), "--iters", "3",
+                "--frames", "20"])
+        with caplog.at_level("WARNING"):
+            run_ok(["analyze", "--couplings", str(tmp_path / "cp" / "*.ncc"),
+                    "--checkpoints", str(pipeline / "ck"), "--dataset", str(tmp_path / "ds.ncd"),
+                    "--out", str(tmp_path / "report.json")])
+        rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6  # student, linear and identity on two windows
+        for row in rows:
+            *_, snr_model, snr_truth = row.split(",")
+            assert snr_model != "" and (snr_truth == "") == (",0:0:20," in row)
+        report = json.loads((tmp_path / "report.json").read_text())
+        for cell in report["cells"]["dae"].values():
+            assert cell["n"] == 2 and cell["snr_truth_db"]["std"] == 0.0
+        warnings_seen = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert "SNR undefined for 3 of 6 records: their reference is all zero" in warnings_seen
+
     def test_one_load_per_checkpoint_one_forward_per_segment(
         self, pipeline, tmp_path, monkeypatch
     ):
@@ -848,7 +885,7 @@ class TestAnalyzeCommand:
                 for baseline in (("linear", linear_composition(params)),
                                  ("identity", None)):
                     records += evaluate_segment(params, x_mix, x_true, [baseline], seg)
-        write_report_json(aggregate(records), tmp_path / "loop.json")
+        serial.write_json(tmp_path / "loop.json", aggregate(records))
         write_report_csv(records, tmp_path / "loop.csv")
         for suffix in (".json", ".csv"):
             assert (tmp_path / f"report{suffix}").read_bytes() == \
@@ -1043,7 +1080,7 @@ class TestIngestCommand:
         run_ok(self.ingest_args(d, out))
         ds = load_dataset(out)
         assert ds.config.bins_kept == 17 and ds.config.sample_rate == 8000
-        assert [m.source_id for m, _ in ds.pairs] == ["alpha", "beta"]
+        assert ds.ids == ["alpha", "beta"]
         # 200 samples, window 32, hop 16 -> 11 frames
         assert ds.pairs[0][0].frames == 11
 

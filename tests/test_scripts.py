@@ -16,16 +16,44 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_bash(*args, cwd=None):
     # this interpreter's directory first on the path, so the script's python3
     # is the suite's own
     env = dict(os.environ)
     env["PATH"] = os.pathsep.join(filter(None, [str(Path(sys.executable).parent),
                                                 env.get("PATH")]))
-    done = subprocess.run(["bash", str(REPO / "scripts" / name), *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run(["bash", *args], env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
+
+
+def run_script(name, *args):
+    done = run_bash(str(REPO / "scripts" / name), *args)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
+
+
+def test_every_script_parses():
+    scripts = sorted((REPO / "scripts").glob("*.sh"))
+    assert scripts
+    for script in scripts:
+        done = run_bash("-n", str(script))
+        assert done.returncode == 0, f"{script.name}: {done.stderr}"
+
+
+def test_desk_identity_without_a_revision_prints_its_usage(tmp_path):
+    done = run_bash(str(REPO / "scripts" / "desk_identity.sh"), cwd=tmp_path)
+    assert done.returncode != 0
+    assert "usage: desk_identity.sh <parent-rev>" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_pairs_refuses_one_pair_before_copying(tmp_path):
+    # the check comes before the repository is even looked up, so it holds
+    # in a directory that is no checkout
+    done = run_bash(str(REPO / "scripts" / "bench_pairs.sh"), "HEAD", "desk", "1", cwd=tmp_path)
+    assert done.returncode == 2
+    assert "quartiles need at least 2 pairs" in done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def positive(text):

@@ -12,7 +12,6 @@ from neural_couplings import serial
 from neural_couplings.models import ModelParams, save_checkpoint
 from neural_couplings.nca import save_couplings
 from neural_couplings.spectral import (
-    BinScaler,
     Dataset,
     Spectrogram,
     StftConfig,
@@ -243,6 +242,17 @@ def test_sha256_file_streams_in_fixed_blocks(tmp_path):
     assert serial.sha256_file(p) == sha256_bytes(b"")
 
 
+def test_write_json_is_sorted_indented_and_atomic(tmp_path, monkeypatch):
+    written = []
+    write = serial.write_file_atomic
+    monkeypatch.setattr(serial, "write_file_atomic",
+                        lambda path, data: written.append(data) or write(path, data))
+    serial.write_json(tmp_path / "a.json", {"b": [1, 2], "a": {"y": None, "x": 0.5}})
+    text = '{\n  "a": {\n    "x": 0.5,\n    "y": null\n  },\n  "b": [\n    1,\n    2\n  ]\n}\n'
+    assert (tmp_path / "a.json").read_text() == text
+    assert written == [text.encode()]
+
+
 def test_canonical_json_is_sorted_and_compact():
     text = serial.canonical_json({"b": 1, "a": [1, 2], "c": {"y": 0, "x": 1}})
     assert text == '{"a":[1,2],"b":1,"c":{"x":1,"y":0}}'
@@ -266,15 +276,47 @@ def test_dataset_bytes_follow_the_readme_layout(tmp_path):
     cfg = StftConfig(sample_rate=8000, window_len=4, hop=2, fft_size=4)  # 3 bins
     mix = np.arange(6.0).reshape(3, 2) + 0.5
     tgt = mix / 4.0
-    std = np.array([0.25, 1.5, 3.0])
-    save_dataset(Dataset(cfg, [(Spectrogram(cfg, mix, "ab"), Spectrogram(cfg, tgt, "ab"))],
-                         BinScaler(std, 1e-8)), tmp_path / "d.ncd")
+    scale = np.array([0.25, 1.5, 3.0])
+    save_dataset(Dataset(cfg, ["ab"], [(Spectrogram(mix), Spectrogram(tgt))], scale, 1e-8),
+                 tmp_path / "d.ncd")
     want = (b"NCD1" + struct.pack("<I", 1)
             + struct.pack("<IIIIIB", 8000, 4, 2, 4, 3, 0)  # config, bins kept, hamming
             + struct.pack("<I", 1)  # pairs
             + struct.pack("<I", 2) + b"ab" + mat(mix) + mat(tgt)
-            + struct.pack("<I", 3) + f64s(std) + struct.pack("<d", 1e-8))
+            + struct.pack("<I", 3) + f64s(scale) + struct.pack("<d", 1e-8))
     assert (tmp_path / "d.ncd").read_bytes() == want
+
+
+def ncd(mix, tgt, scale) -> bytes:
+    """A one-pair .ncd at 3 bins, packed with struct alone."""
+    return (b"NCD1" + struct.pack("<I", 1)
+            + struct.pack("<IIIIIB", 8000, 4, 2, 4, 3, 0)
+            + struct.pack("<I", 1)
+            + struct.pack("<I", 2) + b"ab" + mat(np.asarray(mix)) + mat(np.asarray(tgt))
+            + struct.pack("<I", len(scale)) + f64s(scale) + struct.pack("<d", 1e-8))
+
+
+GOOD = np.ones((3, 2))
+
+
+def test_packed_dataset_loads(tmp_path):
+    (tmp_path / "d.ncd").write_bytes(ncd(GOOD, GOOD / 2, [0.25, 1.5, 3.0]))
+    ds = load_dataset(tmp_path / "d.ncd")
+    assert ds.ids == ["ab"] and ds.scale.tolist() == [0.25, 1.5, 3.0] and ds.floor == 1e-8
+
+
+@pytest.mark.parametrize("mix, tgt, scale, why", [
+    (np.ones((2, 2)), GOOD, [1.0] * 3, "mixture has 2 rows"),
+    (GOOD, np.ones((4, 2)), [1.0] * 3, "target has 4 rows"),
+    (GOOD, np.ones((3, 3)), [1.0] * 3, "mixture has 2 frames, target 3"),
+    (GOOD, -GOOD, [1.0] * 3, "non-negative"),
+    (GOOD, GOOD, [1.0] * 2, "scale has shape"),
+    (GOOD, GOOD, [1.0, 0.0, 1.0], "positive"),
+], ids=["mix-rows", "target-rows", "target-frames", "negative", "scale-length", "zero-scale"])
+def test_loader_refuses_an_inconsistent_dataset(tmp_path, mix, tgt, scale, why):
+    (tmp_path / "d.ncd").write_bytes(ncd(mix, tgt, scale))
+    with pytest.raises(serial.FormatError, match=why):
+        load_dataset(tmp_path / "d.ncd")
 
 
 def test_dataset_with_a_zero_frame_pair_round_trips(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 
@@ -8,12 +9,12 @@ from neural_couplings import serial
 from neural_couplings.spectral import (
     STFT_BLOCK,
     WAV_BLOCK,
-    BinScaler,
+    SCALE_FLOOR,
     Dataset,
     Spectrogram,
     StftConfig,
     WavError,
-    fit_scaler,
+    fit_scale,
     load_dataset,
     load_wav_mono,
     normalized_pair_rows,
@@ -25,8 +26,13 @@ from neural_couplings.spectral import (
 TINY = StftConfig(sample_rate=4, window_len=2, hop=1, fft_size=2)
 
 
-def spec(mags, cfg=TINY, source_id=""):
-    return Spectrogram(cfg, np.asarray(mags, dtype=np.float64), source_id)
+def spec(mags):
+    return Spectrogram(np.asarray(mags, dtype=np.float64))
+
+
+def dataset(pairs, scale, cfg=TINY):
+    """A dataset of the given pairs, with the track ids t0, t1, ..."""
+    return Dataset(cfg, [f"t{i}" for i in range(len(pairs))], pairs, scale)
 
 
 class TestStftConfig:
@@ -55,25 +61,22 @@ class TestSpectrogram:
             spec([[1.0, -0.5], [0.0, 0.0]])
 
     def test_rejects_wrong_bin_count(self):
-        with pytest.raises(ValueError, match="rows"):
-            spec(np.ones((3, 4)))
+        # a spectrogram holds no config; the dataset checks its rows against
+        # its own, for the mixture and the target alike
+        for pair in [(spec(np.ones((3, 4))), spec(np.ones((2, 4)))),
+                     (spec(np.ones((2, 4))), spec(np.ones((3, 4))))]:
+            with pytest.raises(ValueError, match="3 rows but config keeps 2 bins"):
+                dataset([pair], np.ones(2))
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            spec(np.ones(4))
 
     def test_frames_property(self):
         assert spec(np.ones((2, 5))).frames == 5
 
-
-class TestBinScaler:
-    def test_requires_positive(self):
-        with pytest.raises(ValueError):
-            BinScaler(np.array([1.0, 0.0]))
-
-    def test_requires_nonempty(self):
-        with pytest.raises(ValueError):
-            BinScaler(np.array([]))
-
-    def test_flattens_column_input(self):
-        s = BinScaler(np.array([[1.0], [2.0]]))
-        assert s.per_bin_std.shape == (2,)
+    def test_mags_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(Spectrogram)] == ["mags"]
 
 
 class TestWav:
@@ -289,88 +292,98 @@ class TestStft:
 class TestScaler:
     def test_population_std_per_bin(self):
         s = spec([[1.0, 3.0], [5.0, 5.0]])
-        scaler = fit_scaler([s])
+        scale = fit_scale([s])
         # row 0: mean 2, deviations +-1 -> std 1; row 1 constant -> floored
-        assert scaler.per_bin_std[0] == 1.0
-        assert scaler.per_bin_std[1] == 1e-8
+        assert scale.dtype == np.float64
+        assert scale.tolist() == [1.0, SCALE_FLOOR] == [1.0, 1e-8]
 
     def test_pools_frames_across_spectrograms(self):
         a = spec([[0.0], [1.0]])
         b = spec([[2.0], [1.0]])
-        scaler = fit_scaler([a, b])
-        assert scaler.per_bin_std[0] == 1.0
+        assert fit_scale([a, b])[0] == 1.0
 
     def test_needs_two_frames(self):
         with pytest.raises(ValueError, match="2 frames"):
-            fit_scaler([spec([[1.0], [1.0]])])
+            fit_scale([spec([[1.0], [1.0]])])
 
     def test_bin_counts_must_agree(self):
-        three = StftConfig(sample_rate=4, window_len=4, hop=1, fft_size=4)
         with pytest.raises(ValueError, match="bin count"):
-            fit_scaler([spec(np.ones((2, 2))), spec(np.ones((3, 2)), three)])
+            fit_scale([spec(np.ones((2, 2))), spec(np.ones((3, 2)))])
 
     def test_fits_without_copying_the_frames(self):
         # 7.84 MiB of mixtures: one row at a time peaks at 0.07 MiB, while a
         # concatenated copy and its deviations from the mean peaked at 15.75
         rng = np.random.default_rng(5)
-        cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512)
-        mixes = [spec(rng.uniform(0.0, 3.0, size=(257, 2000)) ** 3, cfg) for _ in range(2)]
+        mixes = [spec(rng.uniform(0.0, 3.0, size=(257, 2000)) ** 3) for _ in range(2)]
         tracemalloc.start()
         try:
-            scaler = fit_scaler(mixes)
+            scale = fit_scale(mixes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
         # the bits of the std over all frames at once
         want = np.concatenate([m.mags for m in mixes], axis=1).std(axis=1)
-        assert np.array_equal(scaler.per_bin_std, np.maximum(want, BinScaler.epsilon))
+        assert np.array_equal(scale, np.maximum(want, SCALE_FLOOR))
 
     def test_apply_divides_rows(self):
         s = spec([[2.0, 4.0], [3.0, 9.0]])
-        ds = Dataset(TINY, [(s, s)], BinScaler(np.array([2.0, 3.0])))
+        ds = dataset([(s, s)], np.array([2.0, 3.0]))
         x_mix, x_tgt = normalized_pair_rows(ds)
         assert x_mix.tolist() == [[1.0, 1.0], [2.0, 3.0]]
         assert x_tgt.tolist() == x_mix.tolist()
 
     def test_apply_checks_length(self):
         s = spec(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="scaler length"):
-            Dataset(TINY, [(s, s)], BinScaler(np.ones(3)))
+        with pytest.raises(ValueError, match=r"scale has shape \(3,\), expected \(2,\)"):
+            dataset([(s, s)], np.ones(3))
 
     def test_fit_then_apply_gives_unit_variance_rows(self):
         s = spec(np.random.default_rng(4).uniform(0.1, 5.0, size=(2, 50)))
-        x_mix, _ = normalized_pair_rows(Dataset(TINY, [(s, s)], fit_scaler([s])))
+        x_mix, _ = normalized_pair_rows(dataset([(s, s)], fit_scale([s])))
         # the rows are float32, each within 6e-8 relative of the float64
         # quotient (measured std error 1.1e-8)
         assert np.allclose(x_mix.std(axis=0, dtype=np.float64), 1.0, rtol=0.0, atol=1e-6)
 
 
 def tiny_dataset():
-    mix = spec([[2.0, 4.0], [6.0, 6.0]], source_id="t0")
-    tgt = spec([[1.0, 2.0], [3.0, 0.0]], source_id="t0")
-    return Dataset(TINY, [(mix, tgt)], BinScaler(np.array([2.0, 3.0])))
+    mix = spec([[2.0, 4.0], [6.0, 6.0]])
+    tgt = spec([[1.0, 2.0], [3.0, 0.0]])
+    return dataset([(mix, tgt)], np.array([2.0, 3.0]))
 
 
 class TestDataset:
+    def test_fields_mirror_the_file(self):
+        names = [f.name for f in dataclasses.fields(Dataset)]
+        assert names == ["config", "ids", "pairs", "scale", "floor"]
+        ds = tiny_dataset()
+        assert ds.ids == ["t0"] and ds.floor == SCALE_FLOOR
+        assert ds.scale.dtype == np.float64
+
     def test_pair_frame_mismatch(self):
         mix = spec(np.ones((2, 3)))
         tgt = spec(np.ones((2, 2)))
         with pytest.raises(ValueError, match="frames"):
-            Dataset(TINY, [(mix, tgt)], BinScaler(np.ones(2)))
+            dataset([(mix, tgt)], np.ones(2))
 
-    def test_pair_source_id_mismatch(self):
-        # the file stores one id per pair, so a differing target id would
-        # load back as the mixture's
-        mix = spec(np.ones((2, 2)), source_id="mix-id")
-        tgt = spec(np.ones((2, 2)), source_id="tgt-id")
-        with pytest.raises(ValueError, match="source_id"):
-            Dataset(TINY, [(mix, tgt)], BinScaler(np.ones(2)))
+    def test_id_count_mismatch(self):
+        # the file stores one id per pair
+        s = spec(np.ones((2, 2)))
+        for ids in ([], ["a", "b"]):
+            with pytest.raises(ValueError, match=f"{len(ids)} track ids for 1 pairs"):
+                Dataset(TINY, ids, [(s, s)], np.ones(2))
 
-    def test_scaler_length_mismatch(self):
+    def test_scale_length_mismatch(self):
         mix = spec(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="scaler"):
-            Dataset(TINY, [(mix, mix)], BinScaler(np.ones(3)))
+        for scale in (np.ones(3), np.ones(1), np.ones((2, 1)), np.ones(0)):
+            with pytest.raises(ValueError, match="scale has shape"):
+                dataset([(mix, mix)], scale)
+
+    def test_scale_must_be_positive(self):
+        mix = spec(np.ones((2, 2)))
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                dataset([(mix, mix)], np.array([1.0, bad]))
 
     def test_normalized_pair_rows(self):
         # one frame per row
@@ -386,11 +399,11 @@ class TestDataset:
         rng = np.random.default_rng(9)
         cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512)
         pairs = [
-            tuple(spec(rng.uniform(0.1, 5.0, size=(257, frames)), cfg) for _ in range(2))
+            tuple(spec(rng.uniform(0.1, 5.0, size=(257, frames))) for _ in range(2))
             for frames in (3, 40, 17)
         ]
-        ds = Dataset(cfg, pairs, fit_scaler([m for m, _ in pairs]))
-        scale = ds.scaler.per_bin_std[:, None]
+        ds = dataset(pairs, fit_scale([m for m, _ in pairs]), cfg)
+        scale = ds.scale[:, None]
         mix_rows, tgt_rows = normalized_pair_rows(ds)
         for got, k in ((mix_rows, 0), (tgt_rows, 1)):
             want = np.concatenate([pair[k].mags / scale for pair in pairs], axis=1).T
@@ -419,11 +432,11 @@ class TestDatasetCodec:
         back = load_dataset(p)
         assert back.config == ds.config
         assert len(back.pairs) == 1
-        assert back.pairs[0][0].source_id == "t0"
+        assert back.ids == ["t0"]
         assert np.array_equal(back.pairs[0][0].mags, ds.pairs[0][0].mags)
         assert np.array_equal(back.pairs[0][1].mags, ds.pairs[0][1].mags)
-        assert np.array_equal(back.scaler.per_bin_std, ds.scaler.per_bin_std)
-        assert back.scaler.epsilon == ds.scaler.epsilon
+        assert np.array_equal(back.scale, ds.scale)
+        assert back.floor == ds.floor
 
     def test_save_streams_without_a_dataset_sized_buffer(self, tmp_path):
         # 4 MiB of spectrograms at 1 MiB each; each matrix is written from
@@ -431,10 +444,10 @@ class TestDatasetCodec:
         rng = np.random.default_rng(3)
         cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512)
         pairs = [
-            tuple(spec(rng.uniform(0.0, 2.0, size=(257, 500)), cfg, f"t{i}") for _ in range(2))
-            for i in range(2)
+            tuple(spec(rng.uniform(0.0, 2.0, size=(257, 500))) for _ in range(2))
+            for _ in range(2)
         ]
-        ds = Dataset(cfg, pairs, fit_scaler([m for m, _ in pairs]))
+        ds = dataset(pairs, fit_scale([m for m, _ in pairs]), cfg)
         p = tmp_path / "big.ncd"
         tracemalloc.start()
         try:
@@ -455,11 +468,11 @@ class TestDatasetCodec:
         rng = np.random.default_rng(4)
         cfg = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=512)
         pairs = [
-            tuple(spec(rng.uniform(0.0, 2.0, size=(257, 500)), cfg, f"t{i}") for _ in range(2))
-            for i in range(2)
+            tuple(spec(rng.uniform(0.0, 2.0, size=(257, 500))) for _ in range(2))
+            for _ in range(2)
         ]
         p = tmp_path / "big.ncd"
-        save_dataset(Dataset(cfg, pairs, fit_scaler([m for m, _ in pairs])), p)
+        save_dataset(dataset(pairs, fit_scale([m for m, _ in pairs]), cfg), p)
         matrix = pairs[0][0].mags.nbytes
         tracemalloc.start()
         try:
@@ -520,7 +533,7 @@ class TestDatasetCodec:
 
     # tiny_dataset layout: config ends at 29, pair count 29:33, id length
     # 33:37, mix header 39:47 and payload 47:79, target 79:119, bin count
-    # 119:123, per-bin std 123:139, epsilon 139:147
+    # 119:123, per-bin scale 123:139, floor (its epsilon) 139:147
     @pytest.mark.parametrize("at", [39, 119], ids=["mags", "bins"])
     def test_hostile_size(self, tmp_path, at):
         p = tmp_path / "h.ncd"
@@ -531,7 +544,7 @@ class TestDatasetCodec:
         with pytest.raises(serial.FormatError, match="truncated"):
             load_dataset(p)
 
-    @pytest.mark.parametrize("at", [47, 123, 139], ids=["mags", "scaler", "epsilon"])
+    @pytest.mark.parametrize("at", [47, 123, 139], ids=["mags", "scale", "epsilon"])
     def test_non_finite_payload(self, tmp_path, at):
         p = tmp_path / "nan.ncd"
         save_dataset(tiny_dataset(), p)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neural_couplings.spectral import fit_scaler
+from neural_couplings.spectral import fit_scale
 from neural_couplings.synth import make_synthetic_dataset
 
 
@@ -11,10 +11,10 @@ class TestSynthDataset:
         assert len(ds.pairs) == 3
         assert ds.config.bins_kept == 32
         assert ds.config.fft_size == 62
-        for i, (mix, tgt) in enumerate(ds.pairs):
+        assert ds.ids == ["synth00", "synth01", "synth02"]
+        for mix, tgt in ds.pairs:
             assert mix.mags.shape == (32, 100)
             assert tgt.mags.shape == (32, 100)
-            assert mix.source_id == tgt.source_id == f"synth{i:02d}"
 
     def test_deterministic(self):
         a = make_synthetic_dataset(n_bins=32, frames=80, pairs=2, seed=5)
@@ -22,7 +22,7 @@ class TestSynthDataset:
         for (ma, ta), (mb, tb) in zip(a.pairs, b.pairs):
             assert np.array_equal(ma.mags, mb.mags)
             assert np.array_equal(ta.mags, tb.mags)
-        assert np.array_equal(a.scaler.per_bin_std, b.scaler.per_bin_std)
+        assert np.array_equal(a.scale, b.scale)
 
     def test_seed_changes_content(self):
         a = make_synthetic_dataset(n_bins=32, frames=80, pairs=1, seed=0)
@@ -49,10 +49,9 @@ class TestSynthDataset:
         assert occupancy.max() <= 0.25
         assert (tgt > 0).any(axis=0).mean() > 0.5  # most frames carry a note
 
-    def test_scaler_fitted_on_mixtures(self):
+    def test_scale_fitted_on_mixtures(self):
         ds = make_synthetic_dataset(n_bins=32, frames=100, pairs=2, seed=4)
-        want = fit_scaler([mix for mix, _ in ds.pairs])
-        assert np.array_equal(ds.scaler.per_bin_std, want.per_bin_std)
+        assert np.array_equal(ds.scale, fit_scale([mix for mix, _ in ds.pairs]))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_bins"):

@@ -15,7 +15,6 @@ from neural_couplings.models import (
     model_output,
 )
 from neural_couplings.spectral import (
-    BinScaler,
     Dataset,
     Spectrogram,
     StftConfig,
@@ -38,9 +37,8 @@ CFG6 = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=10)
 
 
 def make_rows(mix_mags, tgt_mags):
-    mix = Spectrogram(CFG6, mix_mags, "t0")
-    tgt = Spectrogram(CFG6, tgt_mags, "t0")
-    return normalized_pair_rows(Dataset(CFG6, [(mix, tgt)], BinScaler(np.ones(6))))
+    pair = (Spectrogram(mix_mags), Spectrogram(tgt_mags))
+    return normalized_pair_rows(Dataset(CFG6, ["t0"], [pair], np.ones(6)))
 
 
 def halving_rows():
@@ -221,8 +219,8 @@ class TestTrain:
         # strong reduction rather than convergence to zero.
         cfg16 = StftConfig(sample_rate=8000, window_len=30, hop=8, fft_size=30)
         mix_mags = np.abs(np.random.default_rng(11).normal(size=(16, 1024))) + 0.2
-        mix = Spectrogram(cfg16, mix_mags, "t0")
-        ds = Dataset(cfg16, [(mix, mix)], BinScaler(np.ones(16)))
+        mix = Spectrogram(mix_mags)
+        ds = Dataset(cfg16, ["t0"], [(mix, mix)], np.ones(16))
 
         exact = ModelParams("dae", [(np.eye(16), np.zeros((16, 1))) for _ in range(2)])
         assert mse(forward(exact, mix_mags)[-1], mix_mags) == 0.0
@@ -412,11 +410,11 @@ def recipe_columns(n: int, frames: int, seed: int) -> tuple[np.ndarray, np.ndarr
 
 
 def rows_of(x_mix, x_tgt):
-    """The rows normalized_pair_rows builds from one pair under a unit scaler."""
+    """The rows normalized_pair_rows builds from one pair under a unit scale."""
     n = x_mix.shape[0]
     cfg_n = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=2 * (n - 1))
-    pair = (Spectrogram(cfg_n, x_mix, "t0"), Spectrogram(cfg_n, x_tgt, "t0"))
-    return normalized_pair_rows(Dataset(cfg_n, [pair], BinScaler(np.ones(n))))
+    pair = (Spectrogram(x_mix), Spectrogram(x_tgt))
+    return normalized_pair_rows(Dataset(cfg_n, ["t0"], [pair], np.ones(n)))
 
 
 class RecipeAdam:
