@@ -9,9 +9,10 @@
 # moved with the length of the path a tree ran from. It runs
 # `python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0`
 # in each copy, once each per pair, swapping which tree runs first from one
-# pair to the next. For every end-to-end metric in BENCHMARK.json it then
-# prints each side's median and quartiles and how many pairs the change
-# won. Each run's result line is kept in
+# pair to the next. Then scripts/pairs_summary.py prints, for every
+# end-to-end metric in BENCHMARK.json, each side's median and quartiles, how
+# many pairs the change won and a verdict (gain, worse, unresolved or same;
+# see that file). Each run's result line is kept in
 # .perfbench_work/pairs-<workload>-seed<seed>/. Both copies are removed on
 # exit. pairs defaults to 10 and seed to 3.
 set -euo pipefail
@@ -52,36 +53,4 @@ for ((i = 0; i < pairs; i++)); do
   echo "pair $((i + 1))/$pairs done" >&2
 done
 
-python3 - "$root/BENCHMARK.json" "$out" "$pairs" "$workload" "$seed" <<'EOF'
-import json
-import statistics
-import sys
-
-bench, out, pairs, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), *sys.argv[4:]
-
-
-def load(side):
-    runs = []
-    for i in range(pairs):
-        with open(f"{out}/{side}-{i}.json") as f:
-            runs.append({k: m["value"] for k, m in json.load(f)["metrics"].items()})
-    return runs
-
-
-def quartiles(values):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{med:.6g} [{q1:.6g}, {q3:.6g}]"
-
-
-parent, change = load("parent"), load("change")
-print(f"{workload} seed {seed}, {pairs} pairs; median [q1, q3] per side")
-print(f"{'metric':22} {'better':6} {'parent':36} {'change':36} wins")
-with open(bench) as f:
-    metrics = json.load(f)["end_to_end"]
-for metric in metrics:
-    name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-    p = [r[name] for r in parent]
-    c = [r[name] for r in change]
-    wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
-    print(f"{name:22} {metric['better']:6} {quartiles(p):36} {quartiles(c):36} {wins}/{pairs}")
-EOF
+python3 "$root/scripts/pairs_summary.py" "$root/BENCHMARK.json" "$out" "$pairs" "$workload" "$seed"

@@ -56,7 +56,7 @@ from .spectral import (
     stft_mag,
 )
 from .synth import make_synthetic_dataset
-from .training import TrainConfig, TrainingError, train, write_history_csv
+from .training import TrainConfig, TrainingError, train_stack, write_history_csv
 
 
 log = logging.getLogger(__name__)
@@ -211,29 +211,29 @@ def _parse_seeds(raw: str) -> list[int]:
 
 
 def cmd_train(args) -> int:
-    """Train each seed in turn, writing its files and dropping its result before
-    the next starts. A failing seed ends the command with no manifest. The
-    normalized rows are built once, and the dataset freed, before the first
-    seed."""
+    """Train every seed at once, as one stack (`train_stack`), then write each
+    seed's files from a float64 copy of its weights made and dropped before
+    the next. A failing seed ends the command before any file is written,
+    with no manifest. The normalized rows are built once, and the dataset
+    freed, before training starts; the rows are freed before the first copy."""
     started = time.perf_counter()
     # the manifest records the parsed list
     seeds = args.seeds = _parse_seeds(args.seeds)
-    cfg = TrainConfig(max_epochs=args.max_epochs)
+    cfgs = [TrainConfig(max_epochs=args.max_epochs, seed=seed) for seed in seeds]
     rows = normalized_pair_rows(load_dataset(args.dataset))
+    results = train_stack(args.model, rows, cfgs)
+    del rows
     out_dir = Path(args.out)
     outputs, runs = [], []
-    for seed in seeds:
-        try:
-            result = train(args.model, rows, replace(cfg, seed=seed))
-        except Exception as e:
-            raise TrainingError(f"seed {seed}: {e}") from None
+    for seed, result in zip(seeds, results):
         ck_path = out_dir / f"{args.model}-seed{seed}.ncm"
-        save_checkpoint(ck_path, result.params, seed, result.epochs)
+        params = result.params
+        save_checkpoint(ck_path, params, seed, result.epochs)
+        del params
         csv_path = out_dir / f"{args.model}-seed{seed}-history.csv"
         write_history_csv(result.history, csv_path)
         outputs += [ck_path, csv_path]
         runs.append({"seed": seed, "epochs": result.epochs, "stopped_by": result.stopped_by})
-        del result
     write_manifest(out_dir / f"train-{args.model}.manifest.json", args,
                    [args.dataset], outputs, started, runs=runs)
     return 0
@@ -349,7 +349,9 @@ def cmd_analyze(args) -> int:
     scored segments are that short.
 
     The CSV goes beside the JSON report, with the suffix .csv, so an --out
-    ending in .csv fails before any file is read."""
+    ending in .csv fails before any file is read, as does an --out whose
+    report, CSV or manifest would overwrite the dataset, a matched couplings
+    file or a checkpoint in --checkpoints."""
     started = time.perf_counter()
     out = Path(args.out)
     csv_path = out.with_suffix(".csv")
@@ -359,9 +361,14 @@ def cmd_analyze(args) -> int:
     if not couplings_paths:
         raise CliError(f"no couplings files match {args.couplings!r}")
     ck_dir = Path(args.checkpoints)
-    by_hash = {serial.sha256_file(p): p for p in sorted(ck_dir.glob("*.ncm"))}
-    if not by_hash:
+    ck_paths = sorted(ck_dir.glob("*.ncm"))
+    if not ck_paths:
         raise CliError(f"no checkpoints (*.ncm) found in {ck_dir}")
+    read = {Path(p).resolve() for p in [args.dataset, *couplings_paths, *ck_paths]}
+    for target in (out, csv_path, Path(str(out) + ".manifest.json")):
+        if target.resolve() in read:
+            raise CliError(f"--out {out} would overwrite {target}, one of the command's inputs")
+    by_hash = {serial.sha256_file(p): p for p in ck_paths}
 
     groups: dict[Path, dict[str, list[str]]] = {}  # checkpoint -> segment -> paths
     bounds: dict[str, tuple[int, int, int]] = {}  # segment -> (pair, start, stop)

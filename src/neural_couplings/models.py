@@ -10,6 +10,12 @@ A forward pass is its activations [X, A_1, ..., A_L]: the input and each
 layer's ReLU output, one array per layer. The last one, A_L, is the decoder
 output (the mask for sf); model_output applies the sf mask, and backward
 needs nothing else, because relu'(Z) is A > 0.
+
+Training runs a stack of K models of one family at once: each W is
+(K, n, n), each b (K, n, 1) and each batch (K, n, B). forward_unchecked and
+backward take a stack as they take one model, and a 3-D product calls BLAS
+once per model with the arguments of the 2-D call, so every model of a
+stack gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ FAMILIES = {"dae": 2, "mss-dae": 4, "sf": 2}
 @dataclass
 class ModelParams:
     """A family tag and its per-layer (W, b): every W square n x n and every b
-    an n x 1 column. dae and sf have 2 layers; mss-dae has at least 3, so a
-    checkpoint of any depth loads."""
+    an n x 1 column, or for a stack of K models (K, n, n) and (K, n, 1). dae
+    and sf have 2 layers; mss-dae has at least 3, so a checkpoint of any
+    depth loads."""
 
     tag: str
     layers: list[tuple[Mat, Mat]]
@@ -47,17 +54,17 @@ class ModelParams:
             raise ValueError(f"mss-dae wants at least 3 layers, got {count}")
         if self.tag != "mss-dae" and count != 2:
             raise ValueError(f"{self.tag} wants 2 layers, got {count}")
-        n = self.n
+        n, stack = self.n, self.layers[0][0].shape[:-2]
         for i, (w, b) in enumerate(self.layers):
-            if w.shape != (n, n):
-                raise ShapeError(f"layer {i}: W has shape {w.shape}, expected {(n, n)}")
-            if b.shape != (n, 1):
-                raise ShapeError(f"layer {i}: b has shape {b.shape}, expected {(n, 1)}")
+            if w.shape != (*stack, n, n):
+                raise ShapeError(f"layer {i}: W has shape {w.shape}, expected {(*stack, n, n)}")
+            if b.shape != (*stack, n, 1):
+                raise ShapeError(f"layer {i}: b has shape {b.shape}, expected {(*stack, n, 1)}")
 
     @property
     def n(self) -> int:
         """The width: the row count of the first W."""
-        return self.layers[0][0].shape[0]
+        return self.layers[0][0].shape[-2]
 
     @property
     def uses_mask(self) -> bool:
@@ -98,10 +105,10 @@ def forward(params: ModelParams, x_batch) -> list[Mat]:
 def forward_unchecked(params: ModelParams, x: Mat) -> list[Mat]:
     """forward without its input checks, for a caller that checked its data
     once where it entered: x must be a finite (n, T) array of the weights'
-    dtype. Each product reads a C-order batch, which BLAS reads fastest (at
-    64 bins W X took 16 us on a transposed view, 9 us on a C-order copy); an
-    input of another layout is copied for the first product only, and stays
-    the returned X.
+    dtype, or (K, n, T) for a stack. Each product reads a C-order batch,
+    which BLAS reads fastest (at 64 bins W X took 16 us on a transposed view,
+    9 us on a C-order copy); an input of another layout is copied for the
+    first product only, and stays the returned X.
     """
     acts = [x]
     for w, b in params.layers:
@@ -119,20 +126,22 @@ def model_output(params: ModelParams, acts: list[Mat]) -> Mat:
 
 def backward(
     params: ModelParams, acts: list[Mat], x_target, grads: list[tuple[Mat, Mat]]
-) -> float:
-    """Write the analytic MSE gradient of every layer into grads; return the MSE.
+) -> list[float]:
+    """Write the analytic MSE gradient of every layer into grads; return the
+    list of each model's MSE: one for a single model, K for a stack.
 
     acts is what forward or forward_unchecked returned. grads holds one
     preallocated (dW, db) pair per layer, in layer order, of the shapes of
     params.layers; every value in it is overwritten. The residual
-    output - target is formed once and gives both the loss,
-    mean((output - target)^2) over the whole batch, and the gradient. For sf
-    the loss gradient reaches the decoder through the masking product, so it is
-    weighted by the input before entering the ReLU chain. relu'(Z_l) is taken
-    as A_l > 0, which equals Z_l > 0 for every float, ±0 and NaN included.
+    output - target is formed once and gives both the losses,
+    mean((output - target)^2) over each model's batch, and the gradient. For
+    sf the loss gradient reaches the decoder through the masking product, so
+    it is weighted by the input before entering the ReLU chain. relu'(Z_l) is
+    taken as A_l > 0, which equals Z_l > 0 for every float, ±0 and NaN
+    included.
 
-    The loss is one BLAS dot of the residual with itself, and each bias
-    gradient the product of d with a ones column (at 64 bins 1 against 9 us
+    Each model's loss is one BLAS dot of its residual with itself, and each
+    bias gradient the product of d with a ones column (at 64 bins 1 against 9 us
     for np.mean, and 1.4 against 5.4 us for np.sum). Each product reads
     its batch operand in C order; dW = d A^T takes a C-order copy of A's
     transpose, which costs less than BLAS loses on the transposed view
@@ -149,21 +158,21 @@ def backward(
     # d is the loss gradient with respect to each layer's output, then, after
     # the relu mask, its pre-activation; it is C-order from here on
     d = np.subtract(model_output(params, acts), tgt, order="C")
-    r = d.reshape(-1)
-    loss = float(np.dot(r, r)) / r.size
-    d *= 2.0 / r.size
+    size = d.shape[-2] * d.shape[-1]
+    losses = [float(np.dot(r, r)) / size for r in d.reshape(-1, size)]
+    d *= 2.0 / size
     if params.uses_mask:
         d *= acts[0]
-    ones = np.ones((d.shape[1], 1), dtype=d.dtype)
+    ones = np.ones((d.shape[-1], 1), dtype=d.dtype)
 
     for layer in reversed(range(len(params.layers))):
         d *= acts[layer + 1] > 0.0
         dw, db = grads[layer]
-        np.matmul(d, np.ascontiguousarray(acts[layer].T), out=dw)
+        np.matmul(d, np.ascontiguousarray(acts[layer].swapaxes(-1, -2)), out=dw)
         np.matmul(d, ones, out=db)
         if layer > 0:
-            d = params.layers[layer][0].T @ d
-    return loss
+            d = params.layers[layer][0].swapaxes(-1, -2) @ d
+    return losses
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, seed: int, epochs: int) -> None:

@@ -2,16 +2,20 @@
 
 Adam steps one parameter array in place, in the folded form of Kingma & Ba
 (2015, sec. 2): the same update as the textbook recipe in exact arithmetic,
-in fewer elementwise passes. Training keeps every weight in one flat vector
-and its gradient in another, shuffles all frames globally each epoch, drops
-the learning rate by half after a run of non-improving epochs, stops after a
-longer run, and returns the parameters snapshotted at the best epoch loss
-together with the rule that ended the run.
+in fewer elementwise passes. Training runs every seed it is given in
+lockstep, as one stack of K models (K = 1 for `train`): the weights are a
+(K, P) array with one flat row per seed, and the gradient another. Each
+seed shuffles all frames globally each epoch, halves its learning rate
+after a run of non-improving epochs, stops after a longer run and then
+leaves the stack; its result is the weights snapshotted at its best epoch
+loss, with the rule that ended its run. A stacked batch costs one set of
+numpy calls where K single-model batches cost K, and every model of the
+stack gets the bits it gets alone (see `models`).
 
 Precision: Adam follows its parameter's dtype, and training runs in float32.
 The rows and the initial weights (drawn in float64) are rounded to float32
 once per run; the weights, gradient, best-epoch snapshot and Adam's state
-are float32, and the returned weights are float64 again, float32-exact.
+are float32, and a result's `params` are float64 again, float32-exact.
 Float32 halves the bytes every product moves and doubles its SIMD width; the
 README's Precision section gives how far it moves the losses.
 """
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import serial
 from .linalg import Mat, make_rng, single
-from .models import ModelParams, backward, forward_unchecked, init_params
+from .models import FAMILIES, ModelParams, backward, forward_unchecked, init_params
 
 # An epoch improves only if its loss beats the best by more than this,
 # relatively; equal-to-the-eye plateaus do not reset the patience counters.
@@ -149,7 +153,11 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    params: ModelParams
+    """One seed's run. weights holds its best epoch's float32 weights: views
+    of its row of a snapshot that every result of one train_stack call
+    shares."""
+
+    weights: ModelParams
     history: list[EpochStats]
     best_loss: float
     # "patience" when STOP_PATIENCE non-improving epochs ended the run,
@@ -160,6 +168,25 @@ class TrainResult:
     def epochs(self) -> int:
         return len(self.history)
 
+    @property
+    def params(self) -> ModelParams:
+        """The weights in float64, float32-exact: a new copy at each access."""
+        return ModelParams(self.weights.tag, [(w.astype(np.float64), b.astype(np.float64))
+                                              for w, b in self.weights.layers])
+
+
+class _Run:
+    """A seed's state in the stack: its snapshot row, its own Adam and
+    learning rate, and its schedule. A plain class, since making it a
+    dataclass added 0.5 ms to every import of the package (2-core Xeon)."""
+
+    def __init__(self, row: int, cfg: TrainConfig):
+        self.row, self.cfg, self.adam = row, cfg, Adam(INITIAL_LR)
+        self.history: list[EpochStats] = []
+        self.best_loss = math.inf
+        self.bad_epochs = 0
+        self.stopped_by: str | None = None
+
 
 def _flat(layers: list[tuple[Mat, Mat]]) -> Mat:
     """Every W and b raveled into one vector, in the order W0, b0, W1, b1, ...."""
@@ -167,92 +194,146 @@ def _flat(layers: list[tuple[Mat, Mat]]) -> Mat:
 
 
 def _params_view(tag: str, theta: Mat, n: int) -> ModelParams:
-    """ModelParams whose W and b are views of the flat vector theta."""
-    rows = theta.reshape(-1, n * n + n)
-    return ModelParams(tag, [(r[: n * n].reshape(n, n), r[n * n :].reshape(n, 1)) for r in rows])
+    """ModelParams whose W and b are views of theta: one flat vector, or a
+    (K, P) stack of them for a stack of K models."""
+    stack = theta.shape[:-1]
+    rows = theta.reshape(*stack, -1, n * n + n)
+    return ModelParams(tag, [(rows[..., i, : n * n].reshape(*stack, n, n),
+                              rows[..., i, n * n :].reshape(*stack, n, 1))
+                             for i in range(rows.shape[-2])])
 
 
 def train(tag: str, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
+    """One model of the family tag, trained on rows as train_stack trains
+    each of its seeds."""
+    return train_stack(tag, rows, [cfg])[0]
+
+
+def train_stack(tag: str, rows: tuple[Mat, Mat], cfgs: list[TrainConfig]) -> list[TrainResult]:
     """Train one model of the family tag (its layers as `init_params` builds
-    them) on rows = (mixture rows, target rows), the normalized frames one
-    per row as `spectral.normalized_pair_rows` builds them; deterministic
-    given (tag, rows, cfg). Rows that hold no frame are refused with
-    TrainingError.
+    them) per config, all on rows = (mixture rows, target rows), the
+    normalized frames one per row as `spectral.normalized_pair_rows` builds
+    them; each result is deterministic given (tag, rows, its config), and is
+    the one a call with that config alone returns.
+
+    The K models run in lockstep as one stack: weights, gradient and
+    best-epoch snapshot are (K, P) float32 arrays, and the layers' W and b
+    and the per-layer gradients are (K, n, n) and (K, n, 1) views of them.
+    Each batch gathers every seed's own shuffled rows into a (K, B, n)
+    array and hands its (K, n, B) transposed view to `forward_unchecked`
+    and `backward`, once for the whole stack. Each seed keeps its own
+    permutation, its own Adam on its row of the stack, its own learning
+    rate, patience counter and snapshot row; a seed that stops leaves the
+    stack, whose remaining rows move up. So the stack holds 5 K P float32
+    elements of state (weights, gradient, snapshot, Adam's two moments).
 
     Training runs in float32 (see the module docstring): float64 rows are
-    rounded once per call and float32 rows are used as they are; a row or
-    initial weight outside the float32 range is refused with TrainingError
-    before the first epoch. The returned weights are float64.
+    rounded once per call and float32 rows are used as they are. Every row
+    is checked once on entry, by the float32 range guard, so no batch is
+    checked again; the rows are only read. The results hold the float32
+    snapshot; each makes its float64 weights when asked (`params`).
 
-    All weights live in one flat vector that Adam updates in place, and the
-    gradient in a second one that `backward` overwrites every batch; the
-    model's W and b and the per-layer gradients are views of them, so no batch
-    rebuilds the parameters or concatenates the gradient. A batch gathers
-    contiguous rows and hands their (n, B) transposed view to
-    `forward_unchecked` and `backward`; the bits match a column gather. Every
-    row was checked once on entry, by the float32 range guard, so no batch is
-    checked again. The rows are only read, so one copy serves every seed of a
-    run. The best epoch's weights are copied into one snapshot buffer held for
-    the run.
+    Errors name the seed they concern as TrainingError("seed k: ..."): the
+    first seed's for rows that hold no frame or a value outside the float32
+    range; the seed's own for its initial weights, a non-finite loss, or a
+    TrainingError or FloatingPointError of its Adam step. When the stack's
+    batch raises a FloatingPointError (under np.errstate(over="raise"), say),
+    each model runs the batch alone to find the seed to name.
     """
-    mix_rows, tgt_rows = (
-        single(r, f"a {what} row", TrainingError, "training")
-        for r, what in zip(rows, ("mixture", "target"))
-    )
+    if not cfgs:
+        raise ValueError("no configs to train")
+    first = cfgs[0].seed
+    try:
+        mix_rows, tgt_rows = (
+            single(r, f"a {what} row", TrainingError, "training")
+            for r, what in zip(rows, ("mixture", "target"))
+        )
+    except TrainingError as e:
+        raise TrainingError(f"seed {first}: {e}") from None
     if mix_rows.shape != tgt_rows.shape:
         raise ValueError(f"mixture rows {mix_rows.shape} and target rows {tgt_rows.shape} differ")
     total_frames, n = mix_rows.shape
     if total_frames == 0:
-        raise TrainingError("no frames to train on")
-    theta = single(
-        _flat(init_params(tag, n, make_rng(cfg.seed)).layers),
-        "the initial weight vector", TrainingError, "training",
-    )
-    params = _params_view(tag, theta, n)
+        raise TrainingError(f"seed {first}: no frames to train on")
+    theta = np.empty((len(cfgs), FAMILIES[tag] * (n * n + n)), dtype=np.float32)
+    for row, cfg in zip(theta, cfgs):
+        try:
+            row[:] = single(_flat(init_params(tag, n, make_rng(cfg.seed)).layers),
+                            "the initial weight vector", TrainingError, "training")
+        except TrainingError as e:
+            raise TrainingError(f"seed {cfg.seed}: {e}") from None
     grad = np.empty_like(theta)
-    grads = _params_view(tag, grad, n).layers
-    adam = Adam(INITIAL_LR)
+    best = theta.copy()
+    runs = [_Run(k, cfg) for k, cfg in enumerate(cfgs)]
+    live = runs
+    params, grads = _params_view(tag, theta, n), _params_view(tag, grad, n).layers
 
-    best_loss = math.inf
-    best_theta = theta.copy()
-    history: list[EpochStats] = []
-    bad_epochs = 0
-    stopped_by = "max_epochs"
+    for epoch in range(max(cfg.max_epochs for cfg in cfgs)):
+        orders = np.stack([np.random.default_rng([run.cfg.seed, epoch]).permutation(total_frames)
+                           for run in live])
+        total_se = [0.0] * len(live)
+        for batch_idx, lo in enumerate(range(0, total_frames, BATCH_SIZE)):
+            cols = orders[:, lo : lo + BATCH_SIZE]
+            # the rows mix_rows[cols] gathers, in 1.5 against 2.6 us at 16 bins
+            xb = np.take(mix_rows, cols, axis=0).swapaxes(1, 2)
+            yb = np.take(tgt_rows, cols, axis=0).swapaxes(1, 2)
+            try:
+                losses = backward(params, forward_unchecked(params, xb), yb, grads)
+            except FloatingPointError as e:
+                seed = _failing_seed(tag, live, theta, grad, xb, yb)
+                raise TrainingError(f"seed {seed}: {e}") from None
+            size = cols.shape[1] * n
+            for i, loss in enumerate(losses):
+                if not math.isfinite(loss):
+                    raise TrainingError(f"seed {live[i].cfg.seed}: training diverged: "
+                                        f"non-finite loss at epoch {epoch}, batch {batch_idx}")
+                total_se[i] += loss * size
+            try:
+                for run, p, g in zip(live, theta, grad):
+                    run.adam.step(p, g)
+            except (TrainingError, FloatingPointError) as e:
+                raise TrainingError(f"seed {run.cfg.seed}: {e}") from None
 
-    for epoch in range(cfg.max_epochs):
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(total_frames)
-        total_se = 0.0
-        for batch_idx, k in enumerate(range(0, total_frames, BATCH_SIZE)):
-            cols = order[k : k + BATCH_SIZE]
-            yb = tgt_rows[cols].T
-            batch_loss = backward(params, forward_unchecked(params, mix_rows[cols].T), yb, grads)
-            if not math.isfinite(batch_loss):
-                raise TrainingError(
-                    f"training diverged: non-finite loss at epoch {epoch}, batch {batch_idx}"
-                )
-            total_se += batch_loss * yb.size
-            adam.step(theta, grad)
+        for i, run in enumerate(live):
+            epoch_loss = total_se[i] / tgt_rows.size
+            run.history.append(EpochStats(epoch, epoch_loss, run.adam.lr))
+            if epoch_loss < run.best_loss * (1.0 - IMPROVEMENT_REL):
+                run.best_loss = epoch_loss
+                best[run.row] = theta[i]
+                run.bad_epochs = 0
+            else:
+                run.bad_epochs += 1
+                if run.bad_epochs >= STOP_PATIENCE:
+                    run.stopped_by = "patience"
+                elif run.bad_epochs % HALVE_PATIENCE == 0:
+                    run.adam.lr *= 0.5
+            if run.stopped_by is None and epoch + 1 == run.cfg.max_epochs:
+                run.stopped_by = "max_epochs"
+        keep = [i for i, run in enumerate(live) if run.stopped_by is None]
+        if not keep:
+            break
+        if len(keep) < len(live):
+            theta[: len(keep)] = theta[keep]
+            live = [live[i] for i in keep]
+            params = _params_view(tag, theta[: len(live)], n)
+            grads = _params_view(tag, grad[: len(live)], n).layers
 
-        epoch_loss = total_se / tgt_rows.size
-        history.append(EpochStats(epoch, epoch_loss, adam.lr))
+    return [TrainResult(_params_view(tag, best[run.row], n), run.history, run.best_loss,
+                        run.stopped_by) for run in runs]
 
-        if epoch_loss < best_loss * (1.0 - IMPROVEMENT_REL):
-            best_loss = epoch_loss
-            np.copyto(best_theta, theta)
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= STOP_PATIENCE:
-                stopped_by = "patience"
-                break
-            if bad_epochs % HALVE_PATIENCE == 0:
-                adam.lr *= 0.5
 
-    # free the run's state before the float64 copy of the weights is made
-    del params, grads, theta, grad, adam
-    return TrainResult(
-        _params_view(tag, best_theta.astype(np.float64), n), history, best_loss, stopped_by
-    )
+def _failing_seed(tag: str, live: list[_Run], theta: Mat, grad: Mat, xb: Mat, yb: Mat) -> int:
+    """The seed of the first model in the stack that raises a
+    FloatingPointError when it runs the batch alone; the first seed of the
+    stack if none does."""
+    n = xb.shape[1]
+    for i, run in enumerate(live):
+        one, one_grads = _params_view(tag, theta[i], n), _params_view(tag, grad[i], n).layers
+        try:
+            backward(one, forward_unchecked(one, xb[i]), yb[i], one_grads)
+        except FloatingPointError:
+            return run.cfg.seed
+    return live[0].cfg.seed
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:

@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from neural_couplings import analysis, cli, serial
+from neural_couplings import analysis, cli, serial, training
 from neural_couplings.analysis import (
     aggregate,
     evaluate_segment,
@@ -41,7 +41,6 @@ from neural_couplings.spectral import (
     save_dataset,
 )
 from neural_couplings.synth import make_synthetic_dataset
-from neural_couplings.training import train
 
 MANIFEST_KEYS = {"tool", "version", "command", "flags", "inputs", "outputs", "wall_clock_s"}
 
@@ -363,47 +362,71 @@ class TestTrainCommand:
         assert err["message"] == "seed 6 given twice"
         assert not (tmp_path / "ck").exists()
 
-    def test_runs_each_seed_independently(self, pipeline, tmp_path):
-        for name, seeds in (("pair", "4,9"), ("solo", "9")):
-            run_ok(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
-                    "--out", str(tmp_path / name), "--seeds", seeds, "--max-epochs", "3"])
-        assert (tmp_path / "pair" / "dae-seed9.ncm").read_bytes() == \
-            (tmp_path / "solo" / "dae-seed9.ncm").read_bytes()
+    def test_runs_each_seed_independently(self, pipeline, tmp_path, monkeypatch):
+        # 16-frame batches and a 3e-2 starting rate make the seeds of the
+        # 40-frame dataset halve their rate and stop at different epochs: in
+        # each family one of seeds 0, 3 and 7 stops by patience while another
+        # trains on to the budget. Each seed's files are the bytes a
+        # one-seed command writes.
+        monkeypatch.setattr(training, "BATCH_SIZE", 16)
+        monkeypatch.setattr(training, "INITIAL_LR", 3e-2)
+        seeds = ("0", "3", "7")
+        for model in FAMILIES:
+            for out, given in [("stack", seeds)] + [(f"solo{s}", (s,)) for s in seeds]:
+                run_ok(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", model,
+                        "--out", str(tmp_path / model / out), "--seeds", ",".join(given),
+                        "--max-epochs", "60"])
+            stack = tmp_path / model / "stack"
+            runs = json.loads((stack / f"train-{model}.manifest.json").read_text())["runs"]
+            assert {r["stopped_by"] for r in runs} == {"patience", "max_epochs"}, model
+            assert min(r["epochs"] for r in runs) < 60
+            for seed in seeds:
+                history = (stack / f"{model}-seed{seed}-history.csv").read_text().splitlines()
+                assert len({line.rsplit(",", 1)[1] for line in history[1:]}) > 1  # halved
+                for name in (f"{model}-seed{seed}.ncm", f"{model}-seed{seed}-history.csv"):
+                    assert (stack / name).read_bytes() == \
+                        (tmp_path / model / f"solo{seed}" / name).read_bytes()
 
     def test_one_result_is_held_at_a_time(self, pipeline, tmp_path, monkeypatch):
-        # every earlier seed's result and model are gone when a seed starts
-        results = []
+        # the seeds train as one float32 stack; each seed's float64 weights
+        # are made for its checkpoint and freed before the next seed's are
+        made = []
 
-        def training(tag, ds, cfg):
-            assert all(ref() is None for ref in results)
-            result = train(tag, ds, cfg)
-            results.extend(weakref.ref(a) for a in (result, result.params))
-            return result
+        def saving(path, params, seed, epochs):
+            assert all(ref() is None for ref in made)
+            assert params.layers[0][0].dtype == np.float64
+            made.extend(weakref.ref(a) for a in (params, params.layers[0][0]))
+            save_checkpoint(path, params, seed, epochs)
 
-        monkeypatch.setattr(cli, "train", training)
+        monkeypatch.setattr(cli, "save_checkpoint", saving)
         run_ok(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "mss-dae",
                 "--out", str(tmp_path / "ck"), "--seeds", "0,1,2", "--max-epochs", "1"])
-        assert len(results) == 2 * 3
+        assert len(made) == 2 * 3
 
     def test_failing_seed_ends_the_command(self, pipeline, tmp_path, capsys, monkeypatch):
-        # seed 0's files are written as it finishes; seed 2 never starts
-        started = []
+        # seed 1's weights turn NaN after its first step, while seeds 0 and 2
+        # train on beside it: its next loss is non-finite, the command names
+        # it, and no seed's files and no manifest are written
+        made = []
 
-        def training(tag, ds, cfg):
-            started.append(cfg.seed)
-            if cfg.seed == 1:
-                raise FloatingPointError("overflow encountered in matmul")
-            return train(tag, ds, cfg)
+        class PoisoningAdam(training.Adam):
+            def step(self, p, g):
+                super().step(p, g)
+                if self is made[1]:
+                    p[:] = np.nan
 
-        monkeypatch.setattr(cli, "train", training)
+        def adam(lr):
+            made.append(PoisoningAdam(lr))
+            return made[-1]
+
+        monkeypatch.setattr(training, "Adam", adam)
         # run_fail parses stderr as one JSON document, so a second line fails it
         err = run_fail(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "dae",
-                        "--out", str(tmp_path / "ck"), "--seeds", "0,1,2", "--max-epochs", "1"],
+                        "--out", str(tmp_path / "ck"), "--seeds", "0,1,2", "--max-epochs", "3"],
                        capsys, "TrainingError")
-        assert err["message"] == "seed 1: overflow encountered in matmul"
-        assert started == [0, 1]
-        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
-            "dae-seed0-history.csv", "dae-seed0.ncm"]
+        assert err["message"] == "seed 1: training diverged: non-finite loss at epoch 1, batch 0"
+        assert len(made) == 3
+        assert not (tmp_path / "ck").exists()
 
 
 class TestCouplingsCommand:
@@ -716,6 +739,29 @@ class TestAnalyzeCommand:
             cells["identity"]["snr_model_db"]["mean"]
             != cells["student"]["snr_model_db"]["mean"]
         )
+
+    @pytest.mark.parametrize("which", ["dataset", "couplings", "checkpoint", "csv"])
+    def test_out_naming_an_input_is_refused(self, pipeline, tmp_path, capsys, which):
+        # the report, its CSV or its manifest would replace an input: refused
+        # before any file is read or written, naming the path
+        ds = pipeline / "ds.ncd"
+        ncc = pipeline / "cp" / "dae-seed0-student-0-0.ncc"
+        target = {"dataset": ds, "couplings": ncc,
+                  "checkpoint": pipeline / "ck" / "dae-seed0.ncm",
+                  "csv": tmp_path / "ds.csv"}[which]
+        if which == "csv":
+            target.write_bytes(ds.read_bytes())
+            ds = target
+        out = target.with_suffix(".json") if which == "csv" else target
+        before = {p: p.read_bytes() for p in (ds, ncc, target, pipeline / "ds.ncd.manifest.json")}
+        err = run_fail(["analyze", "--couplings", str(pipeline / "cp" / "*.ncc"),
+                        "--checkpoints", str(pipeline / "ck"), "--dataset", str(ds),
+                        "--out", str(out)], capsys, "CliError")
+        assert err["message"] == \
+            f"--out {out} would overwrite {target}, one of the command's inputs"
+        assert {p: p.read_bytes() for p in before} == before
+        for written in (out.with_suffix(".csv"), pathlib.Path(str(out) + ".manifest.json")):
+            assert written in before or not written.exists()
 
     def test_no_matching_couplings(self, pipeline, tmp_path, capsys):
         run_fail(["analyze", "--couplings", str(tmp_path / "*.ncc"),

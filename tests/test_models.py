@@ -13,6 +13,7 @@ from neural_couplings.models import (
     backward,
     checkpoint_width,
     forward,
+    forward_unchecked,
     init_params,
     load_checkpoint,
     model_output,
@@ -270,7 +271,7 @@ class TestBackward:
         tgt = np.abs(rng.normal(size=(5, 7))).astype(np.float32)
         acts = forward(p, x)
         grads = [(np.empty_like(w), np.empty_like(b)) for w, b in p.layers]
-        loss = backward(p, acts, tgt, grads)
+        [loss] = backward(p, acts, tgt, grads)
         r = (model_output(p, acts) - tgt).ravel()
         assert r.dtype == np.float32
         assert loss == float(np.dot(r, r)) / r.size
@@ -317,6 +318,39 @@ class TestBackward:
         for (dw_f, db_f), (dw_c, db_c) in zip(grads_f, grads_c):
             assert dw_f.dtype == np.float32
             assert np.array_equal(dw_f, dw_c) and np.array_equal(db_f, db_c)
+
+    @pytest.mark.parametrize("n", [64, 257])
+    @pytest.mark.parametrize("arch", ["dae", "mss-dae", "sf"])
+    def test_a_stack_gives_each_model_its_own_bits(self, arch, n):
+        # K models stacked as (K, n, n) weights and a (K, n, B) batch, each
+        # batch the transposed view of gathered rows as training passes it:
+        # the loss and every dW and db of each model equal its own 2-D call
+        k_models, frames = 3, 128
+        rng = make_rng([46, n, FAMILIES[arch]])
+        models = [init_params(arch, n, rng).layers for _ in range(k_models)]
+        stack = ModelParams(arch, [
+            (np.stack([m[i][0] for m in models]).astype(np.float32),
+             np.float32(0.05) + np.stack([m[i][1] for m in models]).astype(np.float32))
+            for i in range(FAMILIES[arch])])
+        mix, tgt = (np.abs(rng.normal(size=(k_models, frames, n))).astype(np.float32) + 0.2
+                    for _ in range(2))
+        x, y = mix.swapaxes(1, 2), tgt.swapaxes(1, 2)
+        grads = [(np.empty_like(w), np.empty_like(b)) for w, b in stack.layers]
+        losses = backward(stack, forward_unchecked(stack, x), y, grads)
+        assert len(losses) == k_models
+        for k in range(k_models):
+            one = ModelParams(arch, [(w[k], b[k]) for w, b in stack.layers])
+            one_grads = [(np.empty_like(w), np.empty_like(b)) for w, b in one.layers]
+            assert backward(one, forward(one, x[k]), y[k], one_grads) == [losses[k]]
+            for (dw, db), (one_dw, one_db) in zip(grads, one_grads):
+                assert np.array_equal(dw[k], one_dw) and np.array_equal(db[k], one_db)
+
+    def test_stacked_weights_keep_their_shape_checks(self):
+        w, b = np.zeros((2, 3, 3)), np.zeros((2, 3, 1))
+        assert ModelParams("dae", [(w, b), (w, b)]).n == 3
+        with pytest.raises(ShapeError,
+                           match=r"layer 1: b has shape \(3, 1\), expected \(2, 3, 1\)"):
+            ModelParams("dae", [(w, b), (w, b[0])])
 
     def test_activation_count_checked(self, backward_grads):
         p = init_params("dae", 2, make_rng(0))

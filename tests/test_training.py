@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -370,9 +371,10 @@ class TestTrain:
         sq_err = []
 
         def backward_and_float64_error(params, acts, target, grads):
-            p64 = ModelParams(tag, [(w.astype(np.float64), b.astype(np.float64))
+            # train runs a stack of one model
+            p64 = ModelParams(tag, [(w[0].astype(np.float64), b[0].astype(np.float64))
                                     for w, b in params.layers])
-            d = model_output(p64, forward(p64, acts[0])) - target
+            d = model_output(p64, forward(p64, acts[0][0])) - target[0]
             sq_err.append(float(np.sum(d * d)))
             return backward(params, acts, target, grads)
 
@@ -388,9 +390,10 @@ class TestTrain:
         # is 1.0 MiB. The float32 rows (3.9 P) are the caller's, used without
         # a copy and not counted. A run holds 5 P (weights, gradient, best-
         # epoch snapshot, Adam's two moments) plus a batch's gathers and
-        # activations and Adam's scratch; the float64 initial draw and the
-        # float64 returned weights are made while less of it is live.
-        # Measured 6.16 P; 7.24 P while the run's state outlived the cast.
+        # activations and Adam's scratch; the float64 initial draw is made
+        # while less of it is live, and the result holds the float32
+        # snapshot, its float64 weights made only when asked for. Measured
+        # 6.15 P; 7.24 P while the run's state outlived a float64 cast.
         n = 257
         rows = rows_of(*recipe_columns(n, 2000, 3))
         p_bytes = FAMILIES["mss-dae"] * (n * n + n) * 4
@@ -401,6 +404,67 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 6.5 * p_bytes
+
+
+class TestTrainStack:
+    def test_each_seed_gets_the_run_it_gets_alone(self):
+        # seeds leave the stack at different epochs: 1 by its budget at 3
+        # epochs, 3 by patience at 130 and 0 at 308 with two halvings; the
+        # stack's rows move up each time, and every run keeps its bits
+        cfgs = [TrainConfig(500, 0), TrainConfig(3, 1), TrainConfig(500, 3)]
+        results = training.train_stack("dae", halving_rows(), cfgs)
+        assert [(r.epochs, r.stopped_by) for r in results] == [
+            (308, "patience"), (3, "max_epochs"), (130, "patience")]
+        assert results[0].history[-1].lr == INITIAL_LR / 4
+        for cfg, res in zip(cfgs, results):
+            alone = train("dae", halving_rows(), cfg)
+            assert res.history == alone.history and res.best_loss == alone.best_loss
+            for (w, b), (w1, b1) in zip(res.weights.layers, alone.weights.layers):
+                assert np.array_equal(w, w1) and np.array_equal(b, b1)
+
+    def test_results_hold_float32_and_copy_float64_on_access(self):
+        results = training.train_stack("sf", learnable_rows(),
+                                       [TrainConfig(2, 0), TrainConfig(2, 1)])
+        w0, w1 = results[0].weights.layers[0][0], results[1].weights.layers[0][0]
+        assert w0.dtype == np.float32 and w0.shape == (6, 6)
+        # views of one snapshot, one row per seed
+        assert w0.base is not None and np.shares_memory(w0.base, w1.base)
+        a, b = results[0].params, results[0].params
+        assert a is not b and a.layers[0][0] is not b.layers[0][0]
+        assert np.array_equal(a.layers[0][0], w0.astype(np.float64))
+
+    def test_no_config_is_refused(self):
+        with pytest.raises(ValueError, match="no configs"):
+            training.train_stack("dae", learnable_rows(), [])
+
+    @pytest.mark.parametrize("errstate", ["raise", "warn"])
+    def test_a_failing_seed_is_named(self, errstate, monkeypatch):
+        # the second seed's Adam throws its weights past the float32 range
+        # after its first step, which ends epoch 0 (40 frames are one
+        # batch); under errstate "raise" the stack's next product
+        # overflows, and each model run alone names the seed; under "warn"
+        # its loss goes non-finite
+        made = []
+
+        class BlowingAdam(Adam):
+            def step(self, p, g):
+                super().step(p, g)
+                if self is made[1]:
+                    p *= np.float32(1e30)
+
+        def adam(lr):
+            made.append(BlowingAdam(lr))
+            return made[-1]
+
+        monkeypatch.setattr(training, "Adam", adam)
+        cfgs = [TrainConfig(3, 4), TrainConfig(3, 9), TrainConfig(3, 2)]
+        with np.errstate(over=errstate, invalid=errstate), \
+                pytest.warns(RuntimeWarning) if errstate == "warn" else contextlib.nullcontext():
+            with pytest.raises(TrainingError) as info:
+                training.train_stack("dae", learnable_rows(), cfgs)
+        want = ("seed 9: overflow encountered in matmul" if errstate == "raise" else
+                "seed 9: training diverged: non-finite loss at epoch 1, batch 0")
+        assert str(info.value) == want
 
 
 def recipe_columns(n: int, frames: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
