@@ -7,8 +7,8 @@
 # checkout (say a `git archive` copy of an earlier revision) to measure it.
 # Prints the line counts of src/ and tests/ (every *.py under each) and the
 # options count: the flags of every subcommand of `cli.build_parser()`, the
-# fields of every config object, `TrainConfig`, `NcaConfig` and `StftConfig`,
-# and the keyword-only parameters of `export_heatmap`, imported from the
+# fields of every config object, `NcaConfig` and `StftConfig`, and the
+# keyword-only parameters of `export_heatmap`, imported from the
 # tree's own src/. The set of counted objects is this revision's, so measure
 # an earlier revision with that revision's own copy of this script.
 set -euo pipefail
@@ -28,7 +28,6 @@ from neural_couplings import cli
 from neural_couplings.analysis import export_heatmap
 from neural_couplings.nca import NcaConfig
 from neural_couplings.spectral import StftConfig
-from neural_couplings.training import TrainConfig
 
 (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
 flags = sum(
@@ -36,7 +35,7 @@ flags = sum(
     for parser in sub.choices.values()
     for action in parser._actions
 )
-configs = {c.__name__: len(dataclasses.fields(c)) for c in (TrainConfig, NcaConfig, StftConfig)}
+configs = {c.__name__: len(dataclasses.fields(c)) for c in (NcaConfig, StftConfig)}
 configs["export_heatmap keyword"] = sum(
     p.kind is p.KEYWORD_ONLY for p in inspect.signature(export_heatmap).parameters.values()
 )

@@ -17,4 +17,4 @@ from .analysis import tod_r
 from .nca import NcaConfig, run_nca
 from .spectral import normalized_pair_rows, normalized_window
 from .synth import make_synthetic_dataset
-from .training import TrainConfig, train
+from .training import train_stack

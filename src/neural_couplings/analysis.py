@@ -12,8 +12,6 @@ the model's own masking.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 import struct
@@ -154,13 +152,10 @@ def aggregate(records: list[MetricsRecord]) -> dict:
 def write_report_csv(records: list[MetricsRecord], path) -> None:
     """Flat rows, fixed column order, sorted by (arch, method, segment); an
     undefined TOD-R or SNR is a blank cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["arch", "method", "segment", "tod_r", "snr_model_db", "snr_truth_db"])
-    for r in sorted(records, key=lambda r: (r.arch, r.method, r.segment)):
-        cells = ("" if v is None else repr(v) for v in (r.tod_r, r.snr_model_db, r.snr_truth_db))
-        writer.writerow([r.arch, r.method, r.segment, *cells])
-    serial.write_file_atomic(path, buf.getvalue().encode("utf-8"))
+    header = ("arch", "method", "segment", "tod_r", "snr_model_db", "snr_truth_db")
+    rows = ((r.arch, r.method, r.segment, r.tod_r, r.snr_model_db, r.snr_truth_db)
+            for r in sorted(records, key=lambda r: (r.arch, r.method, r.segment)))
+    serial.write_csv(path, header, rows)
 
 
 def _quantize(img: Mat) -> np.ndarray:

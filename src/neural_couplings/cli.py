@@ -56,7 +56,7 @@ from .spectral import (
     stft_mag,
 )
 from .synth import make_synthetic_dataset
-from .training import TrainConfig, TrainingError, train_stack, write_history_csv
+from .training import TrainingError, train_stack
 
 
 log = logging.getLogger(__name__)
@@ -128,11 +128,6 @@ def _naming(where: str):
         raise type(e)(f"{where}: {e}") from None
 
 
-def _load_model(ck_path):
-    with _naming(f"checkpoint {ck_path}"):
-        return load_checkpoint(ck_path).params
-
-
 def _models(ck_paths, n: int):
     """Check every checkpoint's width against n from its header, then load and
     yield (ck_path, params) one at a time: a corrupt body fails on its turn.
@@ -146,7 +141,10 @@ def _models(ck_paths, n: int):
             if (width := checkpoint_width(ck_path)) != n:
                 raise CliError(f"checkpoint {ck_path} is {width} bins wide, the dataset {n}")
     for ck_path in ck_paths:
-        yield ck_path, _load_model(ck_path)
+        # yielded from inside the block, since a name for the model would hold
+        # it while the caller runs; the caller's own errors never enter here
+        with _naming(f"checkpoint {ck_path}"):
+            yield ck_path, load_checkpoint(ck_path).params
 
 
 def cmd_synth(args) -> int:
@@ -212,36 +210,32 @@ def _parse_seeds(raw: str) -> list[int]:
 
 def cmd_train(args) -> int:
     """Train every seed at once, as one stack (`train_stack`), then write each
-    seed's files from a float64 copy of its weights made and dropped before
-    the next. A failing seed ends the command before any file is written,
-    with no manifest. The normalized rows are built once, and the dataset
-    freed, before training starts; the rows are freed before the first copy."""
+    seed's files from its float32 weights, which the checkpoint writer widens
+    to float64 one matrix at a time. A failing seed ends the command before
+    any file is written, with no manifest. The flags are checked before any
+    file is read; the normalized rows are built once, and the dataset freed,
+    before training starts, and the rows are freed before the first write."""
     started = time.perf_counter()
     # the manifest records the parsed list
     seeds = args.seeds = _parse_seeds(args.seeds)
-    cfgs = [TrainConfig(max_epochs=args.max_epochs, seed=seed) for seed in seeds]
+    if args.max_epochs < 1:
+        raise CliError(f"--max-epochs must be positive, got {args.max_epochs}")
     rows = normalized_pair_rows(load_dataset(args.dataset))
-    results = train_stack(args.model, rows, cfgs)
+    results = train_stack(args.model, rows, seeds, args.max_epochs)
     del rows
     out_dir = Path(args.out)
     outputs, runs = [], []
     for seed, result in zip(seeds, results):
         ck_path = out_dir / f"{args.model}-seed{seed}.ncm"
-        params = result.params
-        save_checkpoint(ck_path, params, seed, result.epochs)
-        del params
+        save_checkpoint(ck_path, result.weights, seed, result.epochs)
         csv_path = out_dir / f"{args.model}-seed{seed}-history.csv"
-        write_history_csv(result.history, csv_path)
+        serial.write_csv(csv_path, ("epoch", "mean_loss", "lr"),
+                         ((i, h.mean_loss, h.lr) for i, h in enumerate(result.history)))
         outputs += [ck_path, csv_path]
         runs.append({"seed": seed, "epochs": result.epochs, "stopped_by": result.stopped_by})
     write_manifest(out_dir / f"train-{args.model}.manifest.json", args,
                    [args.dataset], outputs, started, runs=runs)
     return 0
-
-
-def _couplings_loss_csv(path: Path, losses: list[float]) -> None:
-    lines = ["iteration,l1_loss"] + [f"{i},{v!r}" for i, v in enumerate(losses)]
-    serial.write_file_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def cmd_couplings(args) -> int:
@@ -323,7 +317,7 @@ def cmd_couplings(args) -> int:
             stem = f"{ck_stem}-{args.strategy}-{pair_idx}-{start}"
             c_path, loss_path = out / f"{stem}.ncc", out / f"{stem}-loss.csv"
             save_couplings(c_path, state.c, meta)
-            _couplings_loss_csv(loss_path, state.losses)
+            serial.write_csv(loss_path, ("iteration", "l1_loss"), enumerate(state.losses))
             del state
             outputs += [c_path, loss_path]
         del layers

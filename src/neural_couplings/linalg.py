@@ -1,10 +1,12 @@
 """The matrix type, the shape error, seeding, the weight-init rule and the
 float32 rounding shared by every other module.
 
-All arithmetic elsewhere is plain numpy on 2-D arrays: float64, except that
-training and couplings extraction run in float32 (``single``). Shapes are
-validated where data enters (loaders, ``forward``, the metrics), not inside
-every product.
+All arithmetic elsewhere is plain numpy in float64, except that training
+and couplings extraction run in float32 (``single``). Training runs on
+(K, n, B) stacks of K models, the compositional gradient on (L, n, n)
+stacks of its layers, and the rest on 2-D arrays. Shapes are validated
+where data enters (loaders, ``forward``, the metrics), not inside every
+product.
 """
 
 from __future__ import annotations

@@ -158,9 +158,9 @@ def compositional_objective(
     formed in its pre-activation's buffer once the mask is taken, and each
     factor in its gate's buffer; the backward pass drops each factor and
     prefix product after its last use, and forms each masked factor
-    gradient in place; every step rounds as its out-of-place form. run_nca
-    passes one grads stack for the whole run, so an iteration allocates
-    none of it.
+    gradient in place; every step rounds as its out-of-place form.
+    fit_couplings passes one grads stack for the whole run, so an iteration
+    allocates none of it.
     """
     if len(p) != len(layers):
         raise ValueError(f"{len(p)} gate matrices P_l for {len(layers)} layers")

@@ -1,10 +1,13 @@
 """Little-endian binary primitives shared by the dataset, checkpoint, and
-couplings codecs, plus atomic file writing and content hashing."""
+couplings codecs, plus atomic file writing, the JSON and CSV writers and
+content hashing."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import struct
@@ -174,6 +177,17 @@ def write_json(path: str | Path, obj) -> None:
     """obj as JSON text with sorted keys, a two-space indent and a final
     newline, written through write_file_atomic."""
     write_file_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """A header row, then rows, as CSV with "\n" line ends, written through
+    write_file_atomic. csv.writer writes a float as its repr, so it reads
+    back to the same value, and None as a blank cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_file_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def sha256_file(path: str | Path) -> str:

@@ -3,14 +3,14 @@
 Adam steps one parameter array in place, in the folded form of Kingma & Ba
 (2015, sec. 2): the same update as the textbook recipe in exact arithmetic,
 in fewer elementwise passes. Training runs every seed it is given in
-lockstep, as one stack of K models (K = 1 for `train`): the weights are a
-(K, P) array with one flat row per seed, and the gradient another. Each
-seed shuffles all frames globally each epoch, halves its learning rate
-after a run of non-improving epochs, stops after a longer run and then
-leaves the stack; its result is the weights snapshotted at its best epoch
-loss, with the rule that ended its run. A stacked batch costs one set of
-numpy calls where K single-model batches cost K, and every model of the
-stack gets the bits it gets alone (see `models`).
+lockstep, as one stack of K models: the weights are a (K, P) array with one
+flat row per seed, and the gradient another. Each seed shuffles all frames
+globally each epoch, halves its learning rate after a run of non-improving
+epochs, stops after a longer run and then leaves the stack; its result is
+the weights snapshotted at its best epoch loss, with the rule that ended its
+run. A stacked batch costs one set of numpy calls where K single-model
+batches cost K, and every model of the stack gets the bits it gets alone
+(see `models`).
 
 Precision: Adam follows its parameter's dtype, and training runs in float32.
 The rows and the initial weights (drawn in float64) are rounded to float32
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serial
 from .linalg import Mat, make_rng, single
 from .models import FAMILIES, ModelParams, backward, forward_unchecked, init_params
 
@@ -134,19 +133,10 @@ class Adam(object):
             p_c -= u
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    max_epochs: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
-
-
 @dataclass
 class EpochStats:
-    epoch: int
+    """One epoch of a run; its index in the run's history is its epoch."""
+
     mean_loss: float
     lr: float
 
@@ -180,8 +170,8 @@ class _Run:
     learning rate, and its schedule. A plain class, since making it a
     dataclass added 0.5 ms to every import of the package (2-core Xeon)."""
 
-    def __init__(self, row: int, cfg: TrainConfig):
-        self.row, self.cfg, self.adam = row, cfg, Adam(INITIAL_LR)
+    def __init__(self, row: int, seed: int):
+        self.row, self.seed, self.adam = row, seed, Adam(INITIAL_LR)
         self.history: list[EpochStats] = []
         self.best_loss = math.inf
         self.bad_epochs = 0
@@ -203,18 +193,14 @@ def _params_view(tag: str, theta: Mat, n: int) -> ModelParams:
                              for i in range(rows.shape[-2])])
 
 
-def train(tag: str, rows: tuple[Mat, Mat], cfg: TrainConfig) -> TrainResult:
-    """One model of the family tag, trained on rows as train_stack trains
-    each of its seeds."""
-    return train_stack(tag, rows, [cfg])[0]
-
-
-def train_stack(tag: str, rows: tuple[Mat, Mat], cfgs: list[TrainConfig]) -> list[TrainResult]:
+def train_stack(tag: str, rows: tuple[Mat, Mat], seeds: list[int],
+                max_epochs: int) -> list[TrainResult]:
     """Train one model of the family tag (its layers as `init_params` builds
-    them) per config, all on rows = (mixture rows, target rows), the
-    normalized frames one per row as `spectral.normalized_pair_rows` builds
-    them; each result is deterministic given (tag, rows, its config), and is
-    the one a call with that config alone returns.
+    them) per seed, for at most max_epochs epochs each, all on rows =
+    (mixture rows, target rows), the normalized frames one per row as
+    `spectral.normalized_pair_rows` builds them; each result is deterministic
+    given (tag, rows, its seed, max_epochs), and is the one a call with that
+    seed alone returns.
 
     The K models run in lockstep as one stack: weights, gradient and
     best-epoch snapshot are (K, P) float32 arrays, and the layers' W and b
@@ -240,9 +226,11 @@ def train_stack(tag: str, rows: tuple[Mat, Mat], cfgs: list[TrainConfig]) -> lis
     batch raises a FloatingPointError (under np.errstate(over="raise"), say),
     each model runs the batch alone to find the seed to name.
     """
-    if not cfgs:
-        raise ValueError("no configs to train")
-    first = cfgs[0].seed
+    if not seeds:
+        raise ValueError("no seeds to train")
+    if max_epochs < 1:
+        raise ValueError("max_epochs must be positive")
+    first = seeds[0]
     try:
         mix_rows, tgt_rows = (
             single(r, f"a {what} row", TrainingError, "training")
@@ -255,21 +243,21 @@ def train_stack(tag: str, rows: tuple[Mat, Mat], cfgs: list[TrainConfig]) -> lis
     total_frames, n = mix_rows.shape
     if total_frames == 0:
         raise TrainingError(f"seed {first}: no frames to train on")
-    theta = np.empty((len(cfgs), FAMILIES[tag] * (n * n + n)), dtype=np.float32)
-    for row, cfg in zip(theta, cfgs):
+    theta = np.empty((len(seeds), FAMILIES[tag] * (n * n + n)), dtype=np.float32)
+    for row, seed in zip(theta, seeds):
         try:
-            row[:] = single(_flat(init_params(tag, n, make_rng(cfg.seed)).layers),
+            row[:] = single(_flat(init_params(tag, n, make_rng(seed)).layers),
                             "the initial weight vector", TrainingError, "training")
         except TrainingError as e:
-            raise TrainingError(f"seed {cfg.seed}: {e}") from None
+            raise TrainingError(f"seed {seed}: {e}") from None
     grad = np.empty_like(theta)
     best = theta.copy()
-    runs = [_Run(k, cfg) for k, cfg in enumerate(cfgs)]
+    runs = [_Run(k, seed) for k, seed in enumerate(seeds)]
     live = runs
     params, grads = _params_view(tag, theta, n), _params_view(tag, grad, n).layers
 
-    for epoch in range(max(cfg.max_epochs for cfg in cfgs)):
-        orders = np.stack([np.random.default_rng([run.cfg.seed, epoch]).permutation(total_frames)
+    for epoch in range(max_epochs):
+        orders = np.stack([np.random.default_rng([run.seed, epoch]).permutation(total_frames)
                            for run in live])
         total_se = [0.0] * len(live)
         for batch_idx, lo in enumerate(range(0, total_frames, BATCH_SIZE)):
@@ -285,18 +273,18 @@ def train_stack(tag: str, rows: tuple[Mat, Mat], cfgs: list[TrainConfig]) -> lis
             size = cols.shape[1] * n
             for i, loss in enumerate(losses):
                 if not math.isfinite(loss):
-                    raise TrainingError(f"seed {live[i].cfg.seed}: training diverged: "
+                    raise TrainingError(f"seed {live[i].seed}: training diverged: "
                                         f"non-finite loss at epoch {epoch}, batch {batch_idx}")
                 total_se[i] += loss * size
             try:
                 for run, p, g in zip(live, theta, grad):
                     run.adam.step(p, g)
             except (TrainingError, FloatingPointError) as e:
-                raise TrainingError(f"seed {run.cfg.seed}: {e}") from None
+                raise TrainingError(f"seed {run.seed}: {e}") from None
 
         for i, run in enumerate(live):
             epoch_loss = total_se[i] / tgt_rows.size
-            run.history.append(EpochStats(epoch, epoch_loss, run.adam.lr))
+            run.history.append(EpochStats(epoch_loss, run.adam.lr))
             if epoch_loss < run.best_loss * (1.0 - IMPROVEMENT_REL):
                 run.best_loss = epoch_loss
                 best[run.row] = theta[i]
@@ -307,7 +295,7 @@ def train_stack(tag: str, rows: tuple[Mat, Mat], cfgs: list[TrainConfig]) -> lis
                     run.stopped_by = "patience"
                 elif run.bad_epochs % HALVE_PATIENCE == 0:
                     run.adam.lr *= 0.5
-            if run.stopped_by is None and epoch + 1 == run.cfg.max_epochs:
+            if run.stopped_by is None and epoch + 1 == max_epochs:
                 run.stopped_by = "max_epochs"
         keep = [i for i, run in enumerate(live) if run.stopped_by is None]
         if not keep:
@@ -332,11 +320,5 @@ def _failing_seed(tag: str, live: list[_Run], theta: Mat, grad: Mat, xb: Mat, yb
         try:
             backward(one, forward_unchecked(one, xb[i]), yb[i], one_grads)
         except FloatingPointError:
-            return run.cfg.seed
-    return live[0].cfg.seed
-
-
-def write_history_csv(history: list[EpochStats], path) -> None:
-    lines = ["epoch,mean_loss,lr"]
-    lines += [f"{h.epoch},{h.mean_loss!r},{h.lr!r}" for h in history]
-    serial.write_file_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+            return run.seed
+    return live[0].seed

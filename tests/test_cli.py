@@ -362,6 +362,13 @@ class TestTrainCommand:
         assert err["message"] == "seed 6 given twice"
         assert not (tmp_path / "ck").exists()
 
+    def test_zero_epochs_fail_before_loading(self, tmp_path, capsys):
+        # the dataset does not exist, so a CliError proves the check runs first
+        err = run_fail(["train", "--dataset", str(tmp_path / "gone.ncd"), "--model", "dae",
+                        "--out", str(tmp_path / "ck"), "--max-epochs", "0"], capsys, "CliError")
+        assert err["message"] == "--max-epochs must be positive, got 0"
+        assert not (tmp_path / "ck").exists()
+
     def test_runs_each_seed_independently(self, pipeline, tmp_path, monkeypatch):
         # 16-frame batches and a 3e-2 starting rate make the seeds of the
         # 40-frame dataset halve their rate and stop at different epochs: in
@@ -388,20 +395,26 @@ class TestTrainCommand:
                         (tmp_path / model / f"solo{seed}" / name).read_bytes()
 
     def test_one_result_is_held_at_a_time(self, pipeline, tmp_path, monkeypatch):
-        # the seeds train as one float32 stack; each seed's float64 weights
-        # are made for its checkpoint and freed before the next seed's are
-        made = []
+        # the seeds train as one float32 stack, and each checkpoint is saved
+        # from its seed's float32 weights, views of the one best-epoch
+        # snapshot that the checkpoint writer widens a matrix at a time: no
+        # float64 copy of a whole model is made
+        saved = []
 
         def saving(path, params, seed, epochs):
-            assert all(ref() is None for ref in made)
-            assert params.layers[0][0].dtype == np.float64
-            made.extend(weakref.ref(a) for a in (params, params.layers[0][0]))
+            assert all(a.dtype == np.float32 for layer in params.layers for a in layer)
+            saved.append(params.layers[0][0])
             save_checkpoint(path, params, seed, epochs)
 
+        def no_copy(result):
+            raise AssertionError("a float64 copy of a model was made")
+
         monkeypatch.setattr(cli, "save_checkpoint", saving)
+        monkeypatch.setattr(training.TrainResult, "params", property(no_copy))
         run_ok(["train", "--dataset", str(pipeline / "ds.ncd"), "--model", "mss-dae",
                 "--out", str(tmp_path / "ck"), "--seeds", "0,1,2", "--max-epochs", "1"])
-        assert len(made) == 2 * 3
+        assert len(saved) == 3
+        assert all(np.shares_memory(saved[0].base, w.base) for w in saved[1:])
 
     def test_failing_seed_ends_the_command(self, pipeline, tmp_path, capsys, monkeypatch):
         # seed 1's weights turn NaN after its first step, while seeds 0 and 2

@@ -71,8 +71,7 @@ def test_size_report_prints_lines_and_options():
     positive(lines[1].split()[1])
     total, parts = re.fullmatch(r"options (\d+) \((.*)\)", lines[2]).groups()
     counts = dict(part.rsplit(" ", 1) for part in parts.split(" + "))
-    assert set(counts) == {"CLI flags", "TrainConfig", "NcaConfig", "StftConfig",
-                           "export_heatmap keyword"}
+    assert set(counts) == {"CLI flags", "NcaConfig", "StftConfig", "export_heatmap keyword"}
     assert positive(total) == sum(positive(v) for v in counts.values())
 
 

@@ -168,6 +168,15 @@ def test_write_file_atomic_creates_missing_directories(tmp_path):
     assert sorted(p.name for p in target.parent.iterdir()) == ["out.bin"]
 
 
+def test_write_csv(tmp_path):
+    # the epoch-history rows of `nca train`, and a blank cell for None
+    p = tmp_path / "h.csv"
+    serial.write_csv(p, ("epoch", "mean_loss", "lr"), [(0, 0.5, 1e-3), (1, 0.25, 5e-4)])
+    assert p.read_text() == "epoch,mean_loss,lr\n0,0.5,0.001\n1,0.25,0.0005\n"
+    serial.write_csv(p, ("a", "b"), [("x", None), ("y", 1 / 3)])
+    assert p.read_bytes() == b"a,b\nx,\ny,0.3333333333333333\n"
+
+
 def test_write_file_atomic_names_the_target_when_its_directory_is_a_file(tmp_path):
     (tmp_path / "file").write_bytes(b"")
     target = tmp_path / "file" / "sub" / "out.bin"

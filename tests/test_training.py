@@ -27,11 +27,8 @@ from neural_couplings.training import (
     INITIAL_LR,
     STOP_PATIENCE,
     Adam,
-    EpochStats,
-    TrainConfig,
     TrainingError,
-    train,
-    write_history_csv,
+    train_stack,
 )
 
 CFG6 = StftConfig(sample_rate=8000, window_len=10, hop=5, fft_size=10)
@@ -198,18 +195,12 @@ class TestAdam:
             adam.step(np.ones((1, 1)), np.ones((1, 1)))
 
 
-class TestTrainConfig:
-    def test_rejects_zero_epochs(self):
-        with pytest.raises(ValueError, match="max_epochs"):
-            TrainConfig(max_epochs=0)
-
-
 class TestTrain:
     def test_learns_a_scaling_task(self, monkeypatch):
         # at this width a few relu units die at init, so convergence stops
         # well short of zero; a 3x loss reduction still proves learning
         monkeypatch.setattr(training, "BATCH_SIZE", 8)
-        res = train("dae", learnable_rows(), TrainConfig(seed=0))
+        res = train_stack("dae", learnable_rows(), [0], 200)[0]
         assert res.best_loss < 0.35 * res.history[0].mean_loss
 
     def test_identity_task_is_representable_and_improves(self, mse, monkeypatch):
@@ -228,37 +219,33 @@ class TestTrain:
 
         monkeypatch.setattr(training, "BATCH_SIZE", 16)
         monkeypatch.setattr(training, "INITIAL_LR", 1e-2)
-        res = train("dae", normalized_pair_rows(ds), TrainConfig(seed=4, max_epochs=50))
+        res = train_stack("dae", normalized_pair_rows(ds), [4], 50)[0]
         assert res.history[-1].mean_loss < 0.5 * res.history[0].mean_loss
         assert res.best_loss < 0.2
 
     def test_deterministic(self):
         rows = learnable_rows()
-        cfg = TrainConfig(seed=3, max_epochs=20)
-        a = train("dae", rows, cfg)
-        b = train("dae", rows, cfg)
-        assert [(h.epoch, h.mean_loss, h.lr) for h in a.history] == [
-            (h.epoch, h.mean_loss, h.lr) for h in b.history
-        ]
+        a = train_stack("dae", rows, [3], 20)[0]
+        b = train_stack("dae", rows, [3], 20)[0]
+        assert a.history == b.history
         for (wa, ba), (wb, bb) in zip(a.params.layers, b.params.layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
 
     def test_seed_changes_the_run(self):
         rows = learnable_rows()
-        a = train("dae", rows, TrainConfig(seed=0, max_epochs=5))
-        b = train("dae", rows, TrainConfig(seed=1, max_epochs=5))
+        a = train_stack("dae", rows, [0], 5)[0]
+        b = train_stack("dae", rows, [1], 5)[0]
         assert not np.array_equal(a.params.layers[0][0], b.params.layers[0][0])
 
     def test_best_loss_is_the_history_minimum(self):
-        res = train("dae", learnable_rows(), TrainConfig(seed=0, max_epochs=30))
+        res = train_stack("dae", learnable_rows(), [0], 30)[0]
         assert np.isclose(res.best_loss, min(h.mean_loss for h in res.history), rtol=1e-8)
 
     def test_plateau_halves_lr_then_stops(self):
-        cfg = TrainConfig(seed=0, max_epochs=500)
-        res = train("dae", halving_rows(), cfg)
+        res = train_stack("dae", halving_rows(), [0], 500)[0]
         lrs = [h.lr for h in res.history]
-        assert res.epochs < cfg.max_epochs
+        assert res.epochs < 500
         assert lrs[0] == INITIAL_LR
         assert lrs[-1] < INITIAL_LR
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
@@ -271,23 +258,22 @@ class TestTrain:
         assert all(t >= res.best_loss * (1 - training.IMPROVEMENT_REL) for t in tail)
 
     def test_stopped_by_names_the_ending_rule(self):
-        budget = train("dae", learnable_rows(), TrainConfig(seed=0, max_epochs=3))
+        budget = train_stack("dae", learnable_rows(), [0], 3)[0]
         assert (budget.stopped_by, budget.epochs) == ("max_epochs", 3)
-        cfg = TrainConfig(seed=0, max_epochs=500)
-        plateau = train("dae", halving_rows(), cfg)
+        plateau = train_stack("dae", halving_rows(), [0], 500)[0]
         assert plateau.stopped_by == "patience"
-        assert plateau.epochs < cfg.max_epochs
+        assert plateau.epochs < 500
 
     def test_rejects_rows_of_different_shapes(self):
         mix_rows, tgt_rows = learnable_rows()
         with pytest.raises(ValueError, match="differ"):
-            train("dae", (mix_rows, tgt_rows[1:]), TrainConfig(max_epochs=1))
+            train_stack("dae", (mix_rows, tgt_rows[1:]), [0], 1)[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, monkeypatch):
         monkeypatch.setattr(training, "INITIAL_LR", 1e200)
         with pytest.raises(TrainingError, match="diverged"):
-            train("dae", halving_rows(), TrainConfig(seed=0, max_epochs=3))
+            train_stack("dae", halving_rows(), [0], 3)[0]
 
     @pytest.mark.parametrize(
         "tag, n, frames, batch_size",
@@ -304,10 +290,9 @@ class TestTrain:
     def test_single_epoch_matches_recipe_transcription(self, tag, n, frames, batch_size,
                                                          monkeypatch):
         x_mix, x_tgt = recipe_columns(n, frames, 7)
-        cfg = TrainConfig(seed=2, max_epochs=1)
         monkeypatch.setattr(training, "BATCH_SIZE", batch_size)
-        res = train(tag, rows_of(x_mix, x_tgt), cfg)
-        losses, layers = recipe_epochs(tag, x_mix, x_tgt, cfg, np.float32, batch_size,
+        res = train_stack(tag, rows_of(x_mix, x_tgt), [2], 1)[0]
+        losses, layers = recipe_epochs(tag, x_mix, x_tgt, 2, 1, np.float32, batch_size,
                                        exact=True)
         assert res.history[0].mean_loss == losses[0]
         assert (res.params.tag, len(res.params.layers)) == (tag, FAMILIES[tag])
@@ -322,17 +307,16 @@ class TestTrain:
         # ten epochs every epoch loss stays within 1e-6 relative (measured at
         # most 2.0e-7); the schedule keeps lr fixed, as the recipe does
         x_mix, x_tgt = recipe_columns(16, 300, 20 + seed)
-        cfg = TrainConfig(seed=seed, max_epochs=10)
         monkeypatch.setattr(training, "BATCH_SIZE", 32)
-        res = train(tag, rows_of(x_mix, x_tgt), cfg)
-        want, _ = recipe_epochs(tag, x_mix, x_tgt, cfg, np.float64, 32)
-        assert [h.lr for h in res.history] == [INITIAL_LR] * cfg.max_epochs
+        res = train_stack(tag, rows_of(x_mix, x_tgt), [seed], 10)[0]
+        want, _ = recipe_epochs(tag, x_mix, x_tgt, seed, 10, np.float64, 32)
+        assert [h.lr for h in res.history] == [INITIAL_LR] * 10
         got = np.array([h.mean_loss for h in res.history])
         assert np.allclose(got, want, rtol=1e-6, atol=0.0)
 
     def test_returns_float64_params(self):
         # the .ncm format and every caller see float64, holding float32 values
-        res = train("mss-dae", learnable_rows(), TrainConfig(seed=0, max_epochs=3))
+        res = train_stack("mss-dae", learnable_rows(), [0], 3)[0]
         for w, b in res.params.layers:
             for a in (w, b):
                 assert a.dtype == np.float64
@@ -347,7 +331,7 @@ class TestTrain:
         name = ("mixture", "target")[which]
         with pytest.raises(TrainingError,
                            match=rf"a {name} row holds .*float32 range \|v\| <= 3\.40282e\+38"):
-            train("dae", tuple(rows), TrainConfig(seed=0, max_epochs=1))
+            train_stack("dae", tuple(rows), [0], 1)[0]
 
     def test_nan_row_is_named_non_finite(self):
         # a NaN is not outside the float32 range, so the message says both
@@ -355,7 +339,7 @@ class TestTrain:
         rows[0][3, 2] = np.nan
         with pytest.raises(TrainingError,
                            match=r"a mixture row holds values that are non-finite or outside"):
-            train("dae", tuple(rows), TrainConfig(seed=0, max_epochs=1))
+            train_stack("dae", tuple(rows), [0], 1)[0]
 
     @pytest.mark.parametrize("tag, n, pairs, epochs", [("mss-dae", 64, 2, 200),
                                                         ("sf", 257, 1, 20)],
@@ -364,14 +348,15 @@ class TestTrain:
                                                                    monkeypatch):
         # each batch's squared error taken again in float64, from the float64
         # values of the same float32 weights and frames, and summed per epoch
-        # as train sums its float32 batch losses: the two epoch losses differ
-        # by rounding alone, at most 5.3e-8 relative over the 21 desk runs
-        # (n=64, 200 epochs) and 4.1e-8 at n=257. A threshold 10x above that
-        # lets the loss, not its rounding, decide whether an epoch improves.
+        # as train_stack sums its float32 batch losses: the two epoch losses
+        # differ by rounding alone, at most 5.3e-8 relative over the 21 desk
+        # runs (n=64, 200 epochs) and 4.1e-8 at n=257. A threshold 10x above
+        # that lets the loss, not its rounding, decide whether an epoch
+        # improves.
         sq_err = []
 
         def backward_and_float64_error(params, acts, target, grads):
-            # train runs a stack of one model
+            # a stack of one model
             p64 = ModelParams(tag, [(w[0].astype(np.float64), b[0].astype(np.float64))
                                     for w, b in params.layers])
             d = model_output(p64, forward(p64, acts[0][0])) - target[0]
@@ -380,7 +365,7 @@ class TestTrain:
 
         monkeypatch.setattr(training, "backward", backward_and_float64_error)
         rows = normalized_pair_rows(make_synthetic_dataset(n, 720, pairs, 0))
-        res = train(tag, rows, TrainConfig(seed=0, max_epochs=epochs))
+        res = train_stack(tag, rows, [0], epochs)[0]
         want = np.array(sq_err).reshape(res.epochs, -1).sum(axis=1) / rows[1].size
         got = np.array([h.mean_loss for h in res.history])
         assert 10 * np.max(np.abs(got - want) / want) <= training.IMPROVEMENT_REL
@@ -399,7 +384,7 @@ class TestTrain:
         p_bytes = FAMILIES["mss-dae"] * (n * n + n) * 4
         tracemalloc.start()
         try:
-            train("mss-dae", rows, TrainConfig(seed=0, max_epochs=1))
+            train_stack("mss-dae", rows, [0], 1)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -408,23 +393,22 @@ class TestTrain:
 
 class TestTrainStack:
     def test_each_seed_gets_the_run_it_gets_alone(self):
-        # seeds leave the stack at different epochs: 1 by its budget at 3
-        # epochs, 3 by patience at 130 and 0 at 308 with two halvings; the
-        # stack's rows move up each time, and every run keeps its bits
-        cfgs = [TrainConfig(500, 0), TrainConfig(3, 1), TrainConfig(500, 3)]
-        results = training.train_stack("dae", halving_rows(), cfgs)
+        # seeds leave the stack at different epochs: 1 by patience at 98, 3
+        # at 130 and 0 at 308 with two halvings, and 5 by the budget at 350;
+        # the stack's rows move up each time, and every run keeps its bits
+        seeds = [0, 1, 3, 5]
+        results = train_stack("dae", halving_rows(), seeds, 350)
         assert [(r.epochs, r.stopped_by) for r in results] == [
-            (308, "patience"), (3, "max_epochs"), (130, "patience")]
+            (308, "patience"), (98, "patience"), (130, "patience"), (350, "max_epochs")]
         assert results[0].history[-1].lr == INITIAL_LR / 4
-        for cfg, res in zip(cfgs, results):
-            alone = train("dae", halving_rows(), cfg)
+        for seed, res in zip(seeds, results):
+            alone = train_stack("dae", halving_rows(), [seed], 350)[0]
             assert res.history == alone.history and res.best_loss == alone.best_loss
             for (w, b), (w1, b1) in zip(res.weights.layers, alone.weights.layers):
                 assert np.array_equal(w, w1) and np.array_equal(b, b1)
 
     def test_results_hold_float32_and_copy_float64_on_access(self):
-        results = training.train_stack("sf", learnable_rows(),
-                                       [TrainConfig(2, 0), TrainConfig(2, 1)])
+        results = train_stack("sf", learnable_rows(), [0, 1], 2)
         w0, w1 = results[0].weights.layers[0][0], results[1].weights.layers[0][0]
         assert w0.dtype == np.float32 and w0.shape == (6, 6)
         # views of one snapshot, one row per seed
@@ -433,9 +417,13 @@ class TestTrainStack:
         assert a is not b and a.layers[0][0] is not b.layers[0][0]
         assert np.array_equal(a.layers[0][0], w0.astype(np.float64))
 
-    def test_no_config_is_refused(self):
-        with pytest.raises(ValueError, match="no configs"):
-            training.train_stack("dae", learnable_rows(), [])
+    def test_no_seed_is_refused(self):
+        with pytest.raises(ValueError, match="no seeds"):
+            train_stack("dae", learnable_rows(), [], 3)
+
+    def test_zero_epochs_are_refused(self):
+        with pytest.raises(ValueError, match="max_epochs must be positive"):
+            train_stack("dae", learnable_rows(), [0], 0)
 
     @pytest.mark.parametrize("errstate", ["raise", "warn"])
     def test_a_failing_seed_is_named(self, errstate, monkeypatch):
@@ -457,11 +445,10 @@ class TestTrainStack:
             return made[-1]
 
         monkeypatch.setattr(training, "Adam", adam)
-        cfgs = [TrainConfig(3, 4), TrainConfig(3, 9), TrainConfig(3, 2)]
         with np.errstate(over=errstate, invalid=errstate), \
                 pytest.warns(RuntimeWarning) if errstate == "warn" else contextlib.nullcontext():
             with pytest.raises(TrainingError) as info:
-                training.train_stack("dae", learnable_rows(), cfgs)
+                train_stack("dae", learnable_rows(), [4, 9, 2], 3)
         want = ("seed 9: overflow encountered in matmul" if errstate == "raise" else
                 "seed 9: training diverged: non-finite loss at epoch 1, batch 0")
         assert str(info.value) == want
@@ -506,7 +493,7 @@ class RecipeAdam:
             p[...] = p - self.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def recipe_epochs(tag, x_mix, x_tgt, cfg, dtype, batch_size, exact=False):
+def recipe_epochs(tag, x_mix, x_tgt, seed, epochs, dtype, batch_size, exact=False):
     """The documented recipe transcribed in plain numpy, in (bins, frames)
     orientation, at the fixed learning rate INITIAL_LR: the columns and the
     float64 initial weights are rounded to dtype once, then each epoch
@@ -516,13 +503,13 @@ def recipe_epochs(tag, x_mix, x_tgt, cfg, dtype, batch_size, exact=False):
     W1, b1, .... Returns the epoch losses and the final (W, b) layers.
 
     The textbook forms are the mean loss, the summed bias gradient and
-    Adam as Kingma & Ba state it; exact=True writes the ones train runs
+    Adam as Kingma & Ba state it; exact=True writes the ones train_stack runs
     instead, so that a run can be matched bit for bit: the loss as the dot
     of the residual with itself, the bias gradient as a product with a ones
     column and the folded Adam."""
     n, frames = x_mix.shape
     x_mix, x_tgt = x_mix.astype(dtype), x_tgt.astype(dtype)
-    initial = init_params(tag, n, make_rng(cfg.seed)).layers
+    initial = init_params(tag, n, make_rng(seed)).layers
     flat_p = np.concatenate([a.ravel() for layer in initial for a in layer]).astype(dtype)
     # views of flat_p, which Adam steps in place: W is n * n values and b is
     # n, so layer i starts at (n * n + n) * i
@@ -530,8 +517,8 @@ def recipe_epochs(tag, x_mix, x_tgt, cfg, dtype, batch_size, exact=False):
     layers = [(r[: n * n].reshape(n, n), r[n * n :].reshape(n, 1)) for r in rows]
     adam = RecipeAdam(INITIAL_LR, folded=exact)
     losses = []
-    for epoch in range(cfg.max_epochs):
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(frames)
+    for epoch in range(epochs):
+        order = np.random.default_rng([seed, epoch]).permutation(frames)
         total_se = 0.0
         for k in range(0, frames, batch_size):
             cols = order[k : k + batch_size]
@@ -559,9 +546,3 @@ def recipe_epochs(tag, x_mix, x_tgt, cfg, dtype, batch_size, exact=False):
         losses.append(total_se / x_tgt.size)
     return losses, layers
 
-
-def test_write_history_csv(tmp_path):
-    hist = [EpochStats(0, 0.5, 1e-3), EpochStats(1, 0.25, 5e-4)]
-    p = tmp_path / "h.csv"
-    write_history_csv(hist, p)
-    assert p.read_text() == "epoch,mean_loss,lr\n0,0.5,0.001\n1,0.25,0.0005\n"
