@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # the names README "Library use" imports; every other name is imported from
 # its defining module
 from .analysis import tod_r
-from .nca import NcaConfig, run_nca
+from .nca import run_nca
 from .spectral import normalized_pair_rows, normalized_window
 from .synth import make_synthetic_dataset
 from .training import train_stack

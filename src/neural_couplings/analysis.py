@@ -85,7 +85,7 @@ def couplings_estimate(params: ModelParams, c: Mat, x_mix: Mat) -> Mat:
 
 def evaluate_segment(
     params: ModelParams, x_mix: Mat, x_true: Mat, scored: list[tuple[str, Mat | None]],
-    segment: str = "",
+    segment: str,
 ) -> list[MetricsRecord]:
     """Score (method, C) pairs on one segment from one run of the model.
 

@@ -35,8 +35,8 @@ from .analysis import (
 from .models import FAMILIES, checkpoint_width, load_checkpoint, save_checkpoint
 from .nca import (
     STRATEGIES,
-    NcaConfig,
     NcaError,
+    check_settings,
     compositional_layers,
     fit_couplings,
     load_couplings,
@@ -258,7 +258,7 @@ def cmd_couplings(args) -> int:
     previous one (the command start, for the first).
     """
     started = time.perf_counter()
-    cfg = NcaConfig(strategy=args.strategy, iterations=args.iters, lr=args.lr, seed=args.seed)
+    check_settings(args.iters, args.lr, args.seed)
     if args.frames < 1:
         raise CliError(f"--frames must be positive, got {args.frames}")
     ck_paths = sorted(globlib.glob(args.checkpoint))
@@ -302,7 +302,7 @@ def cmd_couplings(args) -> int:
         outputs = []
         for i, (pair_idx, start, _) in enumerate(segments):
             with _naming(f"checkpoint {ck_path}, segment {seg_ids[i]}"):
-                state = fit_couplings(*responses[i], cfg, layers)
+                state = fit_couplings(*responses[i], layers, args.iters, args.lr, args.seed)
             responses[i] = None
             meta = {
                 "strategy": args.strategy,

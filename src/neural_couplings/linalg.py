@@ -27,11 +27,11 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def glorot_like_init(rng: np.random.Generator, rows: int, cols: int, n: int) -> Mat:
-    """Standard-normal draw scaled by sqrt(1/n)."""
-    if n <= 0:
-        raise ValueError(f"glorot_like_init: n must be positive, got {n}")
-    return rng.standard_normal((rows, cols)) * math.sqrt(1.0 / n)
+def glorot_like_init(rng: np.random.Generator, rows: int, cols: int) -> Mat:
+    """Standard-normal draw scaled by sqrt(1/cols), the fan-in."""
+    if cols <= 0:
+        raise ValueError(f"glorot_like_init: cols must be positive, got {cols}")
+    return rng.standard_normal((rows, cols)) * math.sqrt(1.0 / cols)
 
 
 def single(a: Mat, what: str, error: type[Exception], stage: str) -> Mat:

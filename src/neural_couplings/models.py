@@ -81,7 +81,7 @@ class Checkpoint:
 def init_params(tag: str, n: int, rng: np.random.Generator) -> ModelParams:
     """The family's FAMILIES[tag] layers, weights drawn normal * sqrt(1/n) in
     layer order, biases zero."""
-    layers = [(glorot_like_init(rng, n, n, n), np.zeros((n, 1))) for _ in range(FAMILIES[tag])]
+    layers = [(glorot_like_init(rng, n, n), np.zeros((n, 1))) for _ in range(FAMILIES[tag])]
     return ModelParams(tag, layers)
 
 

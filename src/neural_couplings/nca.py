@@ -27,9 +27,9 @@ fit_couplings         the iterations on those arrays alone; X^T is formed
                       carries the gradient back through the factors without
                       forming their downstream products.
 
-run_nca chains the three for one model and one window. Correctness is
-pinned by finite-difference tests rather than by trusting any printed
-derivation.
+run_nca checks the settings (check_settings) and chains the three for one
+model and one window. Correctness is pinned by finite-difference tests
+rather than by trusting any printed derivation.
 
 Precision: the objectives and Adam follow their inputs' dtype, and every
 iteration runs in float32. The forward pass stays float64; X, Y, the drawn
@@ -63,22 +63,15 @@ class NcaError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class NcaConfig:
-    strategy: str
-    iterations: int = 600
-    lr: float = 4e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+def check_settings(iterations: int, lr: float, seed: int) -> None:
+    """Refuse with ValueError an iteration budget below 1, a learning rate
+    that is not finite and positive, or a negative seed."""
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass
@@ -227,11 +220,11 @@ def compositional_layers(params: ModelParams) -> list[tuple[Mat, Mat]]:
 
 
 def fit_couplings(
-    x: Mat, y: Mat, cfg: NcaConfig, layers: list[tuple[Mat, Mat]] | None = None
+    x: Mat, y: Mat, layers: list[tuple[Mat, Mat]] | None, iterations: int, lr: float, seed: int
 ) -> NcaState:
     """The extraction's iterations on plain float32 arrays: x and y as
-    model_response gives them and, for compositional runs, the layers as
-    compositional_layers gives them (a student run takes none).
+    model_response gives them and, for a compositional run, the layers as
+    compositional_layers gives them; layers None is a student run.
 
     The unknown theta is C itself (student) or the (L, n, n) gate drivers
     (compositional), drawn in one piece and stepped in place by Adam. X^T is
@@ -239,14 +232,12 @@ def fit_couplings(
     the objective once into one gradient buffer held for the run, records
     its loss and takes an Adam step; nothing else of an evaluation outlives
     it. A final loss-only evaluation forms the returned C and records its
-    loss, so the loss curve has cfg.iterations + 1 values. A non-finite loss
-    is refused with NcaError.
+    loss, so the loss curve has iterations + 1 values. A non-finite loss is
+    refused with NcaError.
     """
-    if cfg.strategy == "compositional" and layers is None:
-        raise ValueError("a compositional extraction needs the layer arrays")
-    rng = make_rng(cfg.seed)
+    rng = make_rng(seed)
     xt = x.T.copy()
-    adam = Adam(cfg.lr)
+    adam = Adam(lr)
     n = x.shape[0]
     losses: list[float] = []
 
@@ -255,14 +246,14 @@ def fit_couplings(
             raise NcaError(f"non-finite couplings loss at iteration {i}")
         losses.append(e)
 
-    if cfg.strategy == "student":
-        theta = glorot_like_init(rng, n, n, n).astype(np.float32)
+    if layers is None:
+        theta = glorot_like_init(rng, n, n).astype(np.float32)
         objective = lambda t, g, **kw: (t, *student_objective(t, x, xt, y, g, **kw))
     else:
-        theta = glorot_like_init(rng, len(layers) * n, n, n).astype(np.float32).reshape(-1, n, n)
+        theta = glorot_like_init(rng, len(layers) * n, n).astype(np.float32).reshape(-1, n, n)
         objective = lambda t, g, **kw: compositional_objective(t, layers, x, xt, y, g, **kw)
     grad = np.empty_like(theta)
-    for i in range(cfg.iterations):
+    for i in range(iterations):
         record(objective(theta, grad)[1], i)
         adam.step(theta, grad)
     del grad, adam
@@ -271,16 +262,22 @@ def fit_couplings(
     return NcaState(c.astype(np.float64), losses)
 
 
-def run_nca(params: ModelParams, x_mix, cfg: NcaConfig) -> NcaState:
+def run_nca(
+    params: ModelParams, x_mix, strategy: str, iterations: int, lr: float, seed: int
+) -> NcaState:
     """Fit a couplings matrix to the model's response on x_mix: the
     composition of model_response, compositional_layers (compositional runs
     only) and fit_couplings, for a caller with one model and one window.
-    The iterations run in float32 (see the module docstring); a value
-    outside the float32 range is refused with NcaError.
+    A bad strategy or setting is a ValueError before any work. The
+    iterations run in float32 (see the module docstring); a value outside
+    the float32 range is refused with NcaError.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    check_settings(iterations, lr, seed)
     x, y = model_response(params, x_mix)
-    layers = compositional_layers(params) if cfg.strategy == "compositional" else None
-    return fit_couplings(x, y, cfg, layers)
+    layers = compositional_layers(params) if strategy == "compositional" else None
+    return fit_couplings(x, y, layers, iterations, lr, seed)
 
 
 def save_couplings(path, c: Mat, metadata: dict) -> None:

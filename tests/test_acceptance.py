@@ -32,7 +32,6 @@ from neural_couplings.models import (
     save_checkpoint,
 )
 from neural_couplings.nca import (
-    NcaConfig,
     compositional_objective,
     load_couplings,
     run_nca,
@@ -122,7 +121,7 @@ def recovery_runs():
         layers = [(rng.uniform(0.05, 0.3, (8, 8)), np.zeros((8, 1))) for _ in range(2)]
         params = ModelParams("dae", layers)
         x = np.abs(rng.normal(size=(8, 64))) + 0.1
-        state = run_nca(params, x, NcaConfig("student", iterations=600, lr=2.5e-3, seed=0))
+        state = run_nca(params, x, "student", 600, 2.5e-3, 0)
         y_l1 = float(np.abs(forward(params, x)[-1]).sum())
         c_lin = layers[1][0] @ layers[0][0]
         runs.append(

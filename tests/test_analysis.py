@@ -18,7 +18,7 @@ from neural_couplings.analysis import (
 )
 from neural_couplings.linalg import ShapeError, make_rng
 from neural_couplings.models import ModelParams, forward
-from neural_couplings.nca import NcaConfig, run_nca
+from neural_couplings.nca import run_nca
 
 
 def zero_bias_params(tag, mats):
@@ -168,7 +168,7 @@ class TestEvaluateSegment:
         layers = [(rng.uniform(0.05, 0.3, (8, 8)), np.zeros((8, 1))) for _ in range(2)]
         params = ModelParams("dae", layers)
         x = np.abs(rng.normal(size=(8, 64))) + 0.1
-        state = run_nca(params, x, NcaConfig("student", iterations=2000, lr=2.5e-3))
+        state = run_nca(params, x, "student", 2000, 2.5e-3, 0)
         [rec] = evaluate_segment(params, x, x, [("student", state.c)], "0:64")
         assert rec.snr_model_db >= 60.0
 

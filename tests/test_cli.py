@@ -31,7 +31,7 @@ from neural_couplings.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from neural_couplings.nca import fit_couplings, load_couplings, save_couplings
+from neural_couplings.nca import fit_couplings, load_couplings, run_nca, save_couplings
 from neural_couplings.spectral import (
     Dataset,
     Spectrogram,
@@ -465,6 +465,23 @@ class TestCouplingsCommand:
         assert meta["iterations"] == 5
         assert meta["checkpoint"] == serial.sha256_file(pipeline / "ck" / "dae-seed0.ncm")
 
+    @pytest.mark.parametrize("strategy", ["student", "compositional"])
+    def test_each_problem_is_what_run_nca_returns(self, pipeline, tmp_path, strategy):
+        # the library's one-window entry and the command give the same bits
+        ck = pipeline / "ck" / "dae-seed0.ncm"
+        run_ok(["couplings", "--checkpoint", str(ck), "--dataset", str(pipeline / "ds.ncd"),
+                "--strategy", strategy, "--out", str(tmp_path), "--iters", "4",
+                "--lr", "2e-3", "--frames", "20", "--seed", "5"])
+        x_mix, _ = normalized_window(load_dataset(pipeline / "ds.ncd"), 0, 20, 40)
+        state = run_nca(load_checkpoint(ck).params, x_mix, strategy, 4, 2e-3, 5)
+        c, meta = load_couplings(tmp_path / f"dae-seed0-{strategy}-0-20.ncc")
+        assert np.array_equal(c, state.c)
+        assert meta["final_loss"] == state.losses[-1]
+        lines = (tmp_path / f"dae-seed0-{strategy}-0-20-loss.csv").read_text().splitlines()
+        # a float's CSV cell is its repr, which reads back to the same value
+        assert [(int(i), float(e)) for i, e in (line.split(",") for line in lines[1:])] == \
+            list(enumerate(state.losses))
+
     def test_compositional_files_and_manifest_in_the_out_directory(self, pipeline, tmp_path):
         out = tmp_path / "cp"
         run_ok(["couplings", "--checkpoint", str(pipeline / "ck" / "dae-seed0.ncm"),
@@ -517,10 +534,10 @@ class TestCouplingsCommand:
             models.append(weakref.ref(ck.params))
             return ck
 
-        def extracting(x, y, cfg, layers):
+        def extracting(x, y, *settings):
             assert len(datasets) == 1 and datasets[0]() is None
             assert all(ref() is None for ref in results)
-            state = fit_couplings(x, y, cfg, layers)
+            state = fit_couplings(x, y, *settings)
             results.extend(weakref.ref(a) for a in (state, state.c))
             return state
 
@@ -554,11 +571,11 @@ class TestCouplingsCommand:
             windows.append(weakref.ref(window[0]))
             return window
 
-        def extracting(x, y, cfg, layers):
+        def extracting(x, y, *settings):
             assert all(ref() is None for ref in models)
             assert all(ref() is None for ref in responses)
             seen.append(sum(ref() is not None for ref in windows))
-            state = fit_couplings(x, y, cfg, layers)
+            state = fit_couplings(x, y, *settings)
             responses.extend(weakref.ref(a) for a in (x, y))
             return state
 

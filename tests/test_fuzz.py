@@ -23,7 +23,7 @@ from neural_couplings import serial
 from neural_couplings.cli import _KNOWN_ERRORS, main
 from neural_couplings.linalg import make_rng
 from neural_couplings.models import init_params, load_checkpoint, save_checkpoint
-from neural_couplings.nca import NcaConfig, load_couplings, run_nca, save_couplings
+from neural_couplings.nca import load_couplings, run_nca, save_couplings
 from neural_couplings.spectral import (
     load_dataset,
     load_wav_mono,
@@ -77,7 +77,7 @@ def files(tmp_path_factory, wav_builder):
     (root / "ck").mkdir()
     save_checkpoint(root / "ck" / "dae-seed0.ncm", params, 0, 1)
     x_mix, _ = normalized_window(ds, 0, 0, WINDOW)
-    state = run_nca(params, x_mix, NcaConfig(strategy="student", iterations=2))
+    state = run_nca(params, x_mix, "student", 2, 4e-4, 0)
     meta = {
         "strategy": "student",
         "arch": "dae",

@@ -9,19 +9,26 @@ from neural_couplings.nca import compositional_objective, shifted_layers, studen
 
 
 def test_glorot_like_init_scale_and_determinism():
-    a = glorot_like_init(make_rng(9), 200, 200, 4)
-    b = glorot_like_init(make_rng(9), 200, 200, 4)
-    assert a.shape == (200, 200)
+    # the scale follows the fan-in, the column count n: a (200, 4) draw is
+    # scaled by sqrt(1/4) = 0.5, a (4, 200) draw by sqrt(1/200)
+    a = glorot_like_init(make_rng(9), 200, 4)
+    b = glorot_like_init(make_rng(9), 200, 4)
+    assert a.shape == (200, 4)
     assert np.array_equal(a, b)
-    # std of standard normal scaled by sqrt(1/4) = 0.5
-    assert abs(a.std() - math.sqrt(1 / 4)) < 0.02
-    # n=1 leaves the standard normal unscaled
-    assert abs(glorot_like_init(make_rng(9), 200, 200, 1).std() - 1.0) < 0.04
+    assert abs(a.std() - 0.5) < 0.04
+    wide = glorot_like_init(make_rng(9), 4, 200)
+    assert abs(wide.std() - math.sqrt(1 / 200)) < 0.006
+    # one column leaves the standard normal unscaled, the same stream as a
+    # plain draw
+    one = glorot_like_init(make_rng(9), 800, 1)
+    assert np.array_equal(one, make_rng(9).standard_normal((800, 1)))
+    assert abs(one.std() - 1.0) < 0.08
 
 
 def test_glorot_like_init_rejects_bad_n():
-    with pytest.raises(ValueError):
-        glorot_like_init(make_rng(0), 2, 2, 0)
+    # n, the fan-in, is the column count
+    with pytest.raises(ValueError, match="cols must be positive, got 0"):
+        glorot_like_init(make_rng(0), 2, 0)
 
 
 # The element-wise rules below are written inline as numpy operators in the

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from neural_couplings import nca, serial
+from neural_couplings.cli import build_parser
 from neural_couplings.linalg import glorot_like_init, make_rng
 from neural_couplings.models import FAMILIES, ModelParams, forward, init_params, model_output
 from neural_couplings.nca import (
     STRATEGIES,
-    NcaConfig,
     NcaError,
+    check_settings,
     compositional_objective,
-    fit_couplings,
     load_couplings,
     run_nca,
     save_couplings,
@@ -80,33 +80,42 @@ def positive_params(tag, n, seed, lo=0.05, hi=0.3, count=None):
 def params_of_depth(count, n, rng):
     """A dae (2 layers) or mss-dae of count layers, drawn as init_params
     draws its own: the same arrays as init_params at 2 and 4 layers."""
-    layers = [(glorot_like_init(rng, n, n, n), np.zeros((n, 1))) for _ in range(count)]
+    layers = [(glorot_like_init(rng, n, n), np.zeros((n, 1))) for _ in range(count)]
     return ModelParams("dae" if count == 2 else "mss-dae", layers)
 
 
 class TestConfig:
+    """The settings of an extraction: check_settings, which `nca couplings`
+    and run_nca call before any work, and the parser's defaults."""
+
     def test_defaults(self):
-        cfg = NcaConfig("student")
-        assert (cfg.iterations, cfg.lr, cfg.seed) == (600, 4e-4, 0)
+        args = build_parser().parse_args(["couplings", "--checkpoint", "a.ncm", "--dataset",
+                                          "ds.ncd", "--strategy", "student", "--out", "cp"])
+        assert (args.iters, args.lr, args.seed) == (600, 4e-4, 0)
+        check_settings(args.iters, args.lr, args.seed)
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            NcaConfig("teacher")
+        p = positive_params("dae", 4, 1)
+        with pytest.raises(ValueError, match="unknown strategy 'teacher'"):
+            run_nca(p, np.ones((4, 5)), "teacher", 1, 1e-3, 0)
 
     def test_positive_fields(self):
-        with pytest.raises(ValueError):
-            NcaConfig("student", iterations=0)
-        with pytest.raises(ValueError):
-            NcaConfig("student", lr=0.0)
+        with pytest.raises(ValueError, match="iterations must be positive"):
+            check_settings(0, 1e-3, 0)
+        with pytest.raises(ValueError, match="lr must be finite and positive, got 0.0"):
+            check_settings(1, 0.0, 0)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_lr_must_be_finite(self, lr):
         with pytest.raises(ValueError, match="lr must be finite"):
-            NcaConfig("student", lr=lr)
+            check_settings(1, lr, 0)
 
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-            NcaConfig("student", seed=-1)
+            check_settings(1, 1e-3, -1)
+        # run_nca checks before the forward pass, which this window would fail
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run_nca(positive_params("dae", 4, 1), np.ones((3, 5)), "student", 1, 1e-3, -1)
 
 
 def student_loss(c, b):
@@ -169,7 +178,7 @@ class TestTarget:
             return student_objective(c, x, xt, y, *args, **kwargs)
 
         monkeypatch.setattr(nca, "student_objective", spy)
-        run_nca(p, x, NcaConfig("student", iterations=1))
+        run_nca(p, x, "student", 1, 4e-4, 0)
         assert len(seen) == 2
         x, xt, y = seen[0]
         # X^T is one C-order copy, formed once per run
@@ -404,7 +413,7 @@ class TestRunNca:
         p = positive_params("dae", 6, 7)
         x = np.abs(make_rng(8).normal(size=(6, 48))) + 0.1
         c_lin = p.layers[1][0] @ p.layers[0][0]
-        state = run_nca(p, x, NcaConfig("student", iterations=600, lr=2.5e-3))
+        state = run_nca(p, x, "student", 600, 2.5e-3, 0)
         assert state.losses[-1] < 1e-2 * np.abs(forward(p, x)[-1]).sum()
         assert np.abs(state.c - c_lin).mean() < 2e-2
 
@@ -412,7 +421,7 @@ class TestRunNca:
         eye_layers = [(np.eye(8), np.zeros((8, 1))) for _ in range(2)]
         p = ModelParams("dae", eye_layers)
         x = np.abs(make_rng(21).normal(size=(8, 64))) + 0.1
-        state = run_nca(p, x, NcaConfig("student", iterations=600, lr=2.5e-3))
+        state = run_nca(p, x, "student", 600, 2.5e-3, 0)
         diag_mass = np.abs(np.diag(state.c)).sum()
         off_mass = np.abs(state.c).sum() - diag_mass
         # measured 0.89 off-diagonal vs 7.52 diagonal
@@ -421,12 +430,11 @@ class TestRunNca:
     def test_loss_curve_length_and_first_entry(self):
         p = positive_params("dae", 4, 1)
         x = np.abs(make_rng(2).normal(size=(4, 10))) + 0.1
-        cfg = NcaConfig("student", iterations=25, lr=1e-3)
-        state = run_nca(p, x, cfg)
+        state = run_nca(p, x, "student", 25, 1e-3, 0)
         assert len(state.losses) == 26
         # entry 0 is the loss of the untouched init, drawn in float64 and
         # rounded to float32 like X and Y
-        c0 = glorot_like_init(make_rng(cfg.seed), 4, 4, 4).astype(np.float32)
+        c0 = glorot_like_init(make_rng(0), 4, 4).astype(np.float32)
         assert state.losses[0] == student_loss(c0, window(*single(*target(p, x))))
 
     def test_compositional_c_is_the_composition_of_the_final_drivers(self, monkeypatch):
@@ -440,7 +448,7 @@ class TestRunNca:
         monkeypatch.setattr(nca, "compositional_objective", spy)
         p = with_biases(positive_params("mss-dae", 4, 2, count=3), 2)
         x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
-        state = run_nca(p, x, NcaConfig("compositional", iterations=15, lr=1e-3))
+        state = run_nca(p, x, "compositional", 15, 1e-3, 0)
         (p_final,) = finals
         assert p_final.dtype == np.float32 and p_final.shape == (3, 4, 4)
         # C is the float32 composition of the final drivers, returned as float64
@@ -454,10 +462,9 @@ class TestRunNca:
         # rounded to float32 like the weights, X and Y
         p = positive_params("mss-dae", 5, 4)
         x = np.abs(make_rng(5).normal(size=(5, 9))) + 0.1
-        cfg = NcaConfig("compositional", iterations=3, lr=1e-3, seed=11)
-        state = run_nca(p, x, cfg)
-        rng = make_rng(cfg.seed)
-        p0 = [glorot_like_init(rng, 5, 5, 5).astype(np.float32) for _ in p.layers]
+        state = run_nca(p, x, "compositional", 3, 1e-3, 11)
+        rng = make_rng(11)
+        p0 = [glorot_like_init(rng, 5, 5).astype(np.float32) for _ in p.layers]
         loss0 = compositional_objective(p0, shifted_layers(single_params(p).layers),
                                         *window(*single(*target(p, x))))[1]
         assert state.losses[0] == loss0
@@ -472,7 +479,7 @@ class TestRunNca:
         x = np.abs(make_rng(2).normal(size=(n, 32))) + 0.1
         tracemalloc.start()
         try:
-            run_nca(params, x, NcaConfig(strategy=strategy, iterations=2))
+            run_nca(params, x, strategy, 2, 4e-4, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -513,7 +520,7 @@ class TestRunNca:
         monkeypatch.setattr(nca, "student_objective", spy)
         p = positive_params("mss-dae", 4, 2, count=3)
         x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
-        state = run_nca(p, x, NcaConfig(strategy, iterations=3, lr=1e-3))
+        state = run_nca(p, x, strategy, 3, 1e-3, 0)
         assert formed == [True, True, True, False]
         c = state.c.astype(np.float32)
         assert state.losses[-1] == student_loss(c, window(*single(*target(p, x))))
@@ -522,24 +529,24 @@ class TestRunNca:
     def test_returns_float64(self, strategy):
         p = positive_params("mss-dae", 4, 2, count=3)
         x = np.abs(make_rng(3).normal(size=(4, 10))) + 0.1
-        state = run_nca(p, x, NcaConfig(strategy, iterations=2))
+        state = run_nca(p, x, strategy, 2, 4e-4, 0)
         assert state.c.dtype == np.float64
 
     @staticmethod
-    def float64_losses(params, x, cfg):
+    def float64_losses(params, x, strategy, iterations, lr, seed):
         """The loss curve of run_nca's loop written over the public
         objectives and Adam, with every array left in float64."""
         x, xt, y = window(*target(params, x))
-        n, rng, adam = params.n, make_rng(cfg.seed), Adam(cfg.lr)
-        if cfg.strategy == "student":
-            theta = glorot_like_init(rng, n, n, n)
+        n, rng, adam = params.n, make_rng(seed), Adam(lr)
+        if strategy == "student":
+            theta = glorot_like_init(rng, n, n)
             objective = lambda t, **kw: student_objective(t, x, xt, y, **kw)
         else:
-            theta = glorot_like_init(rng, len(params.layers) * n, n, n).reshape(-1, n, n)
+            theta = glorot_like_init(rng, len(params.layers) * n, n).reshape(-1, n, n)
             layers = shifted_layers(params.layers)
             objective = lambda t, **kw: compositional_objective(t, layers, x, xt, y, **kw)[1:]
         losses = []
-        for _ in range(cfg.iterations):
+        for _ in range(iterations):
             loss, grad = objective(theta)
             losses.append(loss)
             adam.step(theta, grad)
@@ -552,9 +559,9 @@ class TestRunNca:
         # apart slowly as Adam steps from different roundings
         params = init_params(tag, 16, make_rng([60, FAMILIES[tag], tag == "sf"]))
         x = np.abs(make_rng(61).normal(size=(16, 40))) + 0.1
-        cfg = NcaConfig(strategy, iterations=100, lr=1e-3, seed=3)
-        got = np.array(run_nca(params, x, cfg).losses)
-        want = np.array(self.float64_losses(params, x, cfg))
+        settings = (strategy, 100, 1e-3, 3)
+        got = np.array(run_nca(params, x, *settings).losses)
+        want = np.array(self.float64_losses(params, x, *settings))
         assert (np.abs(got - want) <= 1e-5 * np.abs(want)).all()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -564,7 +571,7 @@ class TestRunNca:
         p = positive_params("dae", 4, 1, lo=1e39, hi=2e39)
         x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
         with pytest.raises(NcaError, match=r"model output .*float32 range"):
-            run_nca(p, x, NcaConfig(strategy, iterations=1))
+            run_nca(p, x, strategy, 1, 4e-4, 0)
 
     def test_weights_outside_float32_range_are_refused(self):
         # the second layer undoes the first one's scale, so X and Y fit
@@ -574,21 +581,15 @@ class TestRunNca:
         p = ModelParams("dae", layers)
         x = np.abs(make_rng(2).normal(size=(4, 5))) + 0.1
         assert np.isfinite(forward(p, x)[-1].astype(np.float32)).all()
-        run_nca(p, x, NcaConfig("student", iterations=1))
+        run_nca(p, x, "student", 1, 4e-4, 0)
         with pytest.raises(NcaError, match=r"layer 0 W .*float32 range"):
-            run_nca(p, x, NcaConfig("compositional", iterations=1))
-
-    def test_compositional_iterations_need_the_layer_arrays(self):
-        x = np.ones((4, 5), dtype=np.float32)
-        with pytest.raises(ValueError, match="layer arrays"):
-            fit_couplings(x, x, NcaConfig("compositional", iterations=1))
+            run_nca(p, x, "compositional", 1, 4e-4, 0)
 
     def test_deterministic(self):
         p = positive_params("sf", 4, 5)
         x = np.abs(make_rng(6).normal(size=(4, 12))) + 0.1
-        cfg = NcaConfig("compositional", iterations=10, lr=1e-3)
-        a = run_nca(p, x, cfg)
-        b = run_nca(p, x, cfg)
+        a = run_nca(p, x, "compositional", 10, 1e-3, 0)
+        b = run_nca(p, x, "compositional", 10, 1e-3, 0)
         assert np.array_equal(a.c, b.c)
         assert a.losses == b.losses
 
@@ -596,7 +597,7 @@ class TestRunNca:
         p = positive_params("mss-dae", 6, 9)
         x = np.abs(make_rng(10).normal(size=(6, 40))) + 0.1
         for strategy in ("student", "compositional"):
-            state = run_nca(p, x, NcaConfig(strategy, iterations=200, lr=1e-3))
+            state = run_nca(p, x, strategy, 200, 1e-3, 0)
             assert state.losses[-1] < state.losses[0]
 
 
